@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import baselines  # registers baseline rules as transforms
 from . import __version__
-from .conllu import parse_text, docs_to_text, scan_document_spans
+from .conllu import docs_to_text, numbered_spans, parse_file, read_document, write_file
 from .errors import (
     ConlluParseError,
     CoreferenceError,
@@ -30,17 +30,14 @@ from .metrics import (
     ALL_METRICS,
     EvalOptions,
     ScoreReport,
-    add_counts,
-    counts_to_prfs,
+    build_report,
     empty_response_twin,
-    macro_average,
+    pair_documents,
     score_document_pair,
 )
 from .model import build_coref_layer
 from .transforms import LAYER_TRANSFORMS, rewrite_entity_annotations, strip_entities
 from . import stats as stats_mod
-
-log = logging.getLogger("corefeval")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -115,8 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
-    logging.basicConfig(level=level, format="%(levelname)s: %(message)s")
+    _configure_logging((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
     try:
         return args.func(args)
     except DocumentPairError as exc:
@@ -125,6 +121,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConlluParseError, CoreferenceError, SerializationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+
+def _configure_logging(level: int) -> None:
+    logging.basicConfig(level=level, format="%(levelname)s: %(message)s")
 
 
 # ---------------------------------------------------------------------------
@@ -144,32 +144,26 @@ def cmd_score(args) -> int:
     )
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     names = _dataset_names(key_paths)
-    tasks = []
+    doc_keys, work = [], []
     for name, key_path, resp_path in zip(names, key_paths, resp_paths):
-        _SHARED_FILES[key_path] = Path(key_path).read_bytes()
-        _SHARED_FILES[resp_path] = Path(resp_path).read_bytes()
-        for order, (doc_key, key_ref, resp_ref) in enumerate(
-                _pair_spans(key_path, resp_path, name)):
-            tasks.append((name, order, doc_key, key_ref, resp_ref, opts))
+        # (doc_id, first_line, start, end) per document; the bytes are dropped
+        key_spans = list(numbered_spans(Path(key_path).read_bytes()))
+        resp_spans = list(numbered_spans(Path(resp_path).read_bytes()))
+        for doc_key, i, j in pair_documents([s[0] for s in key_spans],
+                                            [s[0] for s in resp_spans], name):
+            doc_keys.append((name, doc_key))
+            work.append(((key_path, *key_spans[i][1:]),
+                         None if j is None else (resp_path, *resp_spans[j][1:]), opts))
 
-    # workers inherit _SHARED_FILES through fork; tasks carry only offsets
-    if jobs > 1 and len(tasks) > 1:
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            results = list(pool.imap_unordered(_score_worker, tasks, chunksize=4))
+    # workers read their own byte spans, so they need no inherited state
+    if jobs > 1 and len(work) > 1:
+        with multiprocessing.Pool(jobs, _configure_logging,
+                                  (logging.getLogger().level,)) as pool:
+            counts = list(pool.imap(_score_worker, work, chunksize=4))
     else:
-        results = [_score_worker(t) for t in tasks]
-    _SHARED_FILES.clear()
-    results.sort(key=lambda r: (names.index(r[0]), r[1]))
-
-    totals: dict[str, dict[str, tuple]] = {name: {} for name in names}
-    per_doc: dict[str, dict[str, dict]] = {}
-    for name, _order, doc_key, counts in results:
-        add_counts(totals[name], counts)
-        if args.per_doc:
-            per_doc.setdefault(name, {})[doc_key] = counts_to_prfs(counts, opts.metrics)
-    per_dataset = {name: counts_to_prfs(totals[name], opts.metrics) for name in names}
-    report = ScoreReport((opts.match, opts.keep_singletons), opts.metrics,
-                         per_dataset, macro_average(per_dataset), per_doc)
+        counts = [_score_worker(w) for w in work]
+    report = build_report(names, [(name, doc_key, c) for (name, doc_key), c
+                                  in zip(doc_keys, counts)], opts, args.per_doc)
 
     rendered = _render_report(report, args.format, args.per_doc)
     print(rendered, end="" if rendered.endswith("\n") else "\n")
@@ -194,56 +188,11 @@ def _dataset_names(paths: list[str]) -> list[str]:
     return names
 
 
-_SHARED_FILES: dict[str, bytes] = {}
-
-
-def _pair_spans(key_path: str, resp_path: str, dataset: str):
-    """Pair per-document byte spans of a key and a response file by
-    document id (positionally when ids are absent)."""
-    key_spans = scan_document_spans(_SHARED_FILES[key_path])
-    resp_spans = scan_document_spans(_SHARED_FILES[resp_path])
-    key_ids = [s[0] for s in key_spans]
-    resp_ids = [s[0] for s in resp_spans]
-    use_ids = (None not in key_ids and None not in resp_ids
-               and len(set(key_ids)) == len(key_ids)
-               and len(set(resp_ids)) == len(resp_ids))
-    if use_ids:
-        by_id = {doc_id: (start, end) for doc_id, start, end in resp_spans}
-        for doc_id, start, end in key_spans:
-            span = by_id.pop(doc_id, None)
-            if span is None:
-                log.warning("dataset %s: document %s missing from the response;"
-                            " scoring it as empty", dataset, doc_id)
-                yield doc_id, (key_path, start, end), None
-            else:
-                yield doc_id, (key_path, start, end), (resp_path, *span)
-        if by_id:
-            raise DocumentPairError(
-                f"dataset {dataset}: response documents not present in the key: "
-                + ", ".join(sorted(by_id)))
-    else:
-        if len(key_spans) != len(resp_spans):
-            raise DocumentPairError(
-                f"dataset {dataset}: {len(key_spans)} key vs {len(resp_spans)}"
-                " response documents and no document ids to pair by")
-        for i, ((kid, ks, ke), (_rid, rs, re_)) in enumerate(
-                zip(key_spans, resp_spans)):
-            yield kid or f"#{i}", (key_path, ks, ke), (resp_path, rs, re_)
-
-
-def _chunk_text(ref: tuple[str, int, int]) -> str:
-    path, start, end = ref
-    return _SHARED_FILES[path][start:end].decode("utf-8")
-
-
-def _score_worker(task):
-    dataset, order, doc_key, key_ref, resp_ref, opts = task
-    key_doc = parse_text(_chunk_text(key_ref))[0]
-    if resp_ref is None:
-        resp_doc = empty_response_twin(key_doc)
-    else:
-        resp_doc = parse_text(_chunk_text(resp_ref))[0]
-    return dataset, order, doc_key, score_document_pair(key_doc, resp_doc, opts)
+def _score_worker(task) -> dict[str, tuple]:
+    key_src, resp_src, opts = task
+    key_doc = read_document(*key_src)
+    resp_doc = empty_response_twin(key_doc) if resp_src is None else read_document(*resp_src)
+    return score_document_pair(key_doc, resp_doc, opts)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +299,7 @@ def cmd_validate(args) -> int:
 
 def validate_path(path: str, strict: bool = False) -> list[str]:
     try:
-        docs = parse_text(Path(path).read_text(encoding="utf-8"), path=path)
+        docs = parse_file(path)
     except (ConlluParseError, CoreferenceError) as exc:
         return [str(exc)]
     problems: list[str] = []
@@ -384,7 +333,7 @@ _STAT_TABLES = {
 def cmd_stats(args) -> int:
     layers_by_file: dict[str, list] = {}
     for path in args.paths:
-        docs = parse_text(Path(path).read_text(encoding="utf-8"), path=path)
+        docs = parse_file(path)
         layers_by_file[Path(path).stem or path] = [build_coref_layer(d) for d in docs]
 
     tables = ("entities", "mentions", "details") if args.table == "all" else (args.table,)
@@ -453,7 +402,7 @@ def _resolve_outputs(args) -> list[tuple[str, str | None]]:
 
 def _rewrite_files(args, ops) -> int:
     for in_path, out_path in _resolve_outputs(args):
-        docs = parse_text(Path(in_path).read_text(encoding="utf-8"), path=in_path)
+        docs = parse_file(in_path)
         out_docs = []
         for doc in docs:
             doc = doc.copy()
@@ -464,11 +413,10 @@ def _rewrite_files(args, ops) -> int:
                 op(layer)
             rewrite_entity_annotations(doc, layer)
             out_docs.append(doc)
-        text = docs_to_text(out_docs)
         if out_path:
-            Path(out_path).write_text(text, encoding="utf-8")
+            write_file(out_docs, out_path)
         else:
-            sys.stdout.write(text)
+            sys.stdout.write(docs_to_text(out_docs))
     return EXIT_OK
 
 

@@ -124,9 +124,6 @@ class Token:
         self.entity = entity
         self.dirty = dirty
 
-    def fields(self) -> list[str]:
-        return self.raw.split("\t")
-
     @property
     def id(self) -> str:
         return self.raw[: _id_end(self.raw)]
@@ -206,74 +203,55 @@ _NEWDOC = "# newdoc"
 
 
 def parse_file(source: str | Path | BinaryIO) -> list[Document]:
-    """Parse a CoNLL-U file (path or binary stream) into documents."""
+    """Parse a CoNLL-U file (path or binary stream) into documents.  The
+    bytes are decoded as UTF-8 without newline translation."""
     if hasattr(source, "read"):
         data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
         path = getattr(source, "name", "<stream>")
     else:
         path = str(source)
-        text = Path(source).read_text(encoding="utf-8")
-    return parse_text(text, path=path)
+        data = Path(source).read_bytes()
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return _parse_bytes(data, path)
 
 
 def parse_text(text: str, path: str = "<string>") -> list[Document]:
-    docs: list[Document] = []
-    for doc_id, first_line, block in _split_blocks(text, path):
-        docs.append(_parse_document(doc_id, block, path, first_line))
+    return _parse_bytes(text.encode("utf-8"), path)
+
+
+def _parse_bytes(data: bytes, path: str) -> list[Document]:
+    docs = [_parse_document(data[start:end].decode("utf-8"), path, first_line)
+            for _doc_id, first_line, start, end in numbered_spans(data)]
     if not docs:
         raise ConlluParseError("no content found", path=path)
     return docs
 
 
-def _split_blocks(text: str, path: str) -> Iterator[tuple[str | None, int, list[str]]]:
-    """Yield (doc_id, first_line_number, lines) per document.
+def read_document(path: str, first_line: int, start: int, end: int) -> Document:
+    """Parse the document at bytes [start, end) of the file at `path`, one
+    span of `numbered_spans`, whose first line is line `first_line`."""
+    with open(path, "rb") as f:
+        f.seek(start)
+        text = f.read(end - start).decode("utf-8")
+    return _parse_document(text, path, first_line)
 
-    A document starts at the sentence block containing its `# newdoc`
-    comment; anything before the first marker forms an id-less document.
-    Trailing blank separator lines are stripped from each chunk.
-    """
-    if text and not text.endswith("\n"):
+
+def _parse_document(text: str, path: str, first_line: int) -> Document:
+    """Parse one document chunk (a span of `scan_document_spans`); its
+    `# newdoc` comment, if any, is in the first sentence block."""
+    if text.startswith("\ufeff"):
+        raise ConlluParseError("byte order mark (U+FEFF); save the file as UTF-8"
+                               " without BOM", path=path, line=first_line)
+    cr = text.find("\r")
+    if cr != -1:
+        raise ConlluParseError("carriage return in line (CRLF line endings are"
+                               " not supported)", path=path,
+                               line=first_line + text.count("\n", 0, cr))
+    if not text.endswith("\n"):
         log.warning("%s: file does not end with a newline", path)
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # artifact of the final newline
-
-    cur: list[str] = []
-    cur_id: str | None = None
-    cur_first = 1
-    block_start: int | None = None  # index into cur of the current sentence block
-
-    for lineno, line in enumerate(lines, start=1):
-        if line == "":
-            block_start = None
-            cur.append(line)
-            continue
-        if block_start is None:
-            block_start = len(cur)
-        if line.startswith(_NEWDOC):
-            carried = cur[block_start:]  # comments of this block precede the marker
-            head = cur[:block_start]
-            if any(l != "" for l in head):
-                yield cur_id, cur_first, _strip_trailing_blank(head)
-            cur_id = line.split("=", 1)[1].strip() if "=" in line else None
-            cur = carried
-            cur_first = lineno - len(carried)
-            block_start = 0
-        cur.append(line)
-    if any(l != "" for l in cur):
-        yield cur_id, cur_first, _strip_trailing_blank(cur)
-
-
-def _strip_trailing_blank(lines: list[str]) -> list[str]:
-    while lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
-def _parse_document(
-    doc_id: str | None, lines: list[str], path: str, first_line: int
-) -> Document:
+    lines = text.rstrip("\n").split("\n")
+    doc_id: str | None = None
     sentences: list[Sentence] = []
     comments: list[str] = []
     tokens: list[Token] = []
@@ -309,6 +287,8 @@ def _parse_document(
         if line[0] == "#":
             if tokens:
                 raise err("comment after token lines within a sentence", lineno)
+            if line.startswith(_NEWDOC):
+                doc_id = _newdoc_id(line)
             comments.append(line)
             continue
 
@@ -447,46 +427,39 @@ def write_file(docs: Iterable[Document], target: str | Path | BinaryIO) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Lightweight document splitting (for parallel scoring)
-
-def split_document_texts(text: str, path: str = "<string>") -> list[tuple[str | None, int, str]]:
-    """Split file text into (doc_id, first_line, text) chunks without full
-    parsing.  Each chunk is a valid standalone CoNLL-U snippet; parsing it
-    yields the same document as parsing the whole file."""
-    return [
-        (doc_id, first, "\n".join(lines) + "\n\n")
-        for doc_id, first, lines in _split_blocks(text, path)
-    ]
-
+# Document splitting
 
 _NEWDOC_RE = re.compile(rb"^# newdoc", re.MULTILINE)
 
 
+def _newdoc_id(line: str) -> str | None:
+    return line.split("=", 1)[1].strip() if "=" in line else None
+
+
 def scan_document_spans(data: bytes) -> list[tuple[str | None, int, int]]:
-    """Fast (doc_id, byte_start, byte_end) splitter for large files.
+    """Split a file into (doc_id, byte_start, byte_end) document spans by
+    scanning the raw bytes.
 
     A document starts at the beginning of the sentence block whose comments
-    contain the `# newdoc` marker; equivalent to `split_document_texts` on
-    canonical files, but scans the raw bytes instead of iterating lines.
+    contain the `# newdoc` marker (the later one wins if a block has two);
+    anything before the first marker forms an id-less document.
     """
     starts: list[tuple[int, str | None]] = []
     for match in _NEWDOC_RE.finditer(data):
         at = data.rfind(b"\n\n", 0, match.start())
-        start = 0 if at == -1 else at + 2
+        # a single blank line opening the file separates nothing
+        start = at + 2 if at != -1 else int(data.startswith(b"\n"))
         line_end = data.find(b"\n", match.start())
         line = data[match.start():line_end if line_end != -1 else len(data)]
-        doc_id = (line.split(b"=", 1)[1].strip().decode("utf-8")
-                  if b"=" in line else None)
+        doc_id = _newdoc_id(line.decode("utf-8"))
         if starts and starts[-1][0] == start:
-            # two newdoc comments in one block: the later one wins, like
-            # the line-based splitter
             starts[-1] = (start, doc_id)
             continue
         starts.append((start, doc_id))
     spans: list[tuple[str | None, int, int]] = []
     if not starts or starts[0][0] > 0:
         end = starts[0][0] if starts else len(data)
-        if data[:end].strip():
+        if data[:end].strip(b"\n"):
             spans.append((None, 0, end))
     for i, (start, doc_id) in enumerate(starts):
         end = starts[i + 1][0] if i + 1 < len(starts) else len(data)
@@ -494,8 +467,10 @@ def scan_document_spans(data: bytes) -> list[tuple[str | None, int, int]]:
     return spans
 
 
-def scan_documents(text: str) -> list[tuple[str | None, str]]:
-    """(doc_id, chunk text) view of `scan_document_spans`."""
-    data = text.encode("utf-8")
-    return [(doc_id, data[start:end].decode("utf-8"))
-            for doc_id, start, end in scan_document_spans(data)]
+def numbered_spans(data: bytes) -> Iterator[tuple[str | None, int, int, int]]:
+    """`scan_document_spans` as (doc_id, first_line, byte_start, byte_end)."""
+    line, prev = 1, 0
+    for doc_id, start, end in scan_document_spans(data):
+        line += data.count(b"\n", prev, start)
+        prev = start
+        yield doc_id, line, start, end

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -495,36 +495,53 @@ class ScoreReport:
 
 
 def pair_documents(
-    key_docs: list[Document], resp_docs: list[Document], dataset: str
-) -> list[tuple[Document, Document]]:
-    """Pair documents by id (or positionally when ids are absent).  A key
-    document missing from the response scores against an empty twin; a
+    key_ids: list[str | None], resp_ids: list[str | None], dataset: str
+) -> list[tuple[str, int, int | None]]:
+    """Pair key and response documents, given their ids, as (doc_key,
+    key_index, resp_index).  Documents pair by id when the ids are unique on
+    both sides, otherwise by position.  A key document missing from the
+    response has resp_index None (it scores against an empty twin); a
     response document missing from the key is an error."""
-    key_ids = [d.doc_id for d in key_docs]
-    resp_ids = [d.doc_id for d in resp_docs]
-    pairs: list[tuple[Document, Document]] = []
     if (None not in key_ids and None not in resp_ids
             and len(set(key_ids)) == len(key_ids)
             and len(set(resp_ids)) == len(resp_ids)):
-        by_id = {d.doc_id: d for d in resp_docs}
-        for key_doc in key_docs:
-            resp_doc = by_id.pop(key_doc.doc_id, None)
-            if resp_doc is None:
+        by_id = {doc_id: j for j, doc_id in enumerate(resp_ids)}
+        pairs = []
+        for i, doc_id in enumerate(key_ids):
+            j = by_id.pop(doc_id, None)
+            if j is None:
                 log.warning("dataset %s: document %s missing from the response;"
-                            " scoring it as empty", dataset, key_doc.doc_id)
-                resp_doc = empty_response_twin(key_doc)
-            pairs.append((key_doc, resp_doc))
+                            " scoring it as empty", dataset, doc_id)
+            pairs.append((doc_id, i, j))
         if by_id:
             raise DocumentPairError(
                 f"dataset {dataset}: response documents not present in the key: "
                 + ", ".join(sorted(by_id)))
-    else:
-        if len(key_docs) != len(resp_docs):
-            raise DocumentPairError(
-                f"dataset {dataset}: {len(key_docs)} key vs {len(resp_docs)} "
-                "response documents and no document ids to pair by")
-        pairs = list(zip(key_docs, resp_docs))
-    return pairs
+        return pairs
+    if len(key_ids) != len(resp_ids):
+        raise DocumentPairError(
+            f"dataset {dataset}: {len(key_ids)} key vs {len(resp_ids)} "
+            "response documents and no document ids to pair by")
+    return [(doc_id or f"#{i}", i, i) for i, doc_id in enumerate(key_ids)]
+
+
+def build_report(
+    datasets: list[str],
+    results: Iterable[tuple[str, str, dict[str, tuple]]],
+    opts: EvalOptions,
+    per_doc: bool = False,
+) -> ScoreReport:
+    """Aggregate ordered (dataset, doc_key, counts) results: counts are
+    summed within a dataset and the datasets' scores macro-averaged."""
+    totals: dict[str, dict[str, tuple]] = {name: {} for name in datasets}
+    doc_scores: dict[str, dict[str, dict[str, PRF]]] = {}
+    for name, doc_key, counts in results:
+        add_counts(totals[name], counts)
+        if per_doc:
+            doc_scores.setdefault(name, {})[doc_key] = counts_to_prfs(counts, opts.metrics)
+    per_dataset = {name: counts_to_prfs(t, opts.metrics) for name, t in totals.items()}
+    return ScoreReport((opts.match, opts.keep_singletons), opts.metrics,
+                       per_dataset, macro_average(per_dataset), doc_scores)
 
 
 def evaluate(
@@ -534,24 +551,18 @@ def evaluate(
     per_doc: bool = False,
 ) -> ScoreReport:
     """Score response datasets against key datasets (same names)."""
-    per_dataset: dict[str, dict[str, PRF]] = {}
-    doc_scores: dict[str, dict[str, dict[str, PRF]]] = {}
-    for name, key_docs in key_datasets.items():
+    for name in key_datasets:
         if name not in resp_datasets:
             raise DocumentPairError(f"dataset {name} missing from the response")
-        totals: dict[str, tuple] = {}
-        for i, (key_doc, resp_doc) in enumerate(
-                pair_documents(key_docs, resp_datasets[name], name)):
-            counts = score_document_pair(key_doc, resp_doc, opts)
-            add_counts(totals, counts)
-            if per_doc:
-                doc_key = key_doc.doc_id or f"#{i}"
-                doc_scores.setdefault(name, {})[doc_key] = counts_to_prfs(
-                    counts, opts.metrics)
-        per_dataset[name] = counts_to_prfs(totals, opts.metrics)
     extra = set(resp_datasets) - set(key_datasets)
     if extra:
         raise DocumentPairError(
             "response datasets not present in the key: " + ", ".join(sorted(extra)))
-    return ScoreReport((opts.match, opts.keep_singletons), opts.metrics,
-                       per_dataset, macro_average(per_dataset), doc_scores)
+    results = []
+    for name, key_docs in key_datasets.items():
+        resp_docs = resp_datasets[name]
+        for doc_key, i, j in pair_documents([d.doc_id for d in key_docs],
+                                            [d.doc_id for d in resp_docs], name):
+            resp_doc = empty_response_twin(key_docs[i]) if j is None else resp_docs[j]
+            results.append((name, doc_key, score_document_pair(key_docs[i], resp_doc, opts)))
+    return build_report(list(key_datasets), results, opts, per_doc)

@@ -65,21 +65,21 @@ def big_corpus(tmp_path_factory):
     return key, resp
 
 
-def run_score_json(key, resp, *flags):
-    out = key.parent / f"report{abs(hash((str(key), flags)))}.json"
+def run_score_json(out_dir, key, resp, *flags):
+    out = out_dir / "report.json"
     code = main(["score", str(key), str(resp), "--format", "json",
                  "-o", str(out), *flags])
     assert code == 0
     return json.loads(out.read_text())
 
 
-def test_criterion_01_identity_scoring(fixtures_dir, ten_k_fixture, capsys):
+def test_criterion_01_identity_scoring(fixtures_dir, ten_k_fixture, tmp_path, capsys):
     corpora = [fixtures_dir / f"{name}.conllu" for name in BUNDLED]
     corpora.append(ten_k_fixture)
     for path in corpora:
         for match in ("partial", "exact", "head"):
             for singleton_flags in ((), ("--keep-singletons",)):
-                payload = run_score_json(path, path, "--match", match,
+                payload = run_score_json(tmp_path, path, path, "--match", match,
                                          "--jobs", "1", *singleton_flags)
                 for dataset, scores in payload["datasets"].items():
                     for metric, values in scores.items():
@@ -316,7 +316,7 @@ def test_criterion_07_head_only_response_relations(tmp_path):
 
     scores = {}
     for match in ("partial", "exact", "head"):
-        payload = run_score_json(key, resp, "--match", match, "--jobs", "1")
+        payload = run_score_json(tmp_path, key, resp, "--match", match, "--jobs", "1")
         scores[match] = payload["datasets"]["key"]
     conll_partial = scores["partial"]["conll"]["f1"]
     conll_exact = scores["exact"]["conll"]["f1"]

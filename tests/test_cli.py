@@ -1,12 +1,21 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import corefeval
 import gen
-from corefeval.cli import main
-from corefeval.conllu import parse_text
+from corefeval.cli import _render_json, main
+from corefeval.conllu import docs_to_text, parse_file, parse_text
+from corefeval.metrics import EvalOptions, evaluate
 from corefeval.model import build_coref_layer
+from corefeval.transforms import reduce_to_head
+
+BUNDLED = ("animals", "zeros", "discontinuous", "pronoun_baseline", "propn_baseline")
 
 
 @pytest.fixture
@@ -37,6 +46,16 @@ class TestScoreCommand:
         code, _, err = run(capsys, "score", bad, bad)
         assert code == 2
         assert "10 tab-separated" in err
+        # an error in a later document carries the same file:line as validate
+        good = "# newdoc id = d1\n1\tw\tw\tX\t_\t_\t0\tdep\t_\t_\n\n"
+        bad.write_text(good + "# newdoc id = d2\n1\tw\tw\tX\t_\t_\t0\tdep\t_\n\n")
+        where = f"{bad}:5: expected 10 tab-separated columns, got 9"
+        code, out, _ = run(capsys, "validate", bad)
+        assert code == 2 and where in out
+        for jobs in ("1", "2"):
+            code, _, err = run(capsys, "score", bad, bad, "--jobs", jobs)
+            assert code == 2
+            assert f"error: {where}" in err, (jobs, err)
 
     def test_differing_empty_nodes_exit_three(self, fixtures_dir, tmp_path, capsys):
         src = (fixtures_dir / "zeros.conllu").read_text()
@@ -132,6 +151,84 @@ class TestScoreCommand:
         payload = run(capsys, "score", key, resp, "--format", "json")[1]
         conll = json.loads(payload)["datasets"]["k"]["conll"]["f1"]
         assert 0 < conll < 100
+
+
+class TestSharedEngine:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_library_and_cli_reports_equal(self, name, fixtures_dir, tmp_path, capsys):
+        key = fixtures_dir / f"{name}.conllu"
+        key_docs = parse_file(key)
+        perturbed = tmp_path / "perturbed.conllu"
+        perturbed.write_text(docs_to_text([reduce_to_head(d) for d in key_docs]))
+        for resp in (key, perturbed):
+            resp_docs = parse_file(resp)
+            for match in ("partial", "exact", "head"):
+                for keep in (False, True):
+                    opts = EvalOptions(match=match, keep_singletons=keep)
+                    library = _render_json(
+                        evaluate({name: key_docs}, {name: resp_docs}, opts, per_doc=True),
+                        per_doc=True)
+                    code, cli, _ = run(capsys, "score", key, resp, "--match", match,
+                                       *(["--keep-singletons"] if keep else []),
+                                       "--format", "json", "--per-doc", "--jobs", "1")
+                    assert code == 0
+                    assert cli == library, (resp.name, match, keep)
+
+    def test_spawn_start_method_matches_single_job(self, tmp_path, capsys):
+        rng = random.Random(5)
+        key_parts, resp_parts = [], []
+        for d in range(5):
+            skel = gen.random_skeleton(rng, f"doc{d}", n_sentences=(2, 4))
+            specs = gen.random_mentions(rng, skel, n_entities=(2, 4))
+            key_parts.append(gen.conllu_text(skel, specs))
+            resp_parts.append(gen.conllu_text(skel, gen.perturb_mentions(rng, specs, skel)))
+        # parsing this document in a worker logs a warning
+        cross = ("# newdoc id = cross\n"
+                 "1\tw\tw\tNOUN\t_\t_\t0\troot\t_\tEntity=(e1\n\n"
+                 "1\tv\tv\tNOUN\t_\t_\t0\troot\t_\tEntity=e1)\n"
+                 "2\tu\tu\tNOUN\t_\t_\t1\tdep\t_\tEntity=(e1)\n\n")
+        key, resp = tmp_path / "k.conllu", tmp_path / "r.conllu"
+        key.write_text("".join(key_parts) + cross)
+        resp.write_text("".join(resp_parts) + cross)
+        argv = ["score", str(key), str(resp), "--format", "json", "--per-doc"]
+        code, single, _ = run(capsys, *argv, "--jobs", "1")
+        assert code == 0
+        # a spawned worker inherits nothing from the parent process
+        script = ("import multiprocessing, sys\n"
+                  "multiprocessing.set_start_method('spawn')\n"
+                  "from corefeval.cli import main\n"
+                  f"sys.exit(main({argv + ['--jobs', '2']!r}))\n")
+        src = str(Path(corefeval.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == single
+        assert (f"WARNING: {key}: mention of e1 crosses a sentence boundary"
+                " in document cross") in proc.stderr.splitlines()
+
+
+class TestInputPolicy:
+    @pytest.mark.parametrize("kind", ["crlf", "bom"])
+    def test_crlf_and_bom_rejected_by_every_command(self, kind, gold, tmp_path, capsys):
+        bad = tmp_path / "bad.conllu"
+        data = gold.read_bytes()
+        if kind == "crlf":
+            bad.write_bytes(data.replace(b"\n", b"\r\n"))
+            message = f"{bad}:1: carriage return in line"
+        else:
+            bad.write_bytes(b"\xef\xbb\xbf" + data)
+            message = f"{bad}:1: byte order mark"
+        code, out, _ = run(capsys, "validate", bad)
+        assert code == 2 and f"{bad}: {message}" in out
+        for argv in (["score", bad, bad], ["score", bad, bad, "--jobs", "2"],
+                     ["stats", bad], ["transform", bad, "--ops", "reduce-head"],
+                     ["baseline", bad, "--rules", "propn-lemma"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert f"error: {message}" in err, (argv, err)
+            assert out == ""
 
 
 class TestValidateCommand:

@@ -11,8 +11,8 @@ from corefeval.conllu import (
     EntityBracket,
     parse_text,
     docs_to_text,
+    scan_document_spans,
     serialize_brackets,
-    split_document_texts,
     tokenize_entity,
 )
 from corefeval.errors import ConlluParseError
@@ -165,25 +165,33 @@ class TestRoundTrip:
                [[t.raw for t in s.tokens] for s in doc.sentences]
 
 
+def scan_chunks(text: str) -> list[tuple[str | None, str]]:
+    """(doc_id, chunk text) per span of `scan_document_spans`."""
+    data = text.encode("utf-8")
+    return [(doc_id, data[start:end].decode("utf-8"))
+            for doc_id, start, end in scan_document_spans(data)]
+
+
 class TestDocumentSplitting:
     def test_chunks_parse_to_same_documents(self, rng):
         parts = [gen.random_document(random.Random(s), f"d{s}")[2] for s in range(4)]
         text = "".join(parts)
-        chunks = split_document_texts(text)
+        chunks = scan_chunks(text)
         assert [c[0] for c in chunks] == [f"d{s}" for s in range(4)]
         whole = parse_text(text)
-        for (doc_id, _first, chunk), doc in zip(chunks, whole):
+        for (doc_id, chunk), doc in zip(chunks, whole):
             par = parse_text(chunk)
             assert len(par) == 1
             assert docs_to_text(par) == docs_to_text([doc])
 
     def test_preamble_without_id(self):
         text = tok("1") + "\n\n" + make_doc([tok("1")])
-        chunks = split_document_texts(text)
-        assert [c[0] for c in chunks] == [None, "d1"]
+        assert [c[0] for c in scan_chunks(text)] == [None, "d1"]
+        assert [d.doc_id for d in parse_text(text)] == [None, "d1"]
 
     def test_fast_scanner_equivalent_to_line_splitter(self):
-        from corefeval.conllu import scan_documents
+        # each scanned chunk parses to the document that parsing the whole
+        # file line by line yields
         parts = [gen.random_document(random.Random(s), f"d{s}")[2]
                  for s in range(5)]
         # non-ASCII forms exercise byte-offset handling
@@ -191,28 +199,42 @@ class TestDocumentSplitting:
                           tok("2", "Entity=(e1)", "1", form="ptáček")],
                          doc_id="čeština")
         text = czech + "".join(parts)
-        fast = scan_documents(text)
-        slow = split_document_texts(text)
-        assert [c[0] for c in fast] == [c[0] for c in slow]
-        for (fid, ftext), (_sid, _first, stext) in zip(fast, slow):
+        fast = scan_chunks(text)
+        whole = parse_text(text)
+        assert [c[0] for c in fast] == [d.doc_id for d in whole]
+        for (fid, ftext), doc in zip(fast, whole):
             assert parse_text(ftext)[0].doc_id == fid
-            assert docs_to_text(parse_text(ftext)) == docs_to_text(parse_text(stext))
+            assert docs_to_text(parse_text(ftext)) == docs_to_text([doc])
 
     def test_fast_scanner_comment_before_marker(self):
-        from corefeval.conllu import scan_documents
         text = (make_doc([tok("1")])
                 + "# leading comment\n# newdoc id = d2\n" + tok("1") + "\n\n")
-        chunks = scan_documents(text)
+        chunks = scan_chunks(text)
         assert [c[0] for c in chunks] == ["d1", "d2"]
         doc2 = parse_text(chunks[1][1])[0]
         assert doc2.sentences[0].comments[0] == "# leading comment"
 
     def test_two_markers_in_one_block_agree_across_splitters(self):
-        from corefeval.conllu import scan_documents
         text = "# newdoc id = a\n# newdoc id = b\n" + tok("1") + "\n\n"
-        assert [c[0] for c in scan_documents(text)] == ["b"]
-        assert [c[0] for c in split_document_texts(text)] == ["b"]
+        assert [c[0] for c in scan_chunks(text)] == ["b"]
         assert [d.doc_id for d in parse_text(text)] == ["b"]
+
+    def test_leading_blank_line_before_newdoc(self):
+        # one blank line opening the file belongs to no document
+        text = "\n" + make_doc([tok("1")]) + make_doc([tok("1")], doc_id="d2")
+        assert [c for c in scan_chunks(text)] == [
+            ("d1", make_doc([tok("1")])), ("d2", make_doc([tok("1")], doc_id="d2"))]
+        docs = parse_text(text)
+        assert [d.doc_id for d in docs] == ["d1", "d2"]
+        assert docs_to_text(docs) == text[1:]
+        with pytest.raises(ConlluParseError, match="<string>:6: expected 10"):
+            parse_text(text.replace(tok("1") + "\n\n# newdoc id = d2",
+                                    tok("1") + "\n\n# newdoc id = d2\nbad"))
+
+    def test_error_line_numbers_count_from_file_start(self):
+        text = make_doc([tok("1")]) + "\n" + make_doc([tok("1"), "x\ty"], doc_id="d2")
+        with pytest.raises(ConlluParseError, match="f.conllu:7: expected 10"):
+            parse_text(text, path="f.conllu")
 
 
 class TestTokenRewrite:
