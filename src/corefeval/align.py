@@ -18,9 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .heads import mention_head
 from .model import Mention
 
@@ -97,7 +94,46 @@ def _candidate_edges(
 
 
 # ---------------------------------------------------------------------------
-# Optimal assignment with deterministic tie-breaking
+# Maximum-weight assignment.  numpy and scipy are imported at the first
+# component with more than one edge, so runs that never need a real solve
+# (most scoring, and every command but `score`) never load them.
+
+def linear_sum_assignment(cost, maximize: bool = False):
+    """`scipy.optimize.linear_sum_assignment`, imported when first called."""
+    from scipy.optimize import linear_sum_assignment as solve
+    return solve(cost, maximize=maximize)
+
+
+def assign(
+    rows: list[int], cols: list[int], weights: dict[tuple[int, int], float]
+) -> list[tuple[int, int]]:
+    """The one-to-one set of edges (row, col) in rows × cols with the
+    largest total weight; every weight must be positive, and edges of
+    `weights` outside rows × cols are ignored."""
+    cells = [(a, b) for a, i in enumerate(rows) for b, j in enumerate(cols)
+             if (i, j) in weights]
+    if len(cells) <= 1:
+        return [(rows[a], cols[b]) for a, b in cells]
+    import numpy as np
+
+    w = np.zeros((len(rows), len(cols)))
+    at_rows, at_cols = zip(*cells)
+    w[at_rows, at_cols] = [weights[(rows[a], cols[b])] for a, b in cells]
+    # looked up at call time, so the module attribute can be wrapped
+    ri, ci = linear_sum_assignment(w, maximize=True)
+    chosen = ((rows[a], cols[b]) for a, b in zip(ri.tolist(), ci.tolist()))
+    return [e for e in chosen if e in weights]
+
+
+def optimal_edges(weights: dict[tuple[int, int], float]) -> list[tuple[int, int]]:
+    """`assign` over all rows and columns, solved one connected component
+    of the edge graph at a time."""
+    return [e for keys, resps, _ in _components(weights)
+            for e in assign(keys, resps, weights)]
+
+
+# ---------------------------------------------------------------------------
+# Optimal alignment with deterministic tie-breaking
 
 def solve_alignment(
     overlap: dict[tuple[int, int], int], key_sizes: list[int]
@@ -105,12 +141,9 @@ def solve_alignment(
     """Pick the alignment over the given candidate edges that maximizes
     (pair count, total overlap, -total matched key size) and is
     lexicographically smallest."""
-    if not overlap:
-        return []
-    components = _components(overlap)
     chosen: list[tuple[int, int]] = []
-    for keys, resps, edges in components:
-        if len(edges) == 1:
+    for keys, resps, edges in _components(overlap):
+        if len(edges) == 1:  # nothing to break ties between
             chosen.extend(edges)
         else:
             chosen.extend(_solve_component(keys, resps, edges, overlap, key_sizes))
@@ -160,24 +193,15 @@ def _solve_component(
     tight_scale = sum(size_cap - key_sizes[i] for i, _ in edges) + 1
     base = tight_scale * (sum(overlap[e] for e in edges) + 1)
 
-    def weight(i: int, j: int) -> float:
-        return base + tight_scale * overlap[(i, j)] + (size_cap - key_sizes[i])
+    weight = {e: base + tight_scale * overlap[e] + (size_cap - key_sizes[e[0]])
+              for e in edges}
 
     def best(fixed: list[tuple[int, int]], banned_keys: set[int]) -> float:
         used_k = {i for i, _ in fixed} | banned_keys
         used_r = {j for _, j in fixed}
         rows = [i for i in keys if i not in used_k]
         cols = [j for j in resps if j not in used_r]
-        value = sum(weight(i, j) for i, j in fixed)
-        if rows and cols:
-            w = np.zeros((len(rows), len(cols)))
-            for a, i in enumerate(rows):
-                for b, j in enumerate(cols):
-                    if (i, j) in overlap:
-                        w[a, b] = weight(i, j)
-            ri, ci = linear_sum_assignment(w, maximize=True)
-            value += w[ri, ci].sum()
-        return value
+        return sum(weight[e] for e in fixed + assign(rows, cols, weight))
 
     target = best([], set())
     fixed: list[tuple[int, int]] = []
@@ -213,16 +237,4 @@ def max_total_overlap(
                 seen[j] = seen.get(j, 0) + 1
         for j, ov in seen.items():
             overlap[(i, j)] = ov
-    total = 0
-    for keys, resps, edges in _components(overlap):
-        if len(edges) == 1:
-            total += overlap[edges[0]]
-            continue
-        w = np.zeros((len(keys), len(resps)))
-        kpos = {i: a for a, i in enumerate(keys)}
-        rpos = {j: b for b, j in enumerate(resps)}
-        for (i, j), ov in ((e, overlap[e]) for e in edges):
-            w[kpos[i], rpos[j]] = ov
-        ri, ci = linear_sum_assignment(w, maximize=True)
-        total += int(round(w[ri, ci].sum()))
-    return total
+    return sum(overlap[e] for e in optimal_edges(overlap))

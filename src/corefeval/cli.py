@@ -147,8 +147,8 @@ def cmd_score(args) -> int:
     doc_keys, work = [], []
     for name, key_path, resp_path in zip(names, key_paths, resp_paths):
         # (doc_id, first_line, start, end) per document; the bytes are dropped
-        key_spans = list(numbered_spans(Path(key_path).read_bytes()))
-        resp_spans = list(numbered_spans(Path(resp_path).read_bytes()))
+        key_spans = list(numbered_spans(Path(key_path).read_bytes(), key_path))
+        resp_spans = list(numbered_spans(Path(resp_path).read_bytes(), resp_path))
         for doc_key, i, j in pair_documents([s[0] for s in key_spans],
                                             [s[0] for s in resp_spans], name):
             doc_keys.append((name, doc_key))

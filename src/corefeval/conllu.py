@@ -221,8 +221,9 @@ def parse_text(text: str, path: str = "<string>") -> list[Document]:
 
 
 def _parse_bytes(data: bytes, path: str) -> list[Document]:
-    docs = [_parse_document(data[start:end].decode("utf-8"), path, first_line)
-            for _doc_id, first_line, start, end in numbered_spans(data)]
+    docs = [_parse_document(_decode(data[start:end], path, first_line), path,
+                            first_line)
+            for _doc_id, first_line, start, end in numbered_spans(data, path)]
     if not docs:
         raise ConlluParseError("no content found", path=path)
     return docs
@@ -233,8 +234,24 @@ def read_document(path: str, first_line: int, start: int, end: int) -> Document:
     span of `numbered_spans`, whose first line is line `first_line`."""
     with open(path, "rb") as f:
         f.seek(start)
-        text = f.read(end - start).decode("utf-8")
+        text = _decode(f.read(end - start), path, first_line)
     return _parse_document(text, path, first_line)
+
+
+def _decode(data: bytes, path: str, first_line: int) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _utf8_error(exc, path, first_line) from None
+
+
+def _utf8_error(
+    exc: UnicodeDecodeError, path: str | None, first_line: int
+) -> ConlluParseError:
+    """The parse error for bytes whose first line is line `first_line`."""
+    return ConlluParseError(
+        f"invalid UTF-8 (byte 0x{exc.object[exc.start]:02x})", path=path,
+        line=first_line + exc.object.count(b"\n", 0, exc.start))
 
 
 def _parse_document(text: str, path: str, first_line: int) -> Document:
@@ -442,7 +459,8 @@ def scan_document_spans(data: bytes) -> list[tuple[str | None, int, int]]:
 
     A document starts at the beginning of the sentence block whose comments
     contain the `# newdoc` marker (the later one wins if a block has two);
-    anything before the first marker forms an id-less document.
+    anything before the first marker forms an id-less document.  Invalid
+    UTF-8 in a `# newdoc` line is a `ConlluParseError` with no path.
     """
     starts: list[tuple[int, str | None]] = []
     for match in _NEWDOC_RE.finditer(data):
@@ -451,7 +469,11 @@ def scan_document_spans(data: bytes) -> list[tuple[str | None, int, int]]:
         start = at + 2 if at != -1 else int(data.startswith(b"\n"))
         line_end = data.find(b"\n", match.start())
         line = data[match.start():line_end if line_end != -1 else len(data)]
-        doc_id = _newdoc_id(line.decode("utf-8"))
+        try:
+            doc_id = _newdoc_id(line.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(exc, None,
+                              data.count(b"\n", 0, match.start()) + 1) from None
         if starts and starts[-1][0] == start:
             starts[-1] = (start, doc_id)
             continue
@@ -467,10 +489,17 @@ def scan_document_spans(data: bytes) -> list[tuple[str | None, int, int]]:
     return spans
 
 
-def numbered_spans(data: bytes) -> Iterator[tuple[str | None, int, int, int]]:
-    """`scan_document_spans` as (doc_id, first_line, byte_start, byte_end)."""
+def numbered_spans(
+    data: bytes, path: str
+) -> Iterator[tuple[str | None, int, int, int]]:
+    """`scan_document_spans` as (doc_id, first_line, byte_start, byte_end);
+    `path` names the file in errors."""
+    try:
+        spans = scan_document_spans(data)
+    except ConlluParseError as exc:
+        raise ConlluParseError(exc.args[0], path, exc.line) from None
     line, prev = 1, 0
-    for doc_id, start, end in scan_document_spans(data):
+    for doc_id, start, end in spans:
         line += data.count(b"\n", prev, start)
         prev = start
         yield doc_id, line, start, end

@@ -12,13 +12,20 @@ macro-averaging.
 from __future__ import annotations
 
 import logging
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
-from .align import EXACT, HEAD, PARTIAL, POLICIES, align_mentions, max_total_overlap
+from .align import (
+    EXACT,
+    HEAD,
+    PARTIAL,
+    POLICIES,
+    align_mentions,
+    max_total_overlap,
+    optimal_edges,
+)
 from .conllu import Document
 from .errors import DocumentPairError
 from .model import CorefLayer, Mention, build_coref_layer
@@ -144,21 +151,17 @@ def bcub_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tu
 
 def ceafe_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
     """Total entity similarity 2|K∩R|/(|K|+|R|) under optimal assignment."""
-    phi = 0.0
-    if key_clusters and resp_clusters:
-        key_membership = _membership(key_clusters)
-        overlaps: dict[tuple[int, int], int] = {}
-        for rj, c in enumerate(resp_clusters):
-            for m in c:
-                ki = key_membership.get(m)
-                if ki is not None:
-                    overlaps[(ki, rj)] = overlaps.get((ki, rj), 0) + 1
-        if overlaps:
-            w = np.zeros((len(key_clusters), len(resp_clusters)))
-            for (ki, rj), ov in overlaps.items():
-                w[ki, rj] = 2.0 * ov / (len(key_clusters[ki]) + len(resp_clusters[rj]))
-            rows, cols = linear_sum_assignment(w, maximize=True)
-            phi = float(w[rows, cols].sum())
+    key_membership = _membership(key_clusters)
+    overlaps: dict[tuple[int, int], int] = {}
+    for rj, c in enumerate(resp_clusters):
+        for m in c:
+            ki = key_membership.get(m)
+            if ki is not None:
+                overlaps[(ki, rj)] = overlaps.get((ki, rj), 0) + 1
+    similarity = {(ki, rj): 2.0 * ov / (len(key_clusters[ki]) + len(resp_clusters[rj]))
+                  for (ki, rj), ov in overlaps.items()}
+    # fsum: phi does not depend on the order the components are solved in
+    phi = math.fsum(similarity[e] for e in optimal_edges(similarity))
     return (phi, len(key_clusters), len(resp_clusters))
 
 
@@ -499,9 +502,11 @@ def pair_documents(
 ) -> list[tuple[str, int, int | None]]:
     """Pair key and response documents, given their ids, as (doc_key,
     key_index, resp_index).  Documents pair by id when the ids are unique on
-    both sides, otherwise by position.  A key document missing from the
-    response has resp_index None (it scores against an empty twin); a
-    response document missing from the key is an error."""
+    both sides, otherwise by position, and then a missing or repeated key
+    id takes the document's position into its doc_key ("#3", "doc#3").  A
+    key document missing from the response has resp_index None (it scores
+    against an empty twin); a response document missing from the key is an
+    error."""
     if (None not in key_ids and None not in resp_ids
             and len(set(key_ids)) == len(key_ids)
             and len(set(resp_ids)) == len(resp_ids)):
@@ -522,7 +527,9 @@ def pair_documents(
         raise DocumentPairError(
             f"dataset {dataset}: {len(key_ids)} key vs {len(resp_ids)} "
             "response documents and no document ids to pair by")
-    return [(doc_id or f"#{i}", i, i) for i, doc_id in enumerate(key_ids)]
+    uses = Counter(key_ids)
+    return [(doc_id if doc_id and uses[doc_id] == 1 else f"{doc_id or ''}#{i}", i, i)
+            for i, doc_id in enumerate(key_ids)]
 
 
 def build_report(

@@ -4,9 +4,18 @@ import pytest
 
 import gen
 import oracles
-from corefeval.align import EXACT, PARTIAL, align_mentions, matches, solve_alignment
-from corefeval.conllu import parse_text
+import corefeval.align
+from corefeval.align import (
+    EXACT,
+    PARTIAL,
+    align_mentions,
+    matches,
+    max_total_overlap,
+    solve_alignment,
+)
+from corefeval.conllu import parse_file, parse_text
 from corefeval.heads import mention_head
+from corefeval.metrics import ceafe_counts
 from corefeval.model import build_coref_layer
 
 
@@ -148,6 +157,49 @@ class TestAlignment:
         pairs2 = align_mentions(shuffled_keys, shuffled_resps, PARTIAL).pairs
         as_sets = lambda ps: {(k.position_set, r.position_set) for k, r in ps}
         assert as_sets(pairs) == as_sets(pairs2)
+
+
+class TestSolverCalls:
+    """Every solve goes through `corefeval.align.linear_sum_assignment`,
+    looked up when called, and only for components with several edges."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        solve = corefeval.align.linear_sum_assignment
+        shapes = []
+
+        def counted(cost, *args, **kwargs):
+            shapes.append(cost.shape)
+            return solve(cost, *args, **kwargs)
+
+        monkeypatch.setattr(corefeval.align, "linear_sum_assignment", counted)
+        return shapes
+
+    def test_multi_edge_components_call_the_solver(self, calls):
+        assert solve_alignment({(0, 0): 2, (0, 1): 1, (1, 0): 2}, [3, 2]) \
+            == [(0, 1), (1, 0)]
+        assert len(calls) > 0
+        calls.clear()
+        assert max_total_overlap([frozenset({0, 1, 2})],
+                                 [frozenset({0, 1}), frozenset({1, 2})]) == 2
+        assert calls == [(1, 2)]
+        calls.clear()
+        phi, _, _ = ceafe_counts([frozenset({0, 1}), frozenset({2, 3})],
+                                 [frozenset({0, 1, 2}), frozenset({3})])
+        assert phi == pytest.approx(4 / 5 + 2 / 3)
+        assert calls == [(2, 2)]
+
+    def test_single_edge_input_never_calls_the_solver(self, calls, fixtures_dir):
+
+        sets = [frozenset({0}), frozenset({1, 2}), frozenset({3, 4, 5})]
+        assert solve_alignment({(0, 0): 1, (1, 1): 2, (2, 2): 1}, [1, 2, 3]) \
+            == [(0, 0), (1, 1), (2, 2)]
+        assert max_total_overlap(sets, sets[:2]) == 3
+        assert ceafe_counts(sets, sets) == (3.0, 3, 3)
+        for doc in parse_file(fixtures_dir / "animals.conllu"):
+            ms = build_coref_layer(doc).sorted_mentions()
+            assert len(align_mentions(ms, ms, PARTIAL).pairs) == len(ms)
+        assert calls == []
 
 
 def _random_pair(seed, small=False):

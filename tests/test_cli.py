@@ -57,6 +57,23 @@ class TestScoreCommand:
             assert code == 2
             assert f"error: {where}" in err, (jobs, err)
 
+    def test_duplicate_document_ids_keep_a_row_each(self, gold, tmp_path, capsys):
+        resp = tmp_path / "resp.conllu"
+        resp.write_text(docs_to_text(reduce_to_head(d) for d in parse_file(gold)))
+        (tmp_path / "dup").mkdir()
+        dup_key, dup_resp = tmp_path / "dup" / "gold.conllu", tmp_path / "dup" / "resp.conllu"
+        for src, dst in ((gold, dup_key), (resp, dup_resp)):
+            dst.write_text(src.read_text().replace("id = animals-2", "id = animals-1"))
+        code, out, _ = run(capsys, "score", dup_key, dup_resp, "--per-doc", "--format", "json")
+        assert code == 0
+        dup = json.loads(out)
+        assert sorted(dup["documents"]["gold"]) == ["animals-1#0", "animals-1#1"]
+        code, out, _ = run(capsys, "score", gold, resp, "--per-doc", "--format", "json")
+        unique = json.loads(out)
+        assert dup["datasets"] == unique["datasets"]
+        assert list(dup["documents"]["gold"].values()) == \
+            list(unique["documents"]["gold"].values())
+
     def test_differing_empty_nodes_exit_three(self, fixtures_dir, tmp_path, capsys):
         src = (fixtures_dir / "zeros.conllu").read_text()
         key = tmp_path / "key.conllu"
@@ -210,18 +227,24 @@ class TestSharedEngine:
 
 
 class TestInputPolicy:
-    @pytest.mark.parametrize("kind", ["crlf", "bom"])
+    @pytest.mark.parametrize("kind", ["crlf", "bom", "badutf"])
     def test_crlf_and_bom_rejected_by_every_command(self, kind, gold, tmp_path, capsys):
         bad = tmp_path / "bad.conllu"
         data = gold.read_bytes()
         if kind == "crlf":
             bad.write_bytes(data.replace(b"\n", b"\r\n"))
             message = f"{bad}:1: carriage return in line"
-        else:
+        elif kind == "bom":
             bad.write_bytes(b"\xef\xbb\xbf" + data)
             message = f"{bad}:1: byte order mark"
-        code, out, _ = run(capsys, "validate", bad)
+        else:
+            lines = data.split(b"\n")
+            lines[5] = lines[5].replace(b"dog", b"d\xffg", 1)
+            bad.write_bytes(b"\n".join(lines))
+            message = f"{bad}:6: invalid UTF-8 (byte 0xff)"
+        code, out, _ = run(capsys, "validate", bad, gold)
         assert code == 2 and f"{bad}: {message}" in out
+        assert f"{gold}: OK" in out
         for argv in (["score", bad, bad], ["score", bad, bad, "--jobs", "2"],
                      ["stats", bad], ["transform", bad, "--ops", "reduce-head"],
                      ["baseline", bad, "--rules", "propn-lemma"]):
@@ -331,3 +354,34 @@ class TestBaselineCommand:
         code, _, err = run(capsys, "baseline", gold)
         assert code == 2
         assert "--rules or --pipeline" in err
+
+
+class TestLazySolver:
+    def test_commands_without_a_real_solve_load_no_numpy(self, fixtures_dir, tmp_path):
+        animals = str(fixtures_dir / "animals.conllu")
+        runs = [["validate", animals], ["stats", animals],
+                ["transform", animals, "--ops", "reduce-head", "--out-dir", str(tmp_path)],
+                ["baseline", animals, "--rules", "propn-lemma", "-o",
+                 str(tmp_path / "b.conllu")],
+                ["score", animals, animals, "--jobs", "1"]]
+        script = ("import contextlib, io, sys\n"
+                  "from corefeval.align import max_total_overlap\n"
+                  "from corefeval.cli import main\n"
+                  "loaded = lambda: [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    try:\n"
+                  "        main(['--version'])\n"
+                  "    except SystemExit:\n"
+                  "        pass\n"
+                  f"    codes = [main(argv) for argv in {runs!r}]\n"
+                  "before = loaded()\n"
+                  "# one key against two responses it overlaps: a real solve\n"
+                  "assert max_total_overlap([{0, 1, 2}], [{0, 1}, {1, 2}]) == 2\n"
+                  "print(codes, before, loaded())\n")
+        src = str(Path(corefeval.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0, 0, 0] [] ['numpy', 'scipy']\n"

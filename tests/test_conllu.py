@@ -236,6 +236,17 @@ class TestDocumentSplitting:
         with pytest.raises(ConlluParseError, match="f.conllu:7: expected 10"):
             parse_text(text, path="f.conllu")
 
+    def test_invalid_utf8_in_newdoc_line_names_its_line(self, tmp_path):
+        text = make_doc([tok("1")]) + "\n" + make_doc([tok("1")], doc_id="d2")
+        data = text.encode().replace(b"id = d2", b"id = d\xff2")
+        with pytest.raises(ConlluParseError) as info:
+            scan_document_spans(data)
+        assert (info.value.path, info.value.line) == (None, 5)
+        path = tmp_path / "f.conllu"
+        path.write_bytes(data)
+        with pytest.raises(ConlluParseError, match=f"{path}:5: invalid UTF-8"):
+            conllu.parse_file(path)
+
 
 class TestTokenRewrite:
     def test_dirty_token_rebuilds_misc_in_place(self):

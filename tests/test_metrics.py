@@ -85,6 +85,17 @@ class TestCeafeHandCases:
         assert phi == pytest.approx(2 / 3)
         assert (nk, nr) == (1, 2)
 
+    def test_mixed_single_and_multi_edge_components(self):
+        # components: key 0 split in two; keys 1 and 2 one edge each; keys
+        # 3 and 4 share response 4, and key 3 also overlaps response 5
+        key = clusters({0, 1}, {2, 3}, {4, 5, 6}, {7, 8}, {9})
+        resp = clusters({0}, {1}, {2, 3}, {4, 5}, {7, 9}, {8})
+        phi, nk, nr = ceafe_counts(key, resp)
+        r, p, _ = oracles.perm_ceafe(key, resp)
+        assert (nk, nr) == (5, 6)
+        assert phi / nk == pytest.approx(r, abs=APPROX)
+        assert phi / nr == pytest.approx(p, abs=APPROX)
+
     def test_matches_permutation_search_up_to_seven(self):
         for seed in range(40):
             sub = random.Random(seed)
