@@ -16,7 +16,6 @@ from .conllu import (
 from .errors import (
     ConlluParseError,
     CorefEvalError,
-    CoreferenceError,
     DocumentPairError,
     SerializationError,
 )

@@ -20,12 +20,7 @@ from pathlib import Path
 from . import baselines  # registers baseline rules as transforms
 from . import __version__
 from .conllu import docs_to_text, numbered_spans, parse_file, read_document, write_file
-from .errors import (
-    ConlluParseError,
-    CoreferenceError,
-    DocumentPairError,
-    SerializationError,
-)
+from .errors import ConlluParseError, DocumentPairError, SerializationError
 from .metrics import (
     ALL_METRICS,
     EvalOptions,
@@ -36,7 +31,7 @@ from .metrics import (
     score_document_pair,
 )
 from .model import build_coref_layer
-from .transforms import LAYER_TRANSFORMS, rewrite_entity_annotations, strip_entities
+from .transforms import LAYER_TRANSFORMS, _apply, strip_entities
 from . import stats as stats_mod
 
 EXIT_OK = 0
@@ -118,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     except DocumentPairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PAIRING
-    except (ConlluParseError, CoreferenceError, SerializationError, ValueError) as exc:
+    except (ConlluParseError, SerializationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -300,17 +295,12 @@ def cmd_validate(args) -> int:
 def validate_path(path: str, strict: bool = False) -> list[str]:
     try:
         docs = parse_file(path)
-    except (ConlluParseError, CoreferenceError) as exc:
+    except ConlluParseError as exc:
         return [str(exc)]
     problems: list[str] = []
     for doc in docs:
-        try:
-            layer = build_coref_layer(doc)
-        except CoreferenceError as exc:
-            problems.append(str(exc))
-            continue
         if strict:
-            for entity in layer.entities:
+            for entity in build_coref_layer(doc).entities:
                 for mention in entity.mentions:
                     sents = {n.sent_index for n in mention.nodes}
                     if len(sents) > 1:
@@ -401,18 +391,10 @@ def _resolve_outputs(args) -> list[tuple[str, str | None]]:
 
 
 def _rewrite_files(args, ops) -> int:
+    strip = getattr(args, "strip", False)  # only `baseline` has --strip
     for in_path, out_path in _resolve_outputs(args):
-        docs = parse_file(in_path)
-        out_docs = []
-        for doc in docs:
-            doc = doc.copy()
-            if getattr(args, "strip", False):
-                doc = strip_entities(doc)
-            layer = build_coref_layer(doc)
-            for op in ops:
-                op(layer)
-            rewrite_entity_annotations(doc, layer)
-            out_docs.append(doc)
+        out_docs = [_apply(strip_entities(doc) if strip else doc, *ops)
+                    for doc in parse_file(in_path)]
         if out_path:
             write_file(out_docs, out_path)
         else:

@@ -100,7 +100,7 @@ def _parse_part(value: str, i: int) -> tuple[tuple[int, int] | None, int]:
     end = value.find("]", i)
     body = value[i + 1 : end] if end != -1 else ""
     lo, sep, hi = body.partition("/")
-    if not sep or not lo.isdigit() or not hi.isdigit():
+    if not sep or not _is_number(lo) or not _is_number(hi):
         raise ConlluParseError(f"malformed part index in Entity value {value!r}")
     part = (int(lo), int(hi))
     if not (1 <= part[0] <= part[1]) or part[1] < 2:
@@ -108,8 +108,90 @@ def _parse_part(value: str, i: int) -> tuple[tuple[int, int] | None, int]:
     return part, end + 1
 
 
+def _is_number(text: str) -> bool:
+    """ASCII digits only: `str.isdigit` also accepts "²", which `int` rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def serialize_brackets(brackets: Iterable[EntityBracket]) -> str:
     return "".join(str(b) for b in brackets)
+
+
+Run = tuple[int, int]  # first and last node position of a span, inclusive
+ReadMention = tuple[str, list[Run], tuple[str, ...]]  # (eid, runs, extra_fields)
+
+
+class EntityReader:
+    """The one reader of the `Entity` bracket format.
+
+    Feed the values of one document in node order; `end` returns its
+    mentions as (eid, runs, extra_fields) in the order they complete.
+    Brackets pair by (eid, part); the parts ``[1/n]..[n/n]`` of one entity
+    id merge greedily in document order, each part attaching to the
+    earliest mention still waiting for it.  A mention's runs are its
+    parts' spans in part order (one run without parts); its fields are
+    those of its first part.  Errors are `ConlluParseError`s without a
+    location, which the caller adds.
+    """
+
+    def __init__(self) -> None:
+        self.open: dict[tuple[str, tuple[int, int] | None],
+                        tuple[int, tuple[str, ...]]] = {}
+        # per eid: [next part, part count, runs, fields] of unfinished mentions
+        self._waiting: dict[str, list[list]] = {}
+        self._mentions: list[ReadMention] = []
+
+    def feed(self, position: int, value: str) -> None:
+        for b in tokenize_entity(value):
+            key = (b.eid, b.part)
+            if b.kind == OPEN:
+                if key in self.open:
+                    raise ConlluParseError(
+                        f"entity {b.eid!r} opened twice without distinct part indices")
+                self.open[key] = (position, b.extra_fields)
+            elif b.kind == CLOSE:
+                opened = self.open.pop(key, None)
+                if opened is None:
+                    raise ConlluParseError(
+                        f"unbalanced Entity bracket: close of {b.eid!r} without open")
+                self._complete(b.eid, b.part, (opened[0], position), opened[1])
+            else:
+                self._complete(b.eid, b.part, (position, position), b.extra_fields)
+
+    def _complete(self, eid: str, part: tuple[int, int] | None, run: Run,
+                  fields: tuple[str, ...]) -> None:
+        if part is None:
+            self._mentions.append((eid, [run], fields))
+            return
+        i, n = part
+        waiting = self._waiting.setdefault(eid, [])
+        if i == 1:
+            waiting.append([2, n, [run], fields])
+            return
+        for state in waiting:
+            if state[0] == i and state[1] == n:
+                state[2].append(run)
+                if i == n:
+                    waiting.remove(state)
+                    self._mentions.append((eid, state[2], state[3]))
+                else:
+                    state[0] += 1
+                return
+        raise ConlluParseError(
+            f"part {i}/{n} of entity {eid!r} has no preceding part {i - 1}")
+
+    def end(self) -> list[ReadMention]:
+        """Check that every bracket and part is complete; the mentions."""
+        if self.open:
+            eid, part = min(self.open, key=lambda k: (k[0], k[1] or (0, 0)))
+            raise ConlluParseError(
+                f"unclosed Entity bracket for {eid!r}"
+                + (f" part {part[0]}/{part[1]}" if part else ""))
+        for eid, waiting in self._waiting.items():
+            if waiting:
+                raise ConlluParseError(
+                    f"entity {eid!r} is missing part {waiting[0][0]}/{waiting[0][1]}")
+        return self._mentions
 
 
 class Token:
@@ -272,7 +354,8 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
     sentences: list[Sentence] = []
     comments: list[str] = []
     tokens: list[Token] = []
-    open_brackets: dict[tuple[str, tuple[int, int] | None], int] = {}
+    reader = EntityReader()
+    position = 0  # of the next node (surface word or empty node)
     last_surface = 0
     last_empty = 0.0
     pending_range: tuple[int, int] | None = None
@@ -286,8 +369,8 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
             raise err("empty sentence (consecutive blank lines)", lineno)
         if pending_range is not None and pending_range[1] > last_surface:
             raise err(f"token range {pending_range[0]}-{pending_range[1]} exceeds sentence", lineno)
-        if open_brackets:
-            eids = sorted({eid for eid, _ in open_brackets})
+        if reader.open:
+            eids = sorted({eid for eid, _ in reader.open})
             log.warning(
                 "%s: mention of %s crosses a sentence boundary in document %s",
                 path, ", ".join(eids), doc_id,
@@ -317,7 +400,7 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
         entity = _extract_entity(line)
         if "." in tid:
             word, _, sub = tid.partition(".")
-            if not word.isdigit() or not sub.isdigit() or int(sub) < 1:
+            if not _is_number(word) or not _is_number(sub) or int(sub) < 1:
                 raise err(f"unknown token id syntax {tid!r}", lineno)
             order = int(word) + int(sub) / 1e9
             if int(word) != last_surface:
@@ -327,7 +410,7 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
             last_empty = order
         elif "-" in tid:
             lo, _, hi = tid.partition("-")
-            if not lo.isdigit() or not hi.isdigit() or int(hi) < int(lo):
+            if not _is_number(lo) or not _is_number(hi) or int(hi) < int(lo):
                 raise err(f"unknown token id syntax {tid!r}", lineno)
             if entity is not None:
                 raise err(f"Entity annotation on multiword range line {tid}", lineno)
@@ -336,7 +419,9 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
             if pending_range is not None and pending_range[1] > last_surface:
                 raise err(f"overlapping token ranges at {tid}", lineno)
             pending_range = (int(lo), int(hi))
-        elif tid.isdigit() and tid[0] != "0":
+            tokens.append(Token(line))
+            continue  # not a node
+        elif _is_number(tid) and tid[0] != "0":
             if int(tid) != last_surface + 1:
                 raise err(f"surface word ids not consecutive at {tid}", lineno)
             last_surface = int(tid)
@@ -345,19 +430,20 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
             raise err(f"unknown token id syntax {tid!r}", lineno)
 
         if entity is not None:
-            _track_brackets(entity, open_brackets, err, lineno, doc_id, tid)
+            try:
+                reader.feed(position, entity)
+            except ConlluParseError as exc:
+                raise err(exc.args[0], lineno) from None
+        position += 1
         tokens.append(Token(line, entity))
 
     if comments or tokens:
         close_sentence(lineno + 1)
-    if open_brackets:
-        eid, part = next(iter(sorted(open_brackets)))
-        raise ConlluParseError(
-            f"unclosed Entity bracket for {eid!r}"
-            + (f" part {part[0]}/{part[1]}" if part else "")
-            + f" at end of document {doc_id}",
-            path=path,
-        )
+    try:
+        reader.end()
+    except ConlluParseError as exc:
+        raise ConlluParseError(f"{exc.args[0]} at end of document {doc_id}",
+                               path=path) from None
     return Document(doc_id, sentences)
 
 
@@ -369,38 +455,6 @@ def _extract_entity(line: str) -> str | None:
         if attr.startswith("Entity="):
             return attr[7:]
     return None
-
-
-def _track_brackets(
-    value: str,
-    open_brackets: dict[tuple[str, tuple[int, int] | None], int],
-    err,
-    lineno: int,
-    doc_id: str | None,
-    tid: str,
-) -> None:
-    try:
-        brackets = tokenize_entity(value)
-    except ConlluParseError as exc:
-        raise err(str(exc), lineno) from None
-    for b in brackets:
-        key = (b.eid, b.part)
-        if b.kind == OPEN:
-            if open_brackets.get(key):
-                raise err(
-                    f"entity {b.eid!r} opened twice without distinct part indices"
-                    f" (document {doc_id}, node {tid})",
-                    lineno,
-                )
-            open_brackets[key] = 1
-        elif b.kind == CLOSE:
-            if not open_brackets.get(key):
-                raise err(
-                    f"unbalanced Entity bracket: close of {b.eid!r} without open"
-                    f" (document {doc_id}, node {tid})",
-                    lineno,
-                )
-            del open_brackets[key]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ class CorefEvalError(Exception):
 
 
 class ConlluParseError(CorefEvalError):
-    """Structurally malformed CoNLL-U input (columns, ids, brackets)."""
+    """Malformed CoNLL-U input (columns, ids, brackets, part indices)."""
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
         self.path = path
@@ -30,10 +30,6 @@ class ConlluParseError(CorefEvalError):
         elif self.line is not None:
             where = f"line {self.line}: "
         return where + super().__str__()
-
-
-class CoreferenceError(CorefEvalError):
-    """Inconsistent coreference annotation (bracket nesting, part indices)."""
 
 
 class DocumentPairError(CorefEvalError):

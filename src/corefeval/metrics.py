@@ -503,10 +503,10 @@ def pair_documents(
     """Pair key and response documents, given their ids, as (doc_key,
     key_index, resp_index).  Documents pair by id when the ids are unique on
     both sides, otherwise by position, and then a missing or repeated key
-    id takes the document's position into its doc_key ("#3", "doc#3").  A
-    key document missing from the response has resp_index None (it scores
-    against an empty twin); a response document missing from the key is an
-    error."""
+    id takes the document's position into its doc_key ("#3", "doc#3", with
+    "#" appended until it is no document's id).  A key document missing
+    from the response has resp_index None (it scores against an empty
+    twin); a response document missing from the key is an error."""
     if (None not in key_ids and None not in resp_ids
             and len(set(key_ids)) == len(key_ids)
             and len(set(resp_ids)) == len(resp_ids)):
@@ -528,8 +528,15 @@ def pair_documents(
             f"dataset {dataset}: {len(key_ids)} key vs {len(resp_ids)} "
             "response documents and no document ids to pair by")
     uses = Counter(key_ids)
-    return [(doc_id if doc_id and uses[doc_id] == 1 else f"{doc_id or ''}#{i}", i, i)
-            for i, doc_id in enumerate(key_ids)]
+    pairs = []
+    for i, doc_id in enumerate(key_ids):
+        doc_key = doc_id
+        if not doc_id or uses[doc_id] > 1:
+            doc_key = f"{doc_id or ''}#{i}"
+            while doc_key in uses:  # generated keys differ by their position
+                doc_key += "#"
+        pairs.append((doc_key, i, i))
+    return pairs
 
 
 def build_report(

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import logging
 
-from . import conllu
-from .conllu import CLOSE, OPEN, Document
-from .errors import CoreferenceError
+from .conllu import Document, EntityReader
 
 log = logging.getLogger("corefeval")
 
@@ -107,7 +105,7 @@ class Mention:
 
 def _head_index(fields: tuple[str, ...]) -> int | None:
     # CorefUD opening fields: entity type, head word index, other flags.
-    if len(fields) >= 2 and fields[1].isdigit():
+    if len(fields) >= 2 and fields[1].isascii() and fields[1].isdigit():
         return int(fields[1])
     return None
 
@@ -157,9 +155,10 @@ def word_order(doc: Document) -> list[Node]:
     return nodes
 
 
-def _build_nodes(doc: Document) -> tuple[list[Node], list[list[conllu.EntityBracket]]]:
+def _build_nodes(doc: Document) -> tuple[list[Node], list[tuple[int, str]]]:
+    """The nodes, and (position, Entity value) of those that carry one."""
     nodes: list[Node] = []
-    brackets: list[list[conllu.EntityBracket]] = []
+    values: list[tuple[int, str]] = []
     for sent_index, sentence in enumerate(doc.sentences):
         by_id: dict[str, Node] = {}
         basic_todo: list[tuple[Node, str]] = []
@@ -176,8 +175,8 @@ def _build_nodes(doc: Document) -> tuple[list[Node], list[list[conllu.EntityBrac
                         cols[7] if not is_empty else "")
             nodes.append(node)
             by_id[tid] = node
-            brackets.append(
-                conllu.tokenize_entity(token.entity) if token.entity else [])
+            if token.entity:
+                values.append((node.index, token.entity))
             if is_empty:
                 deps_todo.append((node, cols[8]))
             elif cols[6] not in ("0", "_"):
@@ -188,7 +187,7 @@ def _build_nodes(doc: Document) -> tuple[list[Node], list[list[conllu.EntityBrac
                 log.debug("unresolved head %s in sentence %d", head, sent_index)
         for node, spec in deps_todo:
             node.enhanced_parents, node.deprel = _parse_deps(spec, by_id)
-    return nodes, brackets
+    return nodes, values
 
 
 def _feat(feats: str, name: str) -> str | None:
@@ -215,100 +214,26 @@ def _parse_deps(deps: str, by_id: dict[str, Node]) -> tuple[list[Node], str]:
     return parents, first_rel
 
 
-class _OpenSpan:
-    __slots__ = ("start", "fields")
-
-    def __init__(self, start: int, fields: tuple[str, ...]):
-        self.start = start
-        self.fields = fields
-
-
-class _PendingParts:
-    __slots__ = ("expect", "total", "node_indices", "fields")
-
-    def __init__(self, total: int, node_indices: list[int], fields: tuple[str, ...]):
-        self.expect = 2
-        self.total = total
-        self.node_indices = node_indices
-        self.fields = fields
-
-
 def build_coref_layer(doc: Document) -> CorefLayer:
-    """Reconstruct entities and mentions from the bracket annotation.
-
-    Parts ``[1/n]..[n/n]`` of one entity id merge greedily in document
-    order into single discontinuous mentions.
-    """
-    nodes, node_brackets = _build_nodes(doc)
+    """Reconstruct entities and mentions from the bracket annotation, as
+    `conllu.EntityReader` reads it (parts ``[1/n]..[n/n]`` of one entity id
+    merge greedily in document order into discontinuous mentions)."""
+    nodes, values = _build_nodes(doc)
+    reader = EntityReader()
+    for position, value in values:
+        reader.feed(position, value)
     entities: dict[str, Entity] = {}
-    open_spans: dict[tuple[str, tuple[int, int] | None], _OpenSpan] = {}
-    pending: dict[str, list[_PendingParts]] = {}
-
-    def fail(msg: str) -> CoreferenceError:
-        return CoreferenceError(f"document {doc.doc_id}: {msg}")
-
-    def entity(eid: str) -> Entity:
-        ent = entities.get(eid)
-        if ent is None:
-            ent = entities[eid] = Entity(eid)
-        return ent
-
-    def finish(eid: str, indices: list[int], fields: tuple[str, ...]) -> None:
-        ent = entity(eid)
-        unique = sorted(set(indices))
-        ent.mentions.append(Mention(ent, [nodes[i] for i in unique], fields))
-
-    def finish_part(eid: str, part: tuple[int, int], indices: list[int],
-                    fields: tuple[str, ...]) -> None:
-        i, n = part
-        if i == 1:
-            state = _PendingParts(n, indices, fields)
-            if n == 1:
-                finish(eid, indices, fields)
-            else:
-                pending.setdefault(eid, []).append(state)
-            return
-        for state in pending.get(eid, ()):
-            if state.expect == i and state.total == n:
-                state.node_indices.extend(indices)
-                state.expect += 1
-                if i == n:
-                    pending[eid].remove(state)
-                    finish(eid, state.node_indices, state.fields)
-                return
-        raise fail(f"part {i}/{n} of entity {eid!r} has no preceding part {i - 1}")
-
-    for index, brackets in enumerate(node_brackets):
-        for b in brackets:
-            key = (b.eid, b.part)
-            if b.kind == OPEN:
-                if key in open_spans:
-                    raise fail(f"entity {b.eid!r} opened twice at node {nodes[index].id}")
-                open_spans[key] = _OpenSpan(index, b.extra_fields)
-            elif b.kind == CLOSE:
-                span = open_spans.pop(key, None)
-                if span is None:
-                    raise fail(f"close of {b.eid!r} without open at node {nodes[index].id}")
-                indices = list(range(span.start, index + 1))
-                if b.part is None:
-                    finish(b.eid, indices, span.fields)
-                else:
-                    finish_part(b.eid, b.part, indices, span.fields)
-            else:  # OPEN_CLOSE
-                if b.part is None:
-                    finish(b.eid, [index], b.extra_fields)
-                else:
-                    finish_part(b.eid, b.part, [index], b.extra_fields)
-
-    if open_spans:
-        eid, part = sorted(open_spans)[0]
-        raise fail(f"unclosed bracket for entity {eid!r}")
-    for eid, states in pending.items():
-        if states:
-            raise fail(
-                f"entity {eid!r} is missing part {states[0].expect}/{states[0].total}")
-
-    out = [e for e in entities.values() if e.mentions]
-    for e in out:
-        e.sort_mentions()
-    return CorefLayer(doc, nodes, out)
+    for eid, runs, fields in reader.end():
+        entity = entities.get(eid)
+        if entity is None:
+            entity = entities[eid] = Entity(eid)
+        if len(runs) == 1:
+            start, end = runs[0]
+            mention_nodes = nodes[start:end + 1]
+        else:  # parts may overlap
+            positions = {i for start, end in runs for i in range(start, end + 1)}
+            mention_nodes = [nodes[i] for i in sorted(positions)]
+        entity.mentions.append(Mention(entity, mention_nodes, fields))
+    for entity in entities.values():
+        entity.sort_mentions()
+    return CorefLayer(doc, nodes, list(entities.values()))

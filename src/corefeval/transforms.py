@@ -9,10 +9,11 @@ add or remove nodes.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable
 
-from .conllu import Document
-from .errors import SerializationError
+from .conllu import Document, EntityReader
+from .errors import ConlluParseError, SerializationError
 from .heads import head_upos_set, mention_head
 from .model import CorefLayer, Entity, Mention, Node, build_coref_layer
 
@@ -166,7 +167,9 @@ def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
 
     Mentions are emitted in (start, -end, eid) order; a discontinuous
     mention becomes ``[i/n]`` parts over its contiguous runs.  Opening
-    fields are kept verbatim (on the first part only).
+    fields are kept verbatim (on the first part only).  The values must
+    read back as the layer's mentions, else `SerializationError` is
+    raised before any token changes.
     """
     closes: dict[int, list[str]] = {}
     opens: dict[int, list[str]] = {}
@@ -177,6 +180,7 @@ def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
                 f"mention of entity {mention.entity.eid!r} has no nodes")
     mentions.sort(key=lambda m: (m.start, -m.end, m.entity.eid))
 
+    written: list[tuple] = []
     for mention in mentions:
         runs = _contiguous_runs(mention.nodes)
         fields = "".join("-" + f for f in mention.extra_fields)
@@ -190,8 +194,13 @@ def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
             else:
                 opens.setdefault(run[0].index, []).append(f"({body}")
                 closes.setdefault(run[-1].index, []).insert(0, f"{label})")
+        written.append((mention.entity.eid,
+                        tuple((run[0].index, run[-1].index) for run in runs),
+                        mention.extra_fields))
 
-    _check_writable(layer, mentions)
+    values = {index: "".join(closes.get(index, ())) + "".join(opens.get(index, ()))
+              for index in sorted(opens.keys() | closes.keys())}
+    _check_read_back(values, written, doc.doc_id)
 
     nodes_by_sent: dict[int, list[Node]] = {}
     for node in layer.nodes:
@@ -199,9 +208,7 @@ def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
     for sent_index, sentence in enumerate(doc.sentences):
         by_id = {t.id: t for t in sentence.tokens}
         for node in nodes_by_sent.get(sent_index, ()):
-            value = ("".join(closes.get(node.index, ()))
-                     + "".join(opens.get(node.index, ())))
-            new = value or None
+            new = values.get(node.index)
             token = by_id[node.id]
             if token.entity != new:
                 token.entity = new
@@ -218,25 +225,25 @@ def _contiguous_runs(nodes: list[Node]) -> list[list[Node]]:
     return runs
 
 
-def _check_writable(layer: CorefLayer, mentions: list[Mention]) -> None:
-    """The format cannot represent two same-id multi-node spans where one
-    opens while the other is still open; reject such layers."""
-    events: list[tuple[int, int, str, tuple]] = []
-    for mention in mentions:
-        runs = _contiguous_runs(mention.nodes)
-        for part_no, run in enumerate(runs, start=1):
-            if len(run) == 1:
-                continue
-            key = (mention.entity.eid, part_no if len(runs) > 1 else 0, len(runs))
-            events.append((run[0].index, 1, mention.entity.eid, key))
-            events.append((run[-1].index, 0, mention.entity.eid, key))
-    open_now: set[tuple] = set()
-    for _index, kind, eid, key in sorted(events, key=lambda e: (e[0], e[1])):
-        if kind == 1:
-            if key in open_now:
-                raise SerializationError(
-                    f"overlapping same-id spans of entity {eid!r} cannot be"
-                    " written in the bracket format")
-            open_now.add(key)
-        else:
-            open_now.discard(key)
+def _check_read_back(values: dict[int, str], written: list[tuple],
+                     doc_id: str | None) -> None:
+    """The bracket format cannot express every layer: two same-id spans
+    open at once, or parts that interleave with another mention's parts
+    of the same id.  Reject values that would not read back as the
+    (eid, runs, fields) of the mentions they were written from."""
+    reader = EntityReader()
+    try:
+        for position, value in values.items():
+            reader.feed(position, value)
+        read = Counter((eid, tuple(runs), fields)
+                       for eid, runs, fields in reader.end())
+    except ConlluParseError as exc:
+        raise SerializationError(f"document {doc_id}: the mentions cannot be"
+                                 f" written in the bracket format: {exc}") from None
+    wanted = Counter(written)
+    if read != wanted:
+        eids = sorted({m[0] for m in (wanted - read) + (read - wanted)})
+        raise SerializationError(
+            f"document {doc_id}: the mentions of entity {', '.join(map(repr, eids))}"
+            " cannot be written in the bracket format: they would read back"
+            " differently")

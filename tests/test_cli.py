@@ -227,21 +227,31 @@ class TestSharedEngine:
 
 
 class TestInputPolicy:
-    @pytest.mark.parametrize("kind", ["crlf", "bom", "badutf"])
+    @pytest.mark.parametrize("kind", ["crlf", "bom", "badutf", "sup", "badpart"])
     def test_crlf_and_bom_rejected_by_every_command(self, kind, gold, tmp_path, capsys):
         bad = tmp_path / "bad.conllu"
         data = gold.read_bytes()
+        lines = data.split(b"\n")
         if kind == "crlf":
             bad.write_bytes(data.replace(b"\n", b"\r\n"))
             message = f"{bad}:1: carriage return in line"
         elif kind == "bom":
             bad.write_bytes(b"\xef\xbb\xbf" + data)
             message = f"{bad}:1: byte order mark"
-        else:
-            lines = data.split(b"\n")
+        elif kind == "badutf":
             lines[5] = lines[5].replace(b"dog", b"d\xffg", 1)
             bad.write_bytes(b"\n".join(lines))
             message = f"{bad}:6: invalid UTF-8 (byte 0xff)"
+        elif kind == "sup":
+            # "²".isdigit() is true, but int("²") fails
+            lines[4] = "²".encode() + lines[4][1:]
+            bad.write_bytes(b"\n".join(lines))
+            message = f"{bad}:5: unknown token id syntax '²'"
+        else:
+            # the first part of e3 becomes a second part with no first
+            lines[22] = lines[22].replace(b"(e3[1/2])", b"(e3[2/2])")
+            bad.write_bytes(b"\n".join(lines))
+            message = f"{bad}:23: part 2/2 of entity 'e3' has no preceding part 1"
         code, out, _ = run(capsys, "validate", bad, gold)
         assert code == 2 and f"{bad}: {message}" in out
         assert f"{gold}: OK" in out

@@ -50,7 +50,8 @@ class TestEntityTokenizer:
         kinds = [b.kind for b in tokenize_entity("e1)(e2-x-1)(e3")]
         assert kinds == [CLOSE, OPEN_CLOSE, OPEN]
 
-    @pytest.mark.parametrize("value", ["", "(", "e1", "(e1[1/1]", "(e1[0/2]", "(e1]"])
+    @pytest.mark.parametrize("value", ["", "(", "e1", "(e1[1/1]", "(e1[0/2]", "(e1]",
+                                       "(e1[1/²])"])
     def test_malformed(self, value):
         with pytest.raises(ConlluParseError):
             tokenize_entity(value)
@@ -99,6 +100,9 @@ class TestParsing:
         (make_doc([tok("1"), tok("1-2", head="_")]), "does not start"),
         ("# newdoc id = d1\n" + tok("1") + "\n\n\n" + tok("1") + "\n\n", "empty sentence"),
         (make_doc([tok("1"), "# late comment"]), "comment after token"),
+        # non-ASCII digits, which str.isdigit accepts
+        (make_doc([tok("1"), tok("1.²")]), "<string>:3: unknown token id syntax"),
+        (make_doc([tok("1-²", head="_"), tok("1")]), "<string>:2: unknown token id syntax"),
     ])
     def test_structural_errors(self, bad, message):
         with pytest.raises(ConlluParseError, match=message):
@@ -116,6 +120,9 @@ class TestParsing:
             parse_text(make_doc([tok("1", "Entity=(e1")]))
         with pytest.raises(ConlluParseError, match="without open"):
             parse_text(make_doc([tok("1", "Entity=e1)")]))
+        # one entity id open with and without a part index
+        with pytest.raises(ConlluParseError, match="unclosed Entity bracket for 'e1' at"):
+            parse_text(make_doc([tok("1", "Entity=(e1(e1[1/2]")]))
 
     def test_duplicate_open_without_parts(self):
         text = make_doc([tok("1", "Entity=(e1"), tok("2", "Entity=(e1", head="1")])

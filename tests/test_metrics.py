@@ -17,6 +17,7 @@ from corefeval.metrics import (
     lea_counts,
     mor_counts,
     muc_counts,
+    pair_documents,
     prf,
     relabeled_clusters,
     score_document_pair,
@@ -346,6 +347,15 @@ class TestEvaluate:
         assert any("missing from the response" in r.message for r in caplog.records)
         full = evaluate({"a": animals}, {"a": animals}, EvalOptions())
         assert report.per_dataset["a"]["conll"].f1 < full.per_dataset["a"]["conll"].f1
+
+    def test_generated_document_keys_avoid_real_ids(self):
+        # "a" repeats, so documents pair by position; the key generated for
+        # the second document must not be the first document's id
+        ids = ["a#1", "a", "a"]
+        keys = [key for key, _, _ in pair_documents(ids, ids, "x")]
+        assert len(set(keys)) == 3
+        assert keys[0] == "a#1" and keys[2] == "a#2"
+        assert keys[1] not in ids
 
     def test_extra_response_document_fails(self, fixtures_dir):
         animals = parse_text((fixtures_dir / "animals.conllu").read_text())

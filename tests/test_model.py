@@ -4,7 +4,7 @@ import pytest
 
 import gen
 from corefeval.conllu import CLOSE, OPEN, parse_text, tokenize_entity
-from corefeval.errors import CoreferenceError
+from corefeval.errors import ConlluParseError
 from corefeval.model import build_coref_layer, word_order
 
 
@@ -75,14 +75,12 @@ class TestLayerBuilding:
         assert spans == {"e1": ["1", "2", "3", "4"], "e2": ["2", "3"]}
 
     def test_out_of_order_parts_fail(self):
-        doc = doc_of([line("1", "Entity=(e1[2/2])"), line("2", "Entity=(e1[1/2])", "1")])
-        with pytest.raises(CoreferenceError, match="no preceding part"):
-            build_coref_layer(doc)
+        with pytest.raises(ConlluParseError, match="<string>:2: .*no preceding part"):
+            doc_of([line("1", "Entity=(e1[2/2])"), line("2", "Entity=(e1[1/2])", "1")])
 
     def test_missing_final_part_fails(self):
-        doc = doc_of([line("1", "Entity=(e1[1/2])"), line("2", head="1")])
-        with pytest.raises(CoreferenceError, match="missing part"):
-            build_coref_layer(doc)
+        with pytest.raises(ConlluParseError, match="missing part"):
+            doc_of([line("1", "Entity=(e1[1/2])"), line("2", head="1")])
 
     def test_greedy_part_attachment(self):
         # two interleaved two-part mentions of one entity: part 2 attaches
@@ -105,6 +103,11 @@ class TestLayerBuilding:
         (entity,) = build_coref_layer(doc).entities
         assert entity.mentions[0].provided_head_index == 2
         assert entity.mentions[0].extra_fields == ("person", "2", "")
+
+    def test_non_ascii_head_field_is_no_head_index(self):
+        doc = doc_of([line("1", "Entity=(e1-x-²)")])
+        (entity,) = build_coref_layer(doc).entities
+        assert entity.mentions[0].provided_head_index is None
 
     def test_entity_mention_sort(self):
         doc = doc_of([line("1", "Entity=(e1"), line("2", "Entity=(e1)e1)", "1"),

@@ -1,15 +1,20 @@
 import random
 
+import pytest
+
 import gen
 import oracles
 from corefeval.conllu import parse_text, doc_to_text, tokenize_entity
+from corefeval.errors import SerializationError
 from corefeval.metrics import EvalOptions, evaluate
 from corefeval.model import build_coref_layer
 from corefeval.transforms import (
     conservative_head_reduce,
     merge_same_span_entities,
+    merge_same_span_layer,
     reduce_to_head,
     remove_singletons,
+    rewrite_entity_annotations,
     strip_entities,
 )
 
@@ -125,6 +130,22 @@ class TestMergeSameSpan:
             groups = oracles.transitive_span_groups(entity_spans)
             assert sorted(spans_by_eid(merged)) == sorted(min(g) for g in groups)
         assert checked >= 20
+
+    def test_parts_that_would_read_back_differently_fail(self):
+        # e1 = {1,6} and e2 = {3,5} merge through {8}; written as parts,
+        # (e1[1/2]) at 1 and 3 and (e1[2/2]) at 5 and 6 would read back as
+        # {1,5} and {3,6}
+        skel = simple_skeleton(10)
+        doc = doc_from(skel, [gen.MentionSpec("e1", (1, 6)), gen.MentionSpec("e2", (3, 5)),
+                              gen.MentionSpec("e1", (8,)), gen.MentionSpec("e2", (8,))])
+        with pytest.raises(SerializationError, match="'e1'"):
+            merge_same_span_entities(doc)
+        layer = build_coref_layer(doc)
+        merge_same_span_layer(layer)
+        before = doc_to_text(doc)
+        with pytest.raises(SerializationError):
+            rewrite_entity_annotations(doc, layer)
+        assert doc_to_text(doc) == before  # no token was changed
 
     def test_idempotent(self, rng):
         skel = simple_skeleton()
