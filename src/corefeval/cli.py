@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import baselines  # registers baseline rules as transforms
 from . import __version__
-from .conllu import docs_to_text, numbered_spans, parse_file, read_document, write_file
+from .conllu import (docs_to_text, iter_documents, numbered_spans, read_document,
+                     write_file)
 from .errors import ConlluParseError, DocumentPairError, SerializationError
 from .metrics import (
     ALL_METRICS,
@@ -286,27 +287,28 @@ def cmd_validate(args) -> int:
         if problems:
             failures += 1
             for problem in problems:
-                print(f"{path}: {problem}")
+                print(problem)
         else:
             print(f"{path}: OK")
     return EXIT_INPUT if failures else EXIT_OK
 
 
 def validate_path(path: str, strict: bool = False) -> list[str]:
+    """One file's problems as output lines naming the file: its parse error
+    alone, or with `strict` its cross-sentence mentions."""
+    problems: list[str] = []
     try:
-        docs = parse_file(path)
+        for doc in iter_documents(path):
+            if strict:
+                for entity in build_coref_layer(doc).entities:
+                    for mention in entity.mentions:
+                        sents = {n.sent_index for n in mention.nodes}
+                        if len(sents) > 1:
+                            problems.append(f"{path}: document {doc.doc_id}: mention of"
+                                            f" {entity.eid!r} crosses sentences"
+                                            f" {min(sents) + 1}-{max(sents) + 1}")
     except ConlluParseError as exc:
         return [str(exc)]
-    problems: list[str] = []
-    for doc in docs:
-        if strict:
-            for entity in build_coref_layer(doc).entities:
-                for mention in entity.mentions:
-                    sents = {n.sent_index for n in mention.nodes}
-                    if len(sents) > 1:
-                        problems.append(
-                            f"document {doc.doc_id}: mention of {entity.eid!r}"
-                            f" crosses sentences {min(sents) + 1}-{max(sents) + 1}")
     return problems
 
 
@@ -314,17 +316,17 @@ def validate_path(path: str, strict: bool = False) -> list[str]:
 # stats
 
 _STAT_TABLES = {
-    "entities": (stats_mod.ENTITY_COLUMNS, "entity_rows"),
-    "mentions": (stats_mod.MENTION_COLUMNS, "mention_rows"),
-    "details": (stats_mod.DETAIL_COLUMNS, "detail_rows"),
+    "entities": stats_mod.ENTITY_COLUMNS,
+    "mentions": stats_mod.MENTION_COLUMNS,
+    "details": stats_mod.DETAIL_COLUMNS,
 }
 
 
 def cmd_stats(args) -> int:
     layers_by_file: dict[str, list] = {}
     for path in args.paths:
-        docs = parse_file(path)
-        layers_by_file[Path(path).stem or path] = [build_coref_layer(d) for d in docs]
+        layers_by_file[Path(path).stem or path] = [build_coref_layer(d)
+                                                   for d in iter_documents(path)]
 
     tables = ("entities", "mentions", "details") if args.table == "all" else (args.table,)
     out: list[str] = []
@@ -335,7 +337,7 @@ def cmd_stats(args) -> int:
         if len(layers_by_file) > 1:
             all_layers = [l for layers in layers_by_file.values() for l in layers]
             rows.append(("ALL", _stat_row(table, all_layers, args.keep_singletons)))
-        columns = _STAT_TABLES[table][0]
+        columns = _STAT_TABLES[table]
         if args.format == "tsv":
             out.append(_stats_tsv(table, columns, rows))
         else:
@@ -391,10 +393,11 @@ def _resolve_outputs(args) -> list[tuple[str, str | None]]:
 
 
 def _rewrite_files(args, ops) -> int:
+    """Rewrite one document at a time; write each output once all its documents succeed."""
     strip = getattr(args, "strip", False)  # only `baseline` has --strip
     for in_path, out_path in _resolve_outputs(args):
-        out_docs = [_apply(strip_entities(doc) if strip else doc, *ops)
-                    for doc in parse_file(in_path)]
+        out_docs = (_apply(strip_entities(doc) if strip else doc, *ops)
+                    for doc in iter_documents(in_path))
         if out_path:
             write_file(out_docs, out_path)
         else:

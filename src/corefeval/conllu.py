@@ -5,6 +5,10 @@ document reproduces the input byte for byte.  Only tokens whose `Entity`
 attribute was rewritten (by transforms or baselines) are re-assembled, and
 even then all other columns and MISC attributes stay untouched.
 
+The parse is the only pass over the token lines: it splits each line
+once, checks its id, builds its `Node` and feeds its `Entity` value to the
+one bracket reader, so a `Document` carries its nodes and its mentions.
+
 Entity values are sequences of brackets over entity ids, e.g.
 ``(e5-person-1-`` opens mention of entity e5 (extra fields: type, head
 index, ...), ``e5)`` closes it, ``(e9)`` is a single-node mention and
@@ -17,6 +21,7 @@ import logging
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from sys import intern
 from typing import BinaryIO, Iterable, Iterator
 
 from .errors import ConlluParseError, SerializationError
@@ -118,7 +123,7 @@ def serialize_brackets(brackets: Iterable[EntityBracket]) -> str:
 
 
 Run = tuple[int, int]  # first and last node position of a span, inclusive
-ReadMention = tuple[str, list[Run], tuple[str, ...]]  # (eid, runs, extra_fields)
+ReadMention = tuple[str, tuple[Run, ...], tuple[str, ...]]  # (eid, runs, extra_fields)
 
 
 class EntityReader:
@@ -161,7 +166,7 @@ class EntityReader:
     def _complete(self, eid: str, part: tuple[int, int] | None, run: Run,
                   fields: tuple[str, ...]) -> None:
         if part is None:
-            self._mentions.append((eid, [run], fields))
+            self._mentions.append((eid, (run,), fields))
             return
         i, n = part
         waiting = self._waiting.setdefault(eid, [])
@@ -173,7 +178,7 @@ class EntityReader:
                 state[2].append(run)
                 if i == n:
                     waiting.remove(state)
-                    self._mentions.append((eid, state[2], state[3]))
+                    self._mentions.append((eid, tuple(state[2]), state[3]))
                 else:
                     state[0] += 1
                 return
@@ -208,7 +213,7 @@ class Token:
 
     @property
     def id(self) -> str:
-        return self.raw[: _id_end(self.raw)]
+        return self.raw.partition("\t")[0]
 
     def line(self) -> str:
         """Current text of the line, rebuilding MISC when Entity changed.
@@ -233,15 +238,17 @@ class Token:
         return "\t".join(cols)
 
     def copy(self) -> "Token":
-        return Token(self.raw, self.entity, self.dirty)
+        return type(self)(self.raw, self.entity, self.dirty)
 
     def __repr__(self) -> str:
         return f"Token({self.id!r})"
 
 
-def _id_end(raw: str) -> int:
-    i = raw.find("\t")
-    return len(raw) if i == -1 else i
+class RangeToken(Token):
+    """A multiword range line (id ``n-m``): no node, no `Entity` value.  The
+    other tokens of a document are its nodes, in order."""
+
+    __slots__ = ()
 
 
 class Sentence:
@@ -262,17 +269,57 @@ class Sentence:
         return Sentence(list(self.comments), [t.copy() for t in self.tokens])
 
 
+class Node:
+    """One syntactic word or empty node, positioned in the document order.
+
+    Surface words are ordered by sentence and word id; empty node ``n.k``
+    follows word ``n`` (and ``n.(k-1)``), ``0.k`` precede word 1.  Multiword
+    range lines are not nodes.  `enhanced_parents` is resolved for empty
+    nodes only; their `deprel` comes from the first enhanced dependency.
+    Nodes are not changed after the parse.
+    """
+
+    __slots__ = (
+        "index", "sent_index", "id", "is_empty", "form", "lemma", "upos",
+        "gender", "deprel", "parent", "enhanced_parents",
+    )
+
+    def __init__(self, index: int, sent_index: int, tid: str, is_empty: bool,
+                 form: str, lemma: str, upos: str, gender: str | None,
+                 deprel: str):
+        self.index = index  # document-wide position
+        self.sent_index = sent_index
+        self.id = tid
+        self.is_empty = is_empty
+        self.form = form
+        self.lemma = lemma
+        self.upos = upos
+        self.gender = gender
+        self.deprel = deprel
+        self.parent: Node | None = None
+        self.enhanced_parents: tuple[Node, ...] = ()
+
+    def __repr__(self) -> str:
+        return f"Node({self.sent_index}:{self.id} {self.form!r})"
+
+
 class Document:
-    """One `# newdoc` section: ordered sentences of verbatim lines."""
+    """One `# newdoc` section: ordered sentences of verbatim lines, its nodes
+    and the mentions its `Entity` values read as (`EntityReader.end`).  Copies
+    share both; code that changes an `Entity` value replaces `mentions`."""
 
-    __slots__ = ("doc_id", "sentences")
+    __slots__ = ("doc_id", "sentences", "nodes", "mentions")
 
-    def __init__(self, doc_id: str | None, sentences: list[Sentence]):
+    def __init__(self, doc_id: str | None, sentences: list[Sentence],
+                 nodes: list[Node], mentions: list[ReadMention]):
         self.doc_id = doc_id
         self.sentences = sentences
+        self.nodes = nodes
+        self.mentions = mentions
 
     def copy(self) -> "Document":
-        return Document(self.doc_id, [s.copy() for s in self.sentences])
+        return Document(self.doc_id, [s.copy() for s in self.sentences],
+                        self.nodes, self.mentions)
 
     def __repr__(self) -> str:
         return f"Document({self.doc_id!r}, {len(self.sentences)} sentences)"
@@ -287,6 +334,12 @@ _NEWDOC = "# newdoc"
 def parse_file(source: str | Path | BinaryIO) -> list[Document]:
     """Parse a CoNLL-U file (path or binary stream) into documents.  The
     bytes are decoded as UTF-8 without newline translation."""
+    return list(iter_documents(source))
+
+
+def iter_documents(source: str | Path | BinaryIO) -> Iterator[Document]:
+    """`parse_file` one document at a time: the file is read at once and
+    each document is parsed when it is asked for."""
     if hasattr(source, "read"):
         data = source.read()
         path = getattr(source, "name", "<stream>")
@@ -299,16 +352,16 @@ def parse_file(source: str | Path | BinaryIO) -> list[Document]:
 
 
 def parse_text(text: str, path: str = "<string>") -> list[Document]:
-    return _parse_bytes(text.encode("utf-8"), path)
+    return list(_parse_bytes(text.encode("utf-8"), path))
 
 
-def _parse_bytes(data: bytes, path: str) -> list[Document]:
-    docs = [_parse_document(_decode(data[start:end], path, first_line), path,
-                            first_line)
-            for _doc_id, first_line, start, end in numbered_spans(data, path)]
-    if not docs:
+def _parse_bytes(data: bytes, path: str) -> Iterator[Document]:
+    spans = list(numbered_spans(data, path))
+    if not spans:
         raise ConlluParseError("no content found", path=path)
-    return docs
+    for _doc_id, first_line, start, end in spans:
+        yield _parse_document(_decode(data[start:end], path, first_line), path,
+                              first_line)
 
 
 def read_document(path: str, first_line: int, start: int, end: int) -> Document:
@@ -338,7 +391,9 @@ def _utf8_error(
 
 def _parse_document(text: str, path: str, first_line: int) -> Document:
     """Parse one document chunk (a span of `scan_document_spans`); its
-    `# newdoc` comment, if any, is in the first sentence block."""
+    `# newdoc` comment, if any, is in the first sentence block.  Each
+    token line is split once: the parser checks its id, builds its node
+    and reads its `Entity` value."""
     if text.startswith("\ufeff"):
         raise ConlluParseError("byte order mark (U+FEFF); save the file as UTF-8"
                                " without BOM", path=path, line=first_line)
@@ -352,10 +407,13 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
     lines = text.rstrip("\n").split("\n")
     doc_id: str | None = None
     sentences: list[Sentence] = []
+    nodes: list[Node] = []
     comments: list[str] = []
     tokens: list[Token] = []
     reader = EntityReader()
-    position = 0  # of the next node (surface word or empty node)
+    # the current sentence's nodes by id, and each node's HEAD or DEPS column
+    by_id: dict[str, Node] = {}
+    head_cols: list[tuple[Node, str]] = []
     last_surface = 0
     last_empty = 0.0
     pending_range: tuple[int, int] | None = None
@@ -364,7 +422,7 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
         return ConlluParseError(msg, path=path, line=lineno)
 
     def close_sentence(lineno: int) -> None:
-        nonlocal comments, tokens, last_surface, last_empty, pending_range
+        nonlocal comments, tokens, by_id, head_cols, last_surface, last_empty, pending_range
         if not comments and not tokens:
             raise err("empty sentence (consecutive blank lines)", lineno)
         if pending_range is not None and pending_range[1] > last_surface:
@@ -375,8 +433,15 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
                 "%s: mention of %s crosses a sentence boundary in document %s",
                 path, ", ".join(eids), doc_id,
             )
+        for node, col in head_cols:
+            if node.is_empty:
+                node.enhanced_parents, node.deprel = _parse_deps(col, by_id)
+            else:
+                node.parent = by_id.get(col)
+                if node.parent is None:
+                    log.debug("unresolved head %s in sentence %d", col, len(sentences))
         sentences.append(Sentence(comments, tokens))
-        comments, tokens = [], []
+        comments, tokens, by_id, head_cols = [], [], {}, []
         last_surface, last_empty, pending_range = 0, 0.0, None
 
     lineno = first_line - 1
@@ -392,12 +457,11 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
             comments.append(line)
             continue
 
-        tab = line.find("\t")
-        tid = line[:tab] if tab != -1 else line
-        if line.count("\t") != 9:
-            raise err(f"expected 10 tab-separated columns, got {line.count(chr(9)) + 1}", lineno)
-
-        entity = _extract_entity(line)
+        cols = line.split("\t")
+        if len(cols) != 10:
+            raise err(f"expected 10 tab-separated columns, got {len(cols)}", lineno)
+        tid = cols[0]
+        entity = _attr(cols[9], "Entity=")
         if "." in tid:
             word, _, sub = tid.partition(".")
             if not _is_number(word) or not _is_number(sub) or int(sub) < 1:
@@ -408,6 +472,7 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
             if order <= last_empty:
                 raise err(f"empty node ids not strictly increasing at {tid}", lineno)
             last_empty = order
+            is_empty = True
         elif "-" in tid:
             lo, _, hi = tid.partition("-")
             if not _is_number(lo) or not _is_number(hi) or int(hi) < int(lo):
@@ -419,42 +484,70 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
             if pending_range is not None and pending_range[1] > last_surface:
                 raise err(f"overlapping token ranges at {tid}", lineno)
             pending_range = (int(lo), int(hi))
-            tokens.append(Token(line))
+            tokens.append(RangeToken(line))
             continue  # not a node
         elif _is_number(tid) and tid[0] != "0":
             if int(tid) != last_surface + 1:
                 raise err(f"surface word ids not consecutive at {tid}", lineno)
             last_surface = int(tid)
             last_empty = float(last_surface)
+            is_empty = False
         else:
             raise err(f"unknown token id syntax {tid!r}", lineno)
 
+        # a document keeps its nodes, so they share repeated column values
+        gender = _attr(cols[5], "Gender=")
+        node = Node(len(nodes), len(sentences), intern(tid), is_empty,
+                    intern(cols[1]), intern(cols[2]), intern(cols[3]),
+                    gender and intern(gender), "" if is_empty else intern(cols[7]))
+        if is_empty:
+            head_cols.append((node, cols[8]))
+        elif cols[6] not in ("0", "_"):
+            head_cols.append((node, cols[6]))
+
         if entity is not None:
             try:
-                reader.feed(position, entity)
+                reader.feed(node.index, entity)
             except ConlluParseError as exc:
                 raise err(exc.args[0], lineno) from None
-        position += 1
+        nodes.append(node)
+        by_id[tid] = node
         tokens.append(Token(line, entity))
 
     if comments or tokens:
         close_sentence(lineno + 1)
     try:
-        reader.end()
+        mentions = reader.end()
     except ConlluParseError as exc:
         raise ConlluParseError(f"{exc.args[0]} at end of document {doc_id}",
                                path=path) from None
-    return Document(doc_id, sentences)
+    return Document(doc_id, sentences, nodes, mentions)
 
 
-def _extract_entity(line: str) -> str | None:
-    if "Entity=" not in line:
+def _attr(column: str, prefix: str) -> str | None:
+    """The value of the first `prefix` ("Name=") attribute of FEATS or MISC."""
+    if prefix not in column:
         return None
-    misc = line[line.rfind("\t") + 1 :]
-    for attr in misc.split("|"):
-        if attr.startswith("Entity="):
-            return attr[7:]
+    for attr in column.split("|"):
+        if attr.startswith(prefix):
+            return attr[len(prefix):]
     return None
+
+
+def _parse_deps(deps: str, by_id: dict[str, Node]) -> tuple[tuple[Node, ...], str]:
+    if deps in ("_", ""):
+        return (), ""
+    parents: list[Node] = []
+    first_rel = ""
+    for item in deps.split("|"):
+        head, _, rel = item.partition(":")
+        if not first_rel:
+            first_rel = rel
+        if head != "0":
+            parent = by_id.get(head)
+            if parent is not None:
+                parents.append(parent)
+    return tuple(parents), first_rel
 
 
 # ---------------------------------------------------------------------------

@@ -1,51 +1,15 @@
 """Semantic coreference layer on top of parsed CoNLL-U documents.
 
-Documents become globally ordered node sequences (surface words plus empty
-nodes), bracket sequences become mentions (node sets, possibly
-discontinuous) and mentions group into entities by their id.  Everything
+The parser already gives each document its nodes in document order
+(surface words plus empty nodes) and the mentions its `Entity` values read
+as; the layer turns those mentions into node lists (possibly
+discontinuous) and groups them into entities by their id.  Everything
 here is a plain in-memory value: build once, read from any thread.
 """
 
 from __future__ import annotations
 
-import logging
-
-from .conllu import Document, EntityReader
-
-log = logging.getLogger("corefeval")
-
-
-class Node:
-    """One syntactic word or empty node, positioned in the document order.
-
-    Surface words are ordered by sentence and word id; empty node ``n.k``
-    follows word ``n`` (and ``n.(k-1)``), ``0.k`` precede word 1.  Multiword
-    range lines are not nodes.  `enhanced_parents` is resolved for empty
-    nodes only; their `deprel` comes from the first enhanced dependency.
-    """
-
-    __slots__ = (
-        "index", "sent_index", "id", "is_empty", "form", "lemma", "upos",
-        "gender", "deprel", "parent", "enhanced_parents",
-    )
-
-    def __init__(self, index: int, sent_index: int, tid: str, is_empty: bool,
-                 form: str, lemma: str, upos: str, gender: str | None,
-                 deprel: str):
-        self.index = index  # document-wide position
-        self.sent_index = sent_index
-        self.id = tid
-        self.is_empty = is_empty
-        self.form = form
-        self.lemma = lemma
-        self.upos = upos
-        self.gender = gender
-        self.deprel = deprel
-        self.parent: Node | None = None
-        self.enhanced_parents: list[Node] = []
-
-    def __repr__(self) -> str:
-        return f"Node({self.sent_index}:{self.id} {self.form!r})"
+from .conllu import Document, Node
 
 
 class Mention:
@@ -151,79 +115,17 @@ class CorefLayer:
 
 def word_order(doc: Document) -> list[Node]:
     """The total node order of a document (no coreference layer)."""
-    nodes, _ = _build_nodes(doc)
-    return nodes
-
-
-def _build_nodes(doc: Document) -> tuple[list[Node], list[tuple[int, str]]]:
-    """The nodes, and (position, Entity value) of those that carry one."""
-    nodes: list[Node] = []
-    values: list[tuple[int, str]] = []
-    for sent_index, sentence in enumerate(doc.sentences):
-        by_id: dict[str, Node] = {}
-        basic_todo: list[tuple[Node, str]] = []
-        deps_todo: list[tuple[Node, str]] = []
-        for token in sentence.tokens:
-            cols = token.raw.split("\t")
-            tid = cols[0]
-            if "-" in tid:
-                continue  # multiword range lines carry no syntactic word
-            is_empty = "." in tid
-            gender = _feat(cols[5], "Gender") if "Gender=" in cols[5] else None
-            node = Node(len(nodes), sent_index, tid, is_empty,
-                        cols[1], cols[2], cols[3], gender,
-                        cols[7] if not is_empty else "")
-            nodes.append(node)
-            by_id[tid] = node
-            if token.entity:
-                values.append((node.index, token.entity))
-            if is_empty:
-                deps_todo.append((node, cols[8]))
-            elif cols[6] not in ("0", "_"):
-                basic_todo.append((node, cols[6]))
-        for node, head in basic_todo:
-            node.parent = by_id.get(head)
-            if node.parent is None:
-                log.debug("unresolved head %s in sentence %d", head, sent_index)
-        for node, spec in deps_todo:
-            node.enhanced_parents, node.deprel = _parse_deps(spec, by_id)
-    return nodes, values
-
-
-def _feat(feats: str, name: str) -> str | None:
-    prefix = name + "="
-    for attr in feats.split("|"):
-        if attr.startswith(prefix):
-            return attr[len(prefix):]
-    return None
-
-
-def _parse_deps(deps: str, by_id: dict[str, Node]) -> tuple[list[Node], str]:
-    if deps in ("_", ""):
-        return [], ""
-    parents: list[Node] = []
-    first_rel = ""
-    for item in deps.split("|"):
-        head, _, rel = item.partition(":")
-        if not first_rel:
-            first_rel = rel
-        if head != "0":
-            parent = by_id.get(head)
-            if parent is not None:
-                parents.append(parent)
-    return parents, first_rel
+    return doc.nodes
 
 
 def build_coref_layer(doc: Document) -> CorefLayer:
-    """Reconstruct entities and mentions from the bracket annotation, as
-    `conllu.EntityReader` reads it (parts ``[1/n]..[n/n]`` of one entity id
-    merge greedily in document order into discontinuous mentions)."""
-    nodes, values = _build_nodes(doc)
-    reader = EntityReader()
-    for position, value in values:
-        reader.feed(position, value)
+    """Group the mentions the parser read from the bracket annotation
+    (`conllu.EntityReader`: parts ``[1/n]..[n/n]`` of one entity id merge
+    greedily in document order into discontinuous mentions) into entities
+    over the document's nodes."""
+    nodes = doc.nodes
     entities: dict[str, Entity] = {}
-    for eid, runs, fields in reader.end():
+    for eid, runs, fields in doc.mentions:
         entity = entities.get(eid)
         if entity is None:
             entity = entities[eid] = Entity(eid)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable
 
-from .conllu import Document, EntityReader
+from .conllu import Document, EntityReader, RangeToken, ReadMention
 from .errors import ConlluParseError, SerializationError
 from .heads import head_upos_set, mention_head
 from .model import CorefLayer, Entity, Mention, Node, build_coref_layer
@@ -146,6 +146,7 @@ def strip_entities(doc: Document) -> Document:
             if token.entity is not None:
                 token.entity = None
                 token.dirty = True
+    out.mentions = []
     return out
 
 
@@ -169,7 +170,8 @@ def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
     mention becomes ``[i/n]`` parts over its contiguous runs.  Opening
     fields are kept verbatim (on the first part only).  The values must
     read back as the layer's mentions, else `SerializationError` is
-    raised before any token changes.
+    raised before any token changes; the mentions they read as become
+    `doc.mentions`.
     """
     closes: dict[int, list[str]] = {}
     opens: dict[int, list[str]] = {}
@@ -200,19 +202,16 @@ def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
 
     values = {index: "".join(closes.get(index, ())) + "".join(opens.get(index, ()))
               for index in sorted(opens.keys() | closes.keys())}
-    _check_read_back(values, written, doc.doc_id)
+    read = _check_read_back(values, written, doc.doc_id)
 
-    nodes_by_sent: dict[int, list[Node]] = {}
-    for node in layer.nodes:
-        nodes_by_sent.setdefault(node.sent_index, []).append(node)
-    for sent_index, sentence in enumerate(doc.sentences):
-        by_id = {t.id: t for t in sentence.tokens}
-        for node in nodes_by_sent.get(sent_index, ()):
-            new = values.get(node.index)
-            token = by_id[node.id]
-            if token.entity != new:
-                token.entity = new
-                token.dirty = True
+    # node positions number the tokens that are nodes, as the parser does
+    node_tokens = (t for s in doc.sentences for t in s.tokens if not isinstance(t, RangeToken))
+    for position, token in enumerate(node_tokens):
+        new = values.get(position)
+        if token.entity != new:
+            token.entity = new
+            token.dirty = True
+    doc.mentions = read
 
 
 def _contiguous_runs(nodes: list[Node]) -> list[list[Node]]:
@@ -226,17 +225,18 @@ def _contiguous_runs(nodes: list[Node]) -> list[list[Node]]:
 
 
 def _check_read_back(values: dict[int, str], written: list[tuple],
-                     doc_id: str | None) -> None:
+                     doc_id: str | None) -> list[ReadMention]:
     """The bracket format cannot express every layer: two same-id spans
     open at once, or parts that interleave with another mention's parts
     of the same id.  Reject values that would not read back as the
-    (eid, runs, fields) of the mentions they were written from."""
+    (eid, runs, fields) of the mentions they were written from; return
+    the mentions they read as."""
     reader = EntityReader()
     try:
         for position, value in values.items():
             reader.feed(position, value)
-        read = Counter((eid, tuple(runs), fields)
-                       for eid, runs, fields in reader.end())
+        mentions = reader.end()
+        read = Counter(mentions)
     except ConlluParseError as exc:
         raise SerializationError(f"document {doc_id}: the mentions cannot be"
                                  f" written in the bracket format: {exc}") from None
@@ -247,3 +247,4 @@ def _check_read_back(values: dict[int, str], written: list[tuple],
             f"document {doc_id}: the mentions of entity {', '.join(map(repr, eids))}"
             " cannot be written in the bracket format: they would read back"
             " differently")
+    return mentions

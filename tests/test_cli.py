@@ -234,10 +234,12 @@ class TestInputPolicy:
         lines = data.split(b"\n")
         if kind == "crlf":
             bad.write_bytes(data.replace(b"\n", b"\r\n"))
-            message = f"{bad}:1: carriage return in line"
+            message = (f"{bad}:1: carriage return in line"
+                       " (CRLF line endings are not supported)")
         elif kind == "bom":
             bad.write_bytes(b"\xef\xbb\xbf" + data)
-            message = f"{bad}:1: byte order mark"
+            message = (f"{bad}:1: byte order mark (U+FEFF); save the file as"
+                       " UTF-8 without BOM")
         elif kind == "badutf":
             lines[5] = lines[5].replace(b"dog", b"d\xffg", 1)
             bad.write_bytes(b"\n".join(lines))
@@ -253,8 +255,8 @@ class TestInputPolicy:
             bad.write_bytes(b"\n".join(lines))
             message = f"{bad}:23: part 2/2 of entity 'e3' has no preceding part 1"
         code, out, _ = run(capsys, "validate", bad, gold)
-        assert code == 2 and f"{bad}: {message}" in out
-        assert f"{gold}: OK" in out
+        # the parse error names the file once
+        assert code == 2 and out.splitlines() == [message, f"{gold}: OK"]
         for argv in (["score", bad, bad], ["score", bad, bad, "--jobs", "2"],
                      ["stats", bad], ["transform", bad, "--ops", "reduce-head"],
                      ["baseline", bad, "--rules", "propn-lemma"]):
@@ -262,6 +264,42 @@ class TestInputPolicy:
             assert code == 2, argv
             assert f"error: {message}" in err, (argv, err)
             assert out == ""
+
+
+class TestOneDocumentAtATime:
+    """A cross-sentence mention early in a file and a malformed last
+    document: the commands that go one document at a time report only the
+    parse error and write nothing."""
+
+    GOOD = ("# newdoc id = d1\n1\tw\tw\tNOUN\t_\t_\t0\troot\t_\tEntity=(e1\n\n"
+            "1\tv\tv\tNOUN\t_\t_\t0\troot\t_\tEntity=e1)\n"
+            "2\tu\tu\tNOUN\t_\t_\t1\tdep\t_\tEntity=(e1)\n\n"
+            "# newdoc id = d2\n1\tx\tx\tNOUN\t_\t_\t0\troot\t_\tEntity=(e2)\n\n")
+    BAD = "# newdoc id = d3\n1\tz\tz\tNOUN\t_\t_\t0\troot\t_\tEntity=(e3\n\n"
+
+    @pytest.fixture
+    def late_error(self, tmp_path):
+        path = tmp_path / "late.conllu"
+        path.write_text(self.GOOD + self.BAD)
+        return path
+
+    def test_transform_writes_no_output(self, late_error, tmp_path, capsys):
+        out = tmp_path / "out.conllu"
+        code, stdout, err = run(capsys, "transform", late_error, "--ops", "reduce-head",
+                                "-o", out)
+        assert code == 2 and not out.exists() and stdout == ""
+        assert f"error: {late_error}: unclosed Entity bracket for 'e3'" in err
+
+    def test_strict_validate_prints_only_the_parse_error(self, late_error, tmp_path,
+                                                         capsys):
+        good = tmp_path / "good.conllu"
+        good.write_text(self.GOOD)
+        code, out, _ = run(capsys, "validate", "--strict", good)
+        assert code == 2 and "crosses sentences" in out
+        code, out, _ = run(capsys, "validate", "--strict", late_error)
+        assert code == 2
+        assert out.splitlines() == [
+            f"{late_error}: unclosed Entity bracket for 'e3' at end of document d3"]
 
 
 class TestValidateCommand:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
+import corefeval.conllu
 import gen
-from corefeval.conllu import CLOSE, OPEN, parse_text, tokenize_entity
+from corefeval.conllu import CLOSE, OPEN, parse_file, parse_text, tokenize_entity
 from corefeval.errors import ConlluParseError
 from corefeval.model import build_coref_layer, word_order
 
@@ -115,6 +116,18 @@ class TestLayerBuilding:
         (entity,) = build_coref_layer(doc).entities
         spans = [(m.start, m.end) for m in entity.mentions]
         assert spans == sorted(spans)
+
+
+class TestSinglePass:
+    def test_layer_build_tokenizes_no_entity_value(self, fixtures_dir, monkeypatch):
+        docs = parse_file(fixtures_dir / "discontinuous.conllu")
+
+        def tokenize_again(value):
+            raise AssertionError(f"Entity value {value!r} tokenized after the parse")
+
+        monkeypatch.setattr(corefeval.conllu, "tokenize_entity", tokenize_again)
+        layers = [build_coref_layer(doc) for doc in docs]
+        assert sum(len(e.mentions) for layer in layers for e in layer.entities) > 0
 
 
 class TestLayerProperties:

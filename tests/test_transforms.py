@@ -2,13 +2,15 @@ import random
 
 import pytest
 
+import corefeval.baselines  # registers the baseline rules as transforms
 import gen
 import oracles
-from corefeval.conllu import parse_text, doc_to_text, tokenize_entity
+from corefeval.conllu import parse_file, parse_text, doc_to_text, tokenize_entity
 from corefeval.errors import SerializationError
 from corefeval.metrics import EvalOptions, evaluate
 from corefeval.model import build_coref_layer
 from corefeval.transforms import (
+    LAYER_TRANSFORMS,
     conservative_head_reduce,
     merge_same_span_entities,
     merge_same_span_layer,
@@ -262,3 +264,29 @@ class TestTransformInvariants:
         stripped = strip_entities(doc)
         assert spans_by_eid(stripped) == {}
         assert "Entity=" not in doc_to_text(stripped)
+
+
+def layer_summary(doc):
+    """Entity ids, with each mention's node ids and extra fields, in order."""
+    return [(e.eid, [([(n.sent_index, n.id) for n in m.nodes], m.extra_fields)
+                     for m in e.mentions])
+            for e in build_coref_layer(doc).entities]
+
+
+class TestMentionsInStep:
+    """A rewritten document's mentions are those its text reads as."""
+
+    @pytest.mark.parametrize("strip", [False, True], ids=["kept", "stripped"])
+    @pytest.mark.parametrize("op", sorted(LAYER_TRANSFORMS))
+    @pytest.mark.parametrize("fixture", ["animals", "zeros", "discontinuous",
+                                         "pronoun_baseline", "propn_baseline"])
+    def test_layer_equals_layer_of_its_text(self, fixture, op, strip, fixtures_dir):
+        for doc in parse_file(fixtures_dir / f"{fixture}.conllu"):
+            if strip:
+                doc = strip_entities(doc)
+                assert layer_summary(doc) == []
+            out = doc.copy()
+            layer = build_coref_layer(out)
+            LAYER_TRANSFORMS[op](layer)
+            rewrite_entity_annotations(out, layer)
+            assert layer_summary(out) == layer_summary(parse_text(doc_to_text(out))[0])
