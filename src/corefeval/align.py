@@ -11,11 +11,13 @@ size of the matched key mentions third (so a response mention prefers an
 exactly matching key over a larger containing one), and among remaining
 ties the lexicographically smallest list of (key position, response
 position) pairs, both sides numbered in document order.  The optimality
-makes scores independent of input order.
+makes scores independent of input order.  Each component of the edges
+takes one exact solve (`_solve_component`), in pure Python.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .heads import mention_head
@@ -94,14 +96,49 @@ def _candidate_edges(
 
 
 # ---------------------------------------------------------------------------
-# Maximum-weight assignment.  numpy and scipy are imported at the first
-# component with more than one edge, so runs that never need a real solve
-# (most scoring, and every command but `score`) never load them.
+# Maximum-weight assignment, in pure Python and exact on integer weights.
 
-def linear_sum_assignment(cost, maximize: bool = False):
-    """`scipy.optimize.linear_sum_assignment`, imported when first called."""
-    from scipy.optimize import linear_sum_assignment as solve
-    return solve(cost, maximize=maximize)
+class _Matrix(list):
+    """Rows of a matrix, with numpy's `size` (cells) for the benchmark's tracer."""
+
+
+def linear_sum_assignment(cost: _Matrix, maximize: bool = False):
+    """Assign each row of `cost` (no more rows than columns) its own column
+    with the least total cost, or the largest with `maximize`; returns the
+    row and column indices, as `scipy.optimize.linear_sum_assignment` does.
+    Shortest augmenting paths with row and column potentials (Kuhn 1955;
+    Jonker & Volgenant 1987), one new row at a time."""
+    if maximize:
+        cost = [[-c for c in row] for row in cost]
+    n_rows, n_cols = len(cost), len(cost[0]) if cost else 0
+    u, col_of = [0] * n_rows, [-1] * n_rows  # row potentials and columns
+    v, row_of = [0] * n_cols, [-1] * n_cols  # column potentials and rows
+    for start in range(n_rows):
+        dist, via = [math.inf] * n_cols, [-1] * n_cols  # shortest paths to columns
+        todo, done, i, reach = list(range(n_cols)), [], start, 0
+        while True:  # Dijkstra over reduced costs until a free column
+            row, shift, best, at = cost[i], reach - u[i], math.inf, -1
+            for k, j in enumerate(todo):
+                d = row[j] - v[j] + shift
+                if d < dist[j]:
+                    dist[j], via[j] = d, i
+                if dist[j] < best or (dist[j] == best and row_of[j] < 0):
+                    best, at = dist[j], k
+            j, todo[at] = todo[at], todo[-1]
+            todo.pop()
+            done.append(j)
+            reach, i = best, row_of[j]
+            if i < 0:
+                break
+        u[start] += reach
+        for k in done:
+            if row_of[k] >= 0:
+                u[row_of[k]] += reach - dist[k]
+            v[k] -= reach - dist[k]
+        while i != start:  # flip the path's edges, back from the free column
+            i = via[j]
+            row_of[j], col_of[i], j = i, j, col_of[i]
+    return list(range(n_rows)), col_of
 
 
 def assign(
@@ -110,18 +147,20 @@ def assign(
     """The one-to-one set of edges (row, col) in rows × cols with the
     largest total weight; every weight must be positive, and edges of
     `weights` outside rows × cols are ignored."""
-    cells = [(a, b) for a, i in enumerate(rows) for b, j in enumerate(cols)
-             if (i, j) in weights]
+    cells = [(i, j) for i in rows for j in cols if (i, j) in weights]
     if len(cells) <= 1:
-        return [(rows[a], cols[b]) for a, b in cells]
-    import numpy as np
-
-    w = np.zeros((len(rows), len(cols)))
-    at_rows, at_cols = zip(*cells)
-    w[at_rows, at_cols] = [weights[(rows[a], cols[b])] for a, b in cells]
+        return cells
+    # non-edges weigh 0; the solver wants no more rows than columns
+    w = [[weights.get((i, j), 0) for j in cols] for i in rows]
+    flip = len(rows) > len(cols)
+    if flip:
+        w = [list(col) for col in zip(*w)]
+    matrix = _Matrix(w)
+    matrix.size = len(w) * len(w[0])
     # looked up at call time, so the module attribute can be wrapped
-    ri, ci = linear_sum_assignment(w, maximize=True)
-    chosen = ((rows[a], cols[b]) for a, b in zip(ri.tolist(), ci.tolist()))
+    ri, ci = linear_sum_assignment(matrix, maximize=True)
+    chosen = ((rows[b], cols[a]) if flip else (rows[a], cols[b])
+              for a, b in zip(ri, ci))
     return [e for e in chosen if e in weights]
 
 
@@ -141,14 +180,8 @@ def solve_alignment(
     """Pick the alignment over the given candidate edges that maximizes
     (pair count, total overlap, -total matched key size) and is
     lexicographically smallest."""
-    chosen: list[tuple[int, int]] = []
-    for keys, resps, edges in _components(overlap):
-        if len(edges) == 1:  # nothing to break ties between
-            chosen.extend(edges)
-        else:
-            chosen.extend(_solve_component(keys, resps, edges, overlap, key_sizes))
-    chosen.sort()
-    return chosen
+    return sorted(e for keys, resps, edges in _components(overlap)
+                  for e in _solve_component(keys, resps, edges, overlap, key_sizes))
 
 
 def _components(
@@ -157,27 +190,18 @@ def _components(
     parent: dict[tuple[str, int], tuple[str, int]] = {}
 
     def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
+        while parent.setdefault(x, x) != x:
+            parent[x] = parent[parent[x]]  # path halving
             x = parent[x]
         return x
 
     for i, j in overlap:
-        parent.setdefault(("k", i), ("k", i))
-        parent.setdefault(("r", j), ("r", j))
-        a, b = find(("k", i)), find(("r", j))
-        if a != b:
-            parent[a] = b
-
+        parent[find(("k", i))] = find(("r", j))
     groups: dict[tuple[str, int], list[tuple[int, int]]] = {}
     for edge in sorted(overlap):
         groups.setdefault(find(("k", edge[0])), []).append(edge)
-    out = []
-    for edges in groups.values():
-        keys = sorted({i for i, _ in edges})
-        resps = sorted({j for _, j in edges})
-        out.append((keys, resps, edges))
-    return out
+    return [(sorted({i for i, _ in edges}), sorted({j for _, j in edges}), edges)
+            for edges in groups.values()]
 
 
 def _solve_component(
@@ -187,38 +211,27 @@ def _solve_component(
     overlap: dict[tuple[int, int], int],
     key_sizes: list[int],
 ) -> list[tuple[int, int]]:
-    # layered integer weights: pair count over total overlap over key
-    # tightness; the sums stay far below 2**53, so float64 math is exact
+    # One exact integer weight per edge carries the whole objective.  The
+    # high part is layered: pair count over total overlap over key
+    # tightness.  The low part, for the key at component position a matched
+    # to the response at position b, is (nR - b) * B**(nK-1-a), B = nR + 1:
+    # a total's low part is the base-B number whose digit a is nR - b (0 if
+    # key a is unmatched), below B**nK.  So among the layered optima the
+    # maximum takes keys in order, prefers a matched key and then the
+    # smaller response: the lexicographically smallest pair list.
+    if len(edges) == 1:  # nothing to break ties between
+        return edges
     size_cap = max(key_sizes[i] for i in keys) + 1
     tight_scale = sum(size_cap - key_sizes[i] for i, _ in edges) + 1
     base = tight_scale * (sum(overlap[e] for e in edges) + 1)
-
-    weight = {e: base + tight_scale * overlap[e] + (size_cap - key_sizes[e[0]])
-              for e in edges}
-
-    def best(fixed: list[tuple[int, int]], banned_keys: set[int]) -> float:
-        used_k = {i for i, _ in fixed} | banned_keys
-        used_r = {j for _, j in fixed}
-        rows = [i for i in keys if i not in used_k]
-        cols = [j for j in resps if j not in used_r]
-        return sum(weight[e] for e in fixed + assign(rows, cols, weight))
-
-    target = best([], set())
-    fixed: list[tuple[int, int]] = []
-    banned: set[int] = set()  # keys the optimum leaves unmatched
-    for i in keys:
-        taken = {j for _, j in fixed}
-        matched = False
-        for j in resps:
-            if j in taken or (i, j) not in overlap:
-                continue
-            if best(fixed + [(i, j)], banned) == target:
-                fixed.append((i, j))
-                matched = True
-                break
-        if not matched:
-            banned.add(i)
-    return fixed
+    radix = len(resps) + 1
+    high = radix ** len(keys)
+    low = {i: radix ** (len(keys) - 1 - a) for a, i in enumerate(keys)}
+    rank = {j: len(resps) - b for b, j in enumerate(resps)}
+    weight = {(i, j): (base + tight_scale * overlap[(i, j)]
+                       + size_cap - key_sizes[i]) * high + rank[j] * low[i]
+              for i, j in edges}
+    return assign(keys, resps, weight)
 
 
 def max_total_overlap(

@@ -4,7 +4,7 @@ Subcommands: ``score`` (evaluate response files against key files),
 ``validate`` (structural checks), ``stats`` (corpus statistics),
 ``transform`` (span rewrites) and ``baseline`` (rule-based predictors).
 
-Exit codes: 0 success, 2 malformed input, 3 key/response pairing mismatch.
+Exit codes: 0 success, 2 malformed or unreadable input, 3 pairing mismatch.
 """
 
 from __future__ import annotations
@@ -116,6 +116,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PAIRING
     except (ConlluParseError, SerializationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # a file that cannot be read or written
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT
 
 
@@ -309,6 +313,8 @@ def validate_path(path: str, strict: bool = False) -> list[str]:
                                             f" {min(sents) + 1}-{max(sents) + 1}")
     except ConlluParseError as exc:
         return [str(exc)]
+    except OSError as exc:
+        return [f"{path}: {exc.strerror}"]
     return problems
 
 

@@ -104,6 +104,15 @@ def _membership(clusters: list[Cluster]) -> dict[int, int]:
     return {m: i for i, c in enumerate(clusters) for m in c}
 
 
+def _spread(cluster: Cluster, other_membership: dict[int, int]) -> dict[int, int]:
+    """How many mentions of `cluster` each cluster of the other side holds."""
+    spread: dict[int, int] = {}
+    for o in map(other_membership.get, cluster):
+        if o is not None:
+            spread[o] = spread.get(o, 0) + 1
+    return spread
+
+
 def _muc_half(clusters: list[Cluster], other_membership: dict[int, int]) -> tuple[int, int]:
     num = den = 0
     for c in clusters:
@@ -133,11 +142,7 @@ def _bcub_half(clusters: list[Cluster], other_membership: dict[int, int]) -> tup
     den = 0
     for c in clusters:
         den += len(c)
-        by_other: dict[int, int] = {}
-        for m in c:
-            o = other_membership.get(m)
-            if o is not None:
-                by_other[o] = by_other.get(o, 0) + 1
+        by_other = _spread(c, other_membership)
         if by_other:
             num += sum(k * k for k in by_other.values()) / len(c)
     return num, den
@@ -182,14 +187,8 @@ def blanc_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> t
     cc = 0
     ck_common = 0
     for c in key_clusters:
-        by_resp: dict[int, int] = {}
-        aligned = 0
-        for m in c:
-            r = resp_membership.get(m)
-            if r is not None:
-                aligned += 1
-                by_resp[r] = by_resp.get(r, 0) + 1
-        ck_common += _pairs(aligned)
+        by_resp = _spread(c, resp_membership)
+        ck_common += _pairs(sum(by_resp.values()))
         cc += sum(_pairs(k) for k in by_resp.values())
     cr_common = 0
     for c in resp_clusters:
@@ -229,12 +228,7 @@ def _lea_half(
             if o is not None and len(other_clusters[o]) == 1:
                 num += 1.0
             continue
-        by_other: dict[int, int] = {}
-        for m in c:
-            o = other_membership.get(m)
-            if o is not None:
-                by_other[o] = by_other.get(o, 0) + 1
-        resolved = sum(_pairs(k) for k in by_other.values())
+        resolved = sum(_pairs(k) for k in _spread(c, other_membership).values())
         num += len(c) * resolved / _pairs(len(c))
     return num, den
 
@@ -384,20 +378,10 @@ def relabeled_clusters(
     resp_ms = resp_layer.sorted_mentions()
     alignment = align_mentions(key_ms, resp_ms, policy)
     resp_map = alignment.response_index_map(key_ms, resp_ms)
-    key_index = {id(m): i for i, m in enumerate(key_ms)}
-    resp_index = {id(m): j for j, m in enumerate(resp_ms)}
-    nk = len(key_ms)
-    key_clusters = [
-        frozenset(key_index[id(m)] for m in e.mentions) for e in key_layer.entities
-    ]
-    resp_clusters = [
-        frozenset(
-            resp_map.get(resp_index[id(m)], nk + resp_index[id(m)])
-            for m in e.mentions
-        )
-        for e in resp_layer.entities
-    ]
-    return key_clusters, resp_clusters
+    number = {id(m): i for i, m in enumerate(key_ms)}
+    number.update((id(m), resp_map.get(j, len(key_ms) + j)) for j, m in enumerate(resp_ms))
+    return ([frozenset(number[id(m)] for m in e.mentions) for e in key_layer.entities],
+            [frozenset(number[id(m)] for m in e.mentions) for e in resp_layer.entities])
 
 
 def score_document_pair(key_doc: Document, resp_doc: Document, opts: EvalOptions) -> dict[str, tuple]:
@@ -478,12 +462,9 @@ def counts_to_prfs(counts: dict[str, tuple], metrics: tuple[str, ...]) -> dict[s
 
 
 def macro_average(per_dataset: dict[str, dict[str, PRF]]) -> dict[str, PRF]:
-    macro: dict[str, PRF] = {}
-    names = [n for n in ALL_METRICS
-             if all(n in scores for scores in per_dataset.values())]
-    for name in names:
-        macro[name] = _mean_prfs([scores[name] for scores in per_dataset.values()])
-    return macro
+    return {name: _mean_prfs([scores[name] for scores in per_dataset.values()])
+            for name in ALL_METRICS
+            if all(name in scores for scores in per_dataset.values())}
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -169,7 +170,9 @@ class TestSolverCalls:
         shapes = []
 
         def counted(cost, *args, **kwargs):
-            shapes.append(cost.shape)
+            # a list of rows that carries numpy's cell count as `size`
+            shapes.append((len(cost), len(cost[0])))
+            assert cost.size == len(cost) * len(cost[0])
             return solve(cost, *args, **kwargs)
 
         monkeypatch.setattr(corefeval.align, "linear_sum_assignment", counted)
@@ -179,6 +182,7 @@ class TestSolverCalls:
         assert solve_alignment({(0, 0): 2, (0, 1): 1, (1, 0): 2}, [3, 2]) \
             == [(0, 1), (1, 0)]
         assert len(calls) > 0
+        assert calls == [(2, 2)]  # one solve for the one multi-edge component
         calls.clear()
         assert max_total_overlap([frozenset({0, 1, 2})],
                                  [frozenset({0, 1}), frozenset({1, 2})]) == 2
@@ -200,6 +204,72 @@ class TestSolverCalls:
             ms = build_coref_layer(doc).sorted_mentions()
             assert len(align_mentions(ms, ms, PARTIAL).pairs) == len(ms)
         assert calls == []
+
+    def test_one_call_per_multi_edge_component_on_dense_n160(self, calls):
+        # equal overlaps and key sizes: every perfect matching ties on the
+        # layered weight, so the tie-break alone picks the diagonal
+        n = 160
+        overlap = {(i, j): 1 for i in range(n) for j in range(n)}
+        # beside it, two single edges and a 2×3 component
+        overlap.update({(n, n): 1, (n + 1, n + 1): 2,
+                        (n + 2, n + 2): 1, (n + 2, n + 3): 2, (n + 3, n + 4): 1,
+                        (n + 3, n + 2): 1})
+        got = solve_alignment(overlap, [3] * n + [1, 2, 2, 2])
+        assert got == [(i, i) for i in range(n)] + [
+            (n, n), (n + 1, n + 1), (n + 2, n + 3), (n + 3, n + 2)]
+        assert sorted(calls) == [(2, 3), (n, n)]
+
+    def test_one_call_when_the_optimum_reverses_the_lexicographic_order(self, calls):
+        # the anti-diagonal has the larger overlap, so every key's first
+        # candidate response is the wrong one
+        n = 80
+        overlap = {(i, j): 2 if i + j == n - 1 else 1
+                   for i in range(n) for j in range(n)}
+        assert solve_alignment(overlap, [5] * n) == [(i, n - 1 - i) for i in range(n)]
+        assert calls == [(n, n)]
+
+    def test_tie_heavy_components_match_the_exhaustive_oracle(self, calls):
+        # few distinct overlaps and key sizes: many optima tie on the
+        # layered weight and only the lexicographic rule tells them apart
+        sub = random.Random(6)
+        for case in range(400):
+            n_keys, n_resps = sub.randint(1, 5), sub.randint(1, 5)
+            edges = sorted(sub.sample(
+                [(i, j) for i in range(n_keys) for j in range(n_resps)],
+                sub.randint(1, min(9, n_keys * n_resps))))
+            overlaps = {e: sub.choice((1, 1, 1, 2)) for e in edges}
+            sizes = [sub.choice((2, 2, 3)) for _ in range(n_keys)]
+            expected = oracles.exhaustive_alignment(edges, overlaps, sizes)
+            assert solve_alignment(overlaps, sizes) == expected, case
+        assert calls  # the cases reached the solver
+
+    def test_ceafe_phi_does_not_depend_on_the_tied_edge_set(self, monkeypatch):
+        # every similarity is 1/2 or 1, so each optimum sums exactly; the
+        # first two keys and responses have two tied optimal edge sets
+        key = [frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5, 6, 7, 8, 9})]
+        resp = [frozenset({0, 2}), frozenset({1, 3}), frozenset({4, 5, 6, 7, 8, 9})]
+        picked = []
+
+        def brute(first):
+            def solve(cost, maximize=False):
+                cols = range(len(cost[0]))
+                perms = list(itertools.permutations(cols, len(cost)))
+                totals = [sum(cost[a][b] for a, b in enumerate(p)) for p in perms]
+                best = [p for p, t in zip(perms, totals) if t == max(totals)]
+                chosen = best[0] if first else best[-1]
+                picked.append(chosen)
+                return list(range(len(cost))), list(chosen)
+            return solve
+
+        phis = []
+        for solver in (None, brute(True), brute(False)):
+            if solver:
+                monkeypatch.setattr(corefeval.align, "linear_sum_assignment", solver)
+            for k_order in itertools.permutations(range(3)):
+                phi, _, _ = ceafe_counts([key[i] for i in k_order], resp)
+                phis.append(phi)
+        assert picked[0] != picked[-1]  # the two brute solvers differ
+        assert phis == [2.0] * len(phis)
 
 
 def _random_pair(seed, small=False):

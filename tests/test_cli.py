@@ -266,6 +266,42 @@ class TestInputPolicy:
             assert out == ""
 
 
+class TestMissingInput:
+    """A file that cannot be read is an input error that names it, in every
+    subcommand: exit code 2 and no traceback."""
+
+    @pytest.fixture
+    def missing(self, tmp_path):
+        return tmp_path / "missing.conllu"
+
+    def check(self, capsys, missing, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    def test_score(self, gold, missing, capsys):
+        self.check(capsys, missing, "score", missing, gold)
+        for jobs in ("1", "2"):
+            self.check(capsys, missing, "score", gold, missing, "--jobs", jobs)
+
+    def test_validate_goes_on_to_the_next_file(self, gold, missing, capsys):
+        code, out, err = run(capsys, "validate", missing, gold)
+        assert code == 2 and err == ""
+        assert out.splitlines() == [f"{missing}: No such file or directory",
+                                    f"{gold}: OK"]
+
+    def test_stats(self, gold, missing, capsys):
+        self.check(capsys, missing, "stats", gold, missing)
+
+    def test_transform(self, missing, tmp_path, capsys):
+        self.check(capsys, missing, "transform", missing, "--ops", "reduce-head",
+                   "--out-dir", tmp_path / "out")
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_baseline(self, missing, capsys):
+        self.check(capsys, missing, "baseline", missing, "--rules", "propn-lemma")
+
+
 class TestOneDocumentAtATime:
     """A cross-sentence mention early in a file and a malformed last
     document: the commands that go one document at a time report only the
@@ -404,32 +440,42 @@ class TestBaselineCommand:
         assert "--rules or --pipeline" in err
 
 
-class TestLazySolver:
-    def test_commands_without_a_real_solve_load_no_numpy(self, fixtures_dir, tmp_path):
+class TestNoNumpy:
+    def test_no_command_loads_numpy_or_scipy(self, fixtures_dir, tmp_path):
         animals = str(fixtures_dir / "animals.conllu")
+        # the identity score of discontinuous.conllu has multi-edge components
+        discontinuous = str(fixtures_dir / "discontinuous.conllu")
         runs = [["validate", animals], ["stats", animals],
                 ["transform", animals, "--ops", "reduce-head", "--out-dir", str(tmp_path)],
                 ["baseline", animals, "--rules", "propn-lemma", "-o",
                  str(tmp_path / "b.conllu")],
-                ["score", animals, animals, "--jobs", "1"]]
+                ["score", animals, animals, "--jobs", "1"],
+                ["score", discontinuous, discontinuous, "--jobs", "1"]]
         script = ("import contextlib, io, sys\n"
+                  "import corefeval.align\n"
                   "from corefeval.align import max_total_overlap\n"
                   "from corefeval.cli import main\n"
-                  "loaded = lambda: [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+                  "solve = corefeval.align.linear_sum_assignment\n"
+                  "solves = []\n"
+                  "def counted(cost, *args, **kwargs):\n"
+                  "    solves.append(len(cost))\n"
+                  "    return solve(cost, *args, **kwargs)\n"
+                  "corefeval.align.linear_sum_assignment = counted\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   "    try:\n"
                   "        main(['--version'])\n"
                   "    except SystemExit:\n"
                   "        pass\n"
                   f"    codes = [main(argv) for argv in {runs!r}]\n"
-                  "before = loaded()\n"
+                  "by_commands = len(solves)\n"
                   "# one key against two responses it overlaps: a real solve\n"
                   "assert max_total_overlap([{0, 1, 2}], [{0, 1}, {1, 2}]) == 2\n"
-                  "print(codes, before, loaded())\n")
+                  "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
+                  "print(codes, by_commands > 0, len(solves) > by_commands, loaded)\n")
         src = str(Path(corefeval.__file__).parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[0, 0, 0, 0, 0] [] ['numpy', 'scipy']\n"
+        assert proc.stdout == "[0, 0, 0, 0, 0, 0] True True []\n"
