@@ -5,8 +5,6 @@ from .align import EXACT, HEAD, PARTIAL, MentionAlignment, align_mentions, match
 from .conllu import (
     Document,
     EntityBracket,
-    Sentence,
-    Token,
     doc_to_text,
     docs_to_text,
     parse_file,
@@ -30,7 +28,7 @@ from .metrics import (
     score_document_pair,
     zero_score,
 )
-from .model import CorefLayer, Entity, Mention, Node, build_coref_layer, word_order
+from .model import CorefLayer, Entity, Mention, Node, build_coref_layer
 from .transforms import (
     conservative_head_reduce,
     merge_same_span_entities,

@@ -140,9 +140,7 @@ def simple_rule_based_layer(layer: CorefLayer) -> None:
     berulasek_layer(layer)
 
 
-def propn_lemma_merge(doc: Document, enabled: bool = True) -> Document:
-    if not enabled:
-        return doc.copy()
+def propn_lemma_merge(doc: Document) -> Document:
     return _apply(doc, propn_lemma_merge_layer)
 
 

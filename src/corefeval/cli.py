@@ -27,7 +27,6 @@ from .metrics import (
     EvalOptions,
     ScoreReport,
     build_report,
-    empty_response_twin,
     pair_documents,
     score_document_pair,
 )
@@ -191,7 +190,7 @@ def _dataset_names(paths: list[str]) -> list[str]:
 def _score_worker(task) -> dict[str, tuple]:
     key_src, resp_src, opts = task
     key_doc = read_document(*key_src)
-    resp_doc = empty_response_twin(key_doc) if resp_src is None else read_document(*resp_src)
+    resp_doc = strip_entities(key_doc) if resp_src is None else read_document(*resp_src)
     return score_document_pair(key_doc, resp_doc, opts)
 
 
@@ -329,10 +328,8 @@ _STAT_TABLES = {
 
 
 def cmd_stats(args) -> int:
-    layers_by_file: dict[str, list] = {}
-    for path in args.paths:
-        layers_by_file[Path(path).stem or path] = [build_coref_layer(d)
-                                                   for d in iter_documents(path)]
+    layers_by_file = {name: [build_coref_layer(d) for d in iter_documents(path)]
+                      for name, path in zip(_dataset_names(args.paths), args.paths)}
 
     tables = ("entities", "mentions", "details") if args.table == "all" else (args.table,)
     out: list[str] = []
@@ -391,8 +388,13 @@ def _stats_tsv(table: str, columns: tuple, rows: list[tuple[str, dict]]) -> str:
 
 def _resolve_outputs(args) -> list[tuple[str, str | None]]:
     if args.out_dir:
+        names = [Path(p).name for p in args.paths]
+        twice = sorted({n for n in names if names.count(n) > 1})
+        if twice:
+            raise ValueError("inputs share a file name, so --out-dir would write"
+                             " one output over another: " + ", ".join(twice))
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-        return [(p, str(Path(args.out_dir) / Path(p).name)) for p in args.paths]
+        return [(p, str(Path(args.out_dir) / n)) for p, n in zip(args.paths, names)]
     if len(args.paths) > 1:
         raise ValueError("multiple inputs need --out-dir")
     return [(args.paths[0], args.output)]

@@ -1,13 +1,14 @@
 """CoNLL-U reading and writing with CorefUD `Entity` annotation.
 
 The parser keeps every input line verbatim, so serializing an unmodified
-document reproduces the input byte for byte.  Only tokens whose `Entity`
-attribute was rewritten (by transforms or baselines) are re-assembled, and
-even then all other columns and MISC attributes stay untouched.
+document reproduces the input byte for byte.  Only lines whose `Entity`
+value was rewritten (by transforms or baselines) are rebuilt, by
+`with_entity`, and even then all other columns and MISC attributes stay
+untouched.
 
 The parse is the only pass over the token lines: it splits each line
 once, checks its id, builds its `Node` and feeds its `Entity` value to the
-one bracket reader, so a `Document` carries its nodes and its mentions.
+one bracket reader, so a `Document` is its lines, nodes and mentions.
 
 Entity values are sequences of brackets over entity ids, e.g.
 ``(e5-person-1-`` opens mention of entity e5 (extra fields: type, head
@@ -24,7 +25,7 @@ from pathlib import Path
 from sys import intern
 from typing import BinaryIO, Iterable, Iterator
 
-from .errors import ConlluParseError, SerializationError
+from .errors import ConlluParseError
 
 log = logging.getLogger("corefeval")
 
@@ -199,76 +200,6 @@ class EntityReader:
         return self._mentions
 
 
-class Token:
-    """One token line.  `raw` is the verbatim input line; `entity` the
-    current Entity value (None = no annotation); `dirty` marks tokens whose
-    Entity no longer matches `raw`."""
-
-    __slots__ = ("raw", "entity", "dirty")
-
-    def __init__(self, raw: str, entity: str | None = None, dirty: bool = False):
-        self.raw = raw
-        self.entity = entity
-        self.dirty = dirty
-
-    @property
-    def id(self) -> str:
-        return self.raw.partition("\t")[0]
-
-    def line(self) -> str:
-        """Current text of the line, rebuilding MISC when Entity changed.
-        The Entity attribute keeps its position among the MISC attributes
-        (new ones go first)."""
-        if not self.dirty:
-            return self.raw
-        cols = self.raw.split("\t")
-        attrs = [] if cols[9] == "_" else cols[9].split("|")
-        out = []
-        placed = False
-        for attr in attrs:
-            if attr.startswith("Entity="):
-                if self.entity is not None and not placed:
-                    out.append("Entity=" + self.entity)
-                    placed = True
-            else:
-                out.append(attr)
-        if self.entity is not None and not placed:
-            out.insert(0, "Entity=" + self.entity)
-        cols[9] = "|".join(out) if out else "_"
-        return "\t".join(cols)
-
-    def copy(self) -> "Token":
-        return type(self)(self.raw, self.entity, self.dirty)
-
-    def __repr__(self) -> str:
-        return f"Token({self.id!r})"
-
-
-class RangeToken(Token):
-    """A multiword range line (id ``n-m``): no node, no `Entity` value.  The
-    other tokens of a document are its nodes, in order."""
-
-    __slots__ = ()
-
-
-class Sentence:
-    __slots__ = ("comments", "tokens")
-
-    def __init__(self, comments: list[str], tokens: list[Token]):
-        self.comments = comments
-        self.tokens = tokens
-
-    @property
-    def sent_id(self) -> str | None:
-        for c in self.comments:
-            if c.startswith("# sent_id"):
-                return c.split("=", 1)[1].strip() if "=" in c else None
-        return None
-
-    def copy(self) -> "Sentence":
-        return Sentence(list(self.comments), [t.copy() for t in self.tokens])
-
-
 class Node:
     """One syntactic word or empty node, positioned in the document order.
 
@@ -280,15 +211,16 @@ class Node:
     """
 
     __slots__ = (
-        "index", "sent_index", "id", "is_empty", "form", "lemma", "upos",
+        "index", "sent_index", "line", "id", "is_empty", "form", "lemma", "upos",
         "gender", "deprel", "parent", "enhanced_parents",
     )
 
-    def __init__(self, index: int, sent_index: int, tid: str, is_empty: bool,
-                 form: str, lemma: str, upos: str, gender: str | None,
-                 deprel: str):
+    def __init__(self, index: int, sent_index: int, line: int, tid: str,
+                 is_empty: bool, form: str, lemma: str, upos: str,
+                 gender: str | None, deprel: str):
         self.index = index  # document-wide position
         self.sent_index = sent_index
+        self.line = line  # index in `Document.lines`
         self.id = tid
         self.is_empty = is_empty
         self.form = form
@@ -304,25 +236,52 @@ class Node:
 
 
 class Document:
-    """One `# newdoc` section: ordered sentences of verbatim lines, its nodes
-    and the mentions its `Entity` values read as (`EntityReader.end`).  Copies
-    share both; code that changes an `Entity` value replaces `mentions`."""
+    """One `# newdoc` section: the lines the writer emits (the verbatim input
+    lines, each sentence followed by one blank line), its nodes and the
+    mentions its `Entity` values read as (`EntityReader.end`).  Copies share
+    all three, so code that changes a line replaces `lines`, and code that
+    changes an `Entity` value also replaces `mentions`."""
 
-    __slots__ = ("doc_id", "sentences", "nodes", "mentions")
+    __slots__ = ("doc_id", "lines", "nodes", "mentions")
 
-    def __init__(self, doc_id: str | None, sentences: list[Sentence],
-                 nodes: list[Node], mentions: list[ReadMention]):
+    def __init__(self, doc_id: str | None, lines: list[str], nodes: list[Node],
+                 mentions: list[ReadMention]):
         self.doc_id = doc_id
-        self.sentences = sentences
+        self.lines = lines
         self.nodes = nodes
         self.mentions = mentions
 
     def copy(self) -> "Document":
-        return Document(self.doc_id, [s.copy() for s in self.sentences],
-                        self.nodes, self.mentions)
+        return Document(self.doc_id, self.lines, self.nodes, self.mentions)
 
     def __repr__(self) -> str:
-        return f"Document({self.doc_id!r}, {len(self.sentences)} sentences)"
+        return f"Document({self.doc_id!r}, {len(self.nodes)} nodes)"
+
+
+def entity_value(line: str) -> str | None:
+    """The `Entity` value in the MISC column of a token line."""
+    return _attr(line[line.rfind("\t") + 1:], "Entity=")
+
+
+def with_entity(line: str, entity: str | None) -> str:
+    """A token line with its `Entity` value set to `entity` (None removes
+    it).  The attribute keeps its position among the MISC attributes (a new
+    one goes first); all other columns and attributes stay as they are."""
+    cols = line.split("\t")
+    attrs = [] if cols[9] == "_" else cols[9].split("|")
+    out = []
+    placed = False
+    for attr in attrs:
+        if attr.startswith("Entity="):
+            if entity is not None and not placed:
+                out.append("Entity=" + entity)
+                placed = True
+        else:
+            out.append(attr)
+    if entity is not None and not placed:
+        out.insert(0, "Entity=" + entity)
+    cols[9] = "|".join(out) if out else "_"
+    return "\t".join(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -406,27 +365,30 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
         log.warning("%s: file does not end with a newline", path)
     lines = text.rstrip("\n").split("\n")
     doc_id: str | None = None
-    sentences: list[Sentence] = []
     nodes: list[Node] = []
-    comments: list[str] = []
-    tokens: list[Token] = []
     reader = EntityReader()
-    # the current sentence's nodes by id, and each node's HEAD or DEPS column
+    # the current sentence: its number, first line and whether a token line
+    # came; its nodes by id and each node's HEAD or DEPS column
+    sent_index = 0
+    sent_start = 0
+    has_tokens = False
     by_id: dict[str, Node] = {}
     head_cols: list[tuple[Node, str]] = []
     last_surface = 0
     last_empty = 0.0
     pending_range: tuple[int, int] | None = None
 
-    def err(msg: str, lineno: int) -> ConlluParseError:
-        return ConlluParseError(msg, path=path, line=lineno)
+    def err(msg: str, i: int) -> ConlluParseError:
+        return ConlluParseError(msg, path=path, line=first_line + i)
 
-    def close_sentence(lineno: int) -> None:
-        nonlocal comments, tokens, by_id, head_cols, last_surface, last_empty, pending_range
-        if not comments and not tokens:
-            raise err("empty sentence (consecutive blank lines)", lineno)
+    def close_sentence(i: int) -> None:
+        """End the sentence at the blank line (or end) at line index `i`."""
+        nonlocal sent_index, sent_start, has_tokens, by_id, head_cols
+        nonlocal last_surface, last_empty, pending_range
+        if i == sent_start:
+            raise err("empty sentence (consecutive blank lines)", i)
         if pending_range is not None and pending_range[1] > last_surface:
-            raise err(f"token range {pending_range[0]}-{pending_range[1]} exceeds sentence", lineno)
+            raise err(f"token range {pending_range[0]}-{pending_range[1]} exceeds sentence", i)
         if reader.open:
             eids = sorted({eid for eid, _ in reader.open})
             log.warning(
@@ -439,65 +401,63 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
             else:
                 node.parent = by_id.get(col)
                 if node.parent is None:
-                    log.debug("unresolved head %s in sentence %d", col, len(sentences))
-        sentences.append(Sentence(comments, tokens))
-        comments, tokens, by_id, head_cols = [], [], {}, []
+                    log.debug("unresolved head %s in sentence %d", col, sent_index)
+        sent_index += 1
+        sent_start, has_tokens, by_id, head_cols = i + 1, False, {}, []
         last_surface, last_empty, pending_range = 0, 0.0, None
 
-    lineno = first_line - 1
-    for lineno, line in enumerate(lines, start=first_line):
+    for i, line in enumerate(lines):
         if line == "":
-            close_sentence(lineno)
+            close_sentence(i)
             continue
         if line[0] == "#":
-            if tokens:
-                raise err("comment after token lines within a sentence", lineno)
+            if has_tokens:
+                raise err("comment after token lines within a sentence", i)
             if line.startswith(_NEWDOC):
                 doc_id = _newdoc_id(line)
-            comments.append(line)
             continue
 
+        has_tokens = True
         cols = line.split("\t")
         if len(cols) != 10:
-            raise err(f"expected 10 tab-separated columns, got {len(cols)}", lineno)
+            raise err(f"expected 10 tab-separated columns, got {len(cols)}", i)
         tid = cols[0]
         entity = _attr(cols[9], "Entity=")
         if "." in tid:
             word, _, sub = tid.partition(".")
             if not _is_number(word) or not _is_number(sub) or int(sub) < 1:
-                raise err(f"unknown token id syntax {tid!r}", lineno)
+                raise err(f"unknown token id syntax {tid!r}", i)
             order = int(word) + int(sub) / 1e9
             if int(word) != last_surface:
-                raise err(f"empty node {tid} does not follow word {word}", lineno)
+                raise err(f"empty node {tid} does not follow word {word}", i)
             if order <= last_empty:
-                raise err(f"empty node ids not strictly increasing at {tid}", lineno)
+                raise err(f"empty node ids not strictly increasing at {tid}", i)
             last_empty = order
             is_empty = True
         elif "-" in tid:
             lo, _, hi = tid.partition("-")
             if not _is_number(lo) or not _is_number(hi) or int(hi) < int(lo):
-                raise err(f"unknown token id syntax {tid!r}", lineno)
+                raise err(f"unknown token id syntax {tid!r}", i)
             if entity is not None:
-                raise err(f"Entity annotation on multiword range line {tid}", lineno)
+                raise err(f"Entity annotation on multiword range line {tid}", i)
             if int(lo) != last_surface + 1:
-                raise err(f"token range {tid} does not start at next word id", lineno)
+                raise err(f"token range {tid} does not start at next word id", i)
             if pending_range is not None and pending_range[1] > last_surface:
-                raise err(f"overlapping token ranges at {tid}", lineno)
+                raise err(f"overlapping token ranges at {tid}", i)
             pending_range = (int(lo), int(hi))
-            tokens.append(RangeToken(line))
             continue  # not a node
         elif _is_number(tid) and tid[0] != "0":
             if int(tid) != last_surface + 1:
-                raise err(f"surface word ids not consecutive at {tid}", lineno)
+                raise err(f"surface word ids not consecutive at {tid}", i)
             last_surface = int(tid)
             last_empty = float(last_surface)
             is_empty = False
         else:
-            raise err(f"unknown token id syntax {tid!r}", lineno)
+            raise err(f"unknown token id syntax {tid!r}", i)
 
         # a document keeps its nodes, so they share repeated column values
         gender = _attr(cols[5], "Gender=")
-        node = Node(len(nodes), len(sentences), intern(tid), is_empty,
+        node = Node(len(nodes), sent_index, i, intern(tid), is_empty,
                     intern(cols[1]), intern(cols[2]), intern(cols[3]),
                     gender and intern(gender), "" if is_empty else intern(cols[7]))
         if is_empty:
@@ -509,19 +469,18 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
             try:
                 reader.feed(node.index, entity)
             except ConlluParseError as exc:
-                raise err(exc.args[0], lineno) from None
+                raise err(exc.args[0], i) from None
         nodes.append(node)
         by_id[tid] = node
-        tokens.append(Token(line, entity))
 
-    if comments or tokens:
-        close_sentence(lineno + 1)
+    close_sentence(len(lines))
+    lines.append("")  # the blank line that ends the last sentence
     try:
         mentions = reader.end()
     except ConlluParseError as exc:
         raise ConlluParseError(f"{exc.args[0]} at end of document {doc_id}",
                                path=path) from None
-    return Document(doc_id, sentences, nodes, mentions)
+    return Document(doc_id, lines, nodes, mentions)
 
 
 def _attr(column: str, prefix: str) -> str | None:
@@ -553,28 +512,8 @@ def _parse_deps(deps: str, by_id: dict[str, Node]) -> tuple[tuple[Node, ...], st
 # ---------------------------------------------------------------------------
 # Serialization
 
-def document_lines(doc: Document) -> Iterator[str]:
-    for sentence in doc.sentences:
-        _check_serializable(sentence)
-        yield from sentence.comments
-        for token in sentence.tokens:
-            yield token.line()
-        yield ""
-
-
-def _check_serializable(sentence: Sentence) -> None:
-    for token in sentence.tokens:
-        if token.dirty and token.entity == "":
-            raise SerializationError("empty Entity value cannot be serialized")
-
-
 def docs_to_text(docs: Iterable[Document]) -> str:
-    lines: list[str] = []
-    for doc in docs:
-        lines.extend(document_lines(doc))
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    return "".join(["\n".join(doc.lines) + "\n" for doc in docs if doc.lines])
 
 
 def doc_to_text(doc: Document) -> str:

@@ -353,10 +353,12 @@ def check_same_nodes(key_layer: CorefLayer, resp_layer: CorefLayer) -> None:
     """The scorer requires response tokens identical to the key's, empty
     nodes included."""
     doc = key_layer.doc.doc_id
-    if len(key_layer.doc.sentences) != len(resp_layer.doc.sentences):
+    # each sentence ends in one blank line
+    key_sents = key_layer.doc.lines.count("")
+    resp_sents = resp_layer.doc.lines.count("")
+    if key_sents != resp_sents:
         raise DocumentPairError(
-            f"document {doc}: sentence counts differ "
-            f"({len(key_layer.doc.sentences)} vs {len(resp_layer.doc.sentences)})")
+            f"document {doc}: sentence counts differ ({key_sents} vs {resp_sents})")
     if len(key_layer.nodes) != len(resp_layer.nodes):
         raise DocumentPairError(
             f"document {doc}: node counts differ "
@@ -425,10 +427,6 @@ def score_document_pair(key_doc: Document, resp_doc: Document, opts: EvalOptions
     return counts
 
 
-def empty_response_twin(key_doc: Document) -> Document:
-    return strip_entities(key_doc)
-
-
 # ---------------------------------------------------------------------------
 # Aggregation
 
@@ -464,7 +462,7 @@ def counts_to_prfs(counts: dict[str, tuple], metrics: tuple[str, ...]) -> dict[s
 def macro_average(per_dataset: dict[str, dict[str, PRF]]) -> dict[str, PRF]:
     return {name: _mean_prfs([scores[name] for scores in per_dataset.values()])
             for name in ALL_METRICS
-            if all(name in scores for scores in per_dataset.values())}
+            if per_dataset and all(name in scores for scores in per_dataset.values())}
 
 
 @dataclass
@@ -558,6 +556,6 @@ def evaluate(
         resp_docs = resp_datasets[name]
         for doc_key, i, j in pair_documents([d.doc_id for d in key_docs],
                                             [d.doc_id for d in resp_docs], name):
-            resp_doc = empty_response_twin(key_docs[i]) if j is None else resp_docs[j]
+            resp_doc = strip_entities(key_docs[i]) if j is None else resp_docs[j]
             results.append((name, doc_key, score_document_pair(key_docs[i], resp_doc, opts)))
     return build_report(list(key_datasets), results, opts, per_doc)

@@ -113,11 +113,6 @@ class CorefLayer:
         return {e.eid for e in self.entities}
 
 
-def word_order(doc: Document) -> list[Node]:
-    """The total node order of a document (no coreference layer)."""
-    return doc.nodes
-
-
 def build_coref_layer(doc: Document) -> CorefLayer:
     """Group the mentions the parser read from the bracket annotation
     (`conllu.EntityReader`: parts ``[1/n]..[n/n]`` of one entity id merge

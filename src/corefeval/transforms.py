@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable
 
-from .conllu import Document, EntityReader, RangeToken, ReadMention
+from .conllu import Document, EntityReader, ReadMention, entity_value, with_entity
 from .errors import ConlluParseError, SerializationError
 from .heads import head_upos_set, mention_head
 from .model import CorefLayer, Entity, Mention, Node, build_coref_layer
@@ -141,11 +141,7 @@ def remove_singletons(doc: Document) -> Document:
 def strip_entities(doc: Document) -> Document:
     """Remove all coreference annotation (used to key-strip inputs)."""
     out = doc.copy()
-    for sentence in out.sentences:
-        for token in sentence.tokens:
-            if token.entity is not None:
-                token.entity = None
-                token.dirty = True
+    _set_entity_values(out, {})
     out.mentions = []
     return out
 
@@ -164,13 +160,13 @@ LAYER_TRANSFORMS: dict[str, Callable[[CorefLayer], None]] = {
 # Entity annotation regeneration
 
 def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
-    """Recompute the `Entity` value of every token from the layer.
+    """Recompute the `Entity` value of every node from the layer.
 
     Mentions are emitted in (start, -end, eid) order; a discontinuous
     mention becomes ``[i/n]`` parts over its contiguous runs.  Opening
     fields are kept verbatim (on the first part only).  The values must
     read back as the layer's mentions, else `SerializationError` is
-    raised before any token changes; the mentions they read as become
+    raised before any line changes; the mentions they read as become
     `doc.mentions`.
     """
     closes: dict[int, list[str]] = {}
@@ -204,14 +200,23 @@ def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
               for index in sorted(opens.keys() | closes.keys())}
     read = _check_read_back(values, written, doc.doc_id)
 
-    # node positions number the tokens that are nodes, as the parser does
-    node_tokens = (t for s in doc.sentences for t in s.tokens if not isinstance(t, RangeToken))
-    for position, token in enumerate(node_tokens):
-        new = values.get(position)
-        if token.entity != new:
-            token.entity = new
-            token.dirty = True
+    _set_entity_values(doc, values)
     doc.mentions = read
+
+
+def _set_entity_values(doc: Document, values: dict[int, str]) -> None:
+    """Give the node at each position its `Entity` value in `values` (no
+    value elsewhere), rebuilding only the lines whose value changes.  The
+    nodes that carry a value now are the ends of the runs of `doc.mentions`;
+    `doc.lines` is replaced, never changed in place, as copies share it."""
+    positions = {i for _eid, runs, _fields in doc.mentions for run in runs for i in run}
+    lines = list(doc.lines)
+    for position in positions | values.keys():
+        at = doc.nodes[position].line
+        new = values.get(position)
+        if entity_value(lines[at]) != new:
+            lines[at] = with_entity(lines[at], new)
+    doc.lines = lines
 
 
 def _contiguous_runs(nodes: list[Node]) -> list[list[Node]]:

@@ -90,10 +90,6 @@ class TestPropnLemmaMerge:
         out_path.write_text(doc_to_text(out))
         assert validate_path(str(out_path)) == []
 
-    def test_disabled_flag_is_identity(self, fixtures_dir):
-        doc = parse_text((fixtures_dir / "propn_baseline.conllu").read_text())[0]
-        assert doc_to_text(propn_lemma_merge(doc, enabled=False)) == doc_to_text(doc)
-
     def test_unannotated_pair_creates_fresh_entity(self):
         doc = parse_text(
             "# newdoc id = d\n"

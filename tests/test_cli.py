@@ -382,6 +382,23 @@ class TestStatsCommand:
         assert [r[0] for r in rows[1:]] == ["gold", "zeros", "ALL"]
         assert int(rows[3][1]) == int(rows[1][1]) + int(rows[2][1])
 
+    def test_inputs_sharing_a_stem_get_numbered_rows(self, gold, fixtures_dir,
+                                                     tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first, second = tmp_path / "a" / "x.conllu", tmp_path / "b" / "x.conllu"
+        first.write_text(gold.read_text())
+        second.write_text((fixtures_dir / "zeros.conllu").read_text())
+        code, out, _ = run(capsys, "stats", first, second,
+                           "--table", "entities", "--format", "tsv")
+        assert code == 0
+        rows = [line.split("\t") for line in out.strip().split("\n")]
+        assert [r[0] for r in rows[1:]] == ["x", "x#2", "ALL"]
+        _, alone, _ = run(capsys, "stats", first, "--table", "entities",
+                          "--format", "tsv")
+        assert alone.strip().split("\n")[1].split("\t")[1:] == rows[1][1:]
+        assert int(rows[3][1]) == int(rows[1][1]) + int(rows[2][1])
+
 
 class TestTransformCommand:
     def test_reduce_head_then_score_head_match(self, gold, tmp_path, capsys):
@@ -412,6 +429,21 @@ class TestTransformCommand:
         docs = parse_text((out_dir / "gold.conllu").read_text())
         layer = build_coref_layer(docs[0])
         assert all(len(m.nodes) == 1 for e in layer.entities for m in e.mentions)
+
+
+    @pytest.mark.parametrize("command", [["transform", "--ops", "reduce-head"],
+                                         ["baseline", "--rules", "propn-lemma"]])
+    def test_out_dir_rejects_inputs_sharing_a_name(self, command, gold, tmp_path,
+                                                   capsys):
+        (tmp_path / "a").mkdir()
+        other = tmp_path / "a" / "gold.conllu"
+        other.write_text(gold.read_text())
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, command[0], gold, other, *command[1:],
+                           "--out-dir", out_dir)
+        assert code == 2
+        assert "gold.conllu" in err
+        assert not out_dir.exists()
 
 
 class TestBaselineCommand:

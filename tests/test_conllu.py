@@ -68,14 +68,16 @@ class TestParsing:
             [tok("1")], doc_id="d2")
         docs = parse_text(text)
         assert [d.doc_id for d in docs] == ["d1", "d2"]
-        assert [len(d.sentences) for d in docs] == [2, 1]
+        # each sentence ends in one blank line
+        assert [d.lines.count("") for d in docs] == [2, 1]
+        assert [n.sent_index for n in docs[0].nodes] == [0, 1, 1]
 
     def test_comments_preserved(self):
         text = make_doc(["# sent_id = s1", "# text = w", tok("1")])
         doc = parse_text(text)[0]
-        assert doc.sentences[0].comments == [
-            "# newdoc id = d1", "# sent_id = s1", "# text = w"]
-        assert doc.sentences[0].sent_id == "s1"
+        assert doc.lines == [
+            "# newdoc id = d1", "# sent_id = s1", "# text = w", tok("1"), ""]
+        assert doc.nodes[0].line == 3
 
     def test_file_without_newdoc_is_one_document(self):
         docs = parse_text(tok("1") + "\n\n")
@@ -84,12 +86,15 @@ class TestParsing:
     def test_header_only_document(self):
         text = "# newdoc id = d1\n# note = empty\n\n"
         docs = parse_text(text)
-        assert docs[0].sentences[0].tokens == []
+        assert docs[0].nodes == []
+        assert docs[0].lines == ["# newdoc id = d1", "# note = empty", ""]
         assert docs_to_text(docs) == text
 
     def test_entity_extraction(self):
         text = make_doc([tok("1", "SpaceAfter=No|Entity=(e1)")])
-        assert parse_text(text)[0].sentences[0].tokens[0].entity == "(e1)"
+        doc = parse_text(text)[0]
+        assert conllu.entity_value(doc.lines[doc.nodes[0].line]) == "(e1)"
+        assert doc.mentions == [("e1", ((0, 0),), ())]
 
     @pytest.mark.parametrize("bad,message", [
         (make_doc(["1\tw\tw\tNOUN\t_\t_\t0\tdep\t_"]), "10 tab-separated"),
@@ -167,9 +172,8 @@ class TestRoundTrip:
         _, _, text = gen.random_document(rng, "docx")
         doc = parse_text(text)[0]
         again = parse_text(docs_to_text([doc]))[0]
-        assert [s.comments for s in again.sentences] == [s.comments for s in doc.sentences]
-        assert [[t.raw for t in s.tokens] for s in again.sentences] == \
-               [[t.raw for t in s.tokens] for s in doc.sentences]
+        assert again.lines == doc.lines
+        assert [n.line for n in again.nodes] == [n.line for n in doc.nodes]
 
 
 def scan_chunks(text: str) -> list[tuple[str | None, str]]:
@@ -219,7 +223,7 @@ class TestDocumentSplitting:
         chunks = scan_chunks(text)
         assert [c[0] for c in chunks] == ["d1", "d2"]
         doc2 = parse_text(chunks[1][1])[0]
-        assert doc2.sentences[0].comments[0] == "# leading comment"
+        assert doc2.lines[0] == "# leading comment"
 
     def test_two_markers_in_one_block_agree_across_splitters(self):
         text = "# newdoc id = a\n# newdoc id = b\n" + tok("1") + "\n\n"
@@ -255,21 +259,22 @@ class TestDocumentSplitting:
             conllu.parse_file(path)
 
 
-class TestTokenRewrite:
-    def test_dirty_token_rebuilds_misc_in_place(self):
-        token = conllu.Token(tok("1", "A=1|Entity=(e1)|SpaceAfter=No"), "(e1)")
-        token.entity = "(e2)"
-        token.dirty = True
-        assert token.line().endswith("A=1|Entity=(e2)|SpaceAfter=No")
+class TestWithEntity:
+    def test_changed_value_rebuilds_misc_in_place(self):
+        line = conllu.with_entity(tok("1", "A=1|Entity=(e1)|SpaceAfter=No"), "(e2)")
+        assert line.endswith("A=1|Entity=(e2)|SpaceAfter=No")
 
     def test_removing_entity_leaves_other_attrs(self):
-        token = conllu.Token(tok("1", "Entity=(e1)|SpaceAfter=No"), "(e1)")
-        token.entity = None
-        token.dirty = True
-        assert token.line().endswith("\tSpaceAfter=No")
+        line = conllu.with_entity(tok("1", "Entity=(e1)|SpaceAfter=No"), None)
+        assert line.endswith("\tSpaceAfter=No")
+
+    def test_removing_the_only_attr_leaves_underscore(self):
+        assert conllu.with_entity(tok("1", "Entity=(e1)"), None) == tok("1")
 
     def test_adding_entity_to_bare_misc(self):
-        token = conllu.Token(tok("1"), None)
-        token.entity = "(e9)"
-        token.dirty = True
-        assert token.line().endswith("\tEntity=(e9)")
+        assert conllu.with_entity(tok("1"), "(e9)").endswith("\tEntity=(e9)")
+
+    def test_adding_entity_to_misc_without_it_puts_it_first(self):
+        line = conllu.with_entity(tok("1", "A=1|SpaceAfter=No"), "(e9)")
+        assert line == tok("1", "Entity=(e9)|A=1|SpaceAfter=No")
+        assert conllu.entity_value(line) == "(e9)"

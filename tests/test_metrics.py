@@ -332,6 +332,10 @@ class TestEvaluate:
             mean = sum(d[name].f1 for d in report.per_dataset.values()) / 2
             assert macro.f1 == pytest.approx(mean)
 
+    def test_no_datasets_give_an_empty_report(self):
+        report = evaluate({}, {}, EvalOptions())
+        assert report.per_dataset == {} and report.macro == {}
+
     def test_conll_is_mean_of_three(self, fixtures_dir):
         animals = parse_text((fixtures_dir / "animals.conllu").read_text())
         perturbed = _perturbed_response(animals)

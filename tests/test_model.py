@@ -4,9 +4,10 @@ import pytest
 
 import corefeval.conllu
 import gen
-from corefeval.conllu import CLOSE, OPEN, parse_file, parse_text, tokenize_entity
+from corefeval.conllu import (CLOSE, OPEN, entity_value, parse_file, parse_text,
+                              tokenize_entity)
 from corefeval.errors import ConlluParseError
-from corefeval.model import build_coref_layer, word_order
+from corefeval.model import build_coref_layer
 
 
 def line(tid, misc="_", head="0", upos="NOUN", deps="_", feats="_"):
@@ -25,23 +26,23 @@ class TestWordOrder:
     def test_empty_nodes_follow_their_word(self):
         doc = doc_of([line("1"), line("2", head="1"),
                       line("2.1", deps="1:nsubj"), line("3", head="1")])
-        assert [n.id for n in word_order(doc)] == ["1", "2", "2.1", "3"]
+        assert [n.id for n in doc.nodes] == ["1", "2", "2.1", "3"]
 
     def test_leading_empty_node(self):
         doc = doc_of([line("0.1", deps="1:exp"), line("1")])
-        assert [n.id for n in word_order(doc)] == ["0.1", "1"]
+        assert [n.id for n in doc.nodes] == ["0.1", "1"]
 
     def test_positions_concatenate_across_sentences(self):
         doc = doc_of([line("1"), line("2", head="1"), line("3", head="1")],
                      [line("1"), line("2", head="1")])
-        nodes = word_order(doc)
+        nodes = doc.nodes
         assert [n.index for n in nodes] == [0, 1, 2, 3, 4]
         assert [n.sent_index for n in nodes] == [0, 0, 0, 1, 1]
 
     def test_range_lines_are_not_nodes(self):
         doc = doc_of(["1-2\tdont\t_\t_\t_\t_\t_\t_\t_\t_",
                       line("1"), line("2", head="1")])
-        assert [n.id for n in word_order(doc)] == ["1", "2"]
+        assert [n.id for n in doc.nodes] == ["1", "2"]
 
 
 class TestLayerBuilding:
@@ -175,13 +176,13 @@ def _naive_mentions(doc):
     explicit scanning, then merge parts by order of completion."""
     events = []  # (position, bracket)
     position = -1
-    for sentence in doc.sentences:
-        for token in sentence.tokens:
-            if "-" in token.id:
-                continue
-            position += 1
-            for bracket in tokenize_entity(token.entity) if token.entity else []:
-                events.append((position, bracket))
+    for line in doc.lines:
+        if not line or line[0] == "#" or "-" in line.partition("\t")[0]:
+            continue  # blank, comment or multiword range line: not a node
+        position += 1
+        value = entity_value(line)
+        for bracket in tokenize_entity(value) if value else []:
+            events.append((position, bracket))
     spans = []  # (eid, part, start, end)
     open_list = []
     for position, bracket in events:

@@ -5,7 +5,8 @@ import pytest
 import corefeval.baselines  # registers the baseline rules as transforms
 import gen
 import oracles
-from corefeval.conllu import parse_file, parse_text, doc_to_text, tokenize_entity
+from corefeval.conllu import (doc_to_text, entity_value, parse_file, parse_text,
+                              tokenize_entity)
 from corefeval.errors import SerializationError
 from corefeval.metrics import EvalOptions, evaluate
 from corefeval.model import build_coref_layer
@@ -17,6 +18,7 @@ from corefeval.transforms import (
     reduce_to_head,
     remove_singletons,
     rewrite_entity_annotations,
+    _apply,
     strip_entities,
 )
 
@@ -63,11 +65,11 @@ class TestReduceToHead:
             sub = random.Random(seed)
             _, _, text = gen.random_document(sub, f"d{seed}", p_discontinuous=0.3)
             reduced = reduce_to_head(parse_text(text)[0])
-            for sentence in reduced.sentences:
-                for token in sentence.tokens:
-                    if token.entity:
-                        for bracket in tokenize_entity(token.entity):
-                            assert bracket.kind == "open_close"
+            for node in reduced.nodes:
+                value = entity_value(reduced.lines[node.line])
+                if value:
+                    for bracket in tokenize_entity(value):
+                        assert bracket.kind == "open_close"
 
     def test_idempotent(self, rng):
         _, _, text = gen.random_document(rng, "dx")
@@ -290,3 +292,18 @@ class TestMentionsInStep:
             LAYER_TRANSFORMS[op](layer)
             rewrite_entity_annotations(out, layer)
             assert layer_summary(out) == layer_summary(parse_text(doc_to_text(out))[0])
+
+    @pytest.mark.parametrize("op", ["strip"] + sorted(LAYER_TRANSFORMS))
+    @pytest.mark.parametrize("fixture", ["animals", "zeros", "discontinuous",
+                                         "pronoun_baseline", "propn_baseline"])
+    def test_input_document_is_unchanged(self, fixture, op, fixtures_dir):
+        """Copies share their lines, so a rewrite must never show in its input."""
+        for doc in parse_file(fixtures_dir / f"{fixture}.conllu"):
+            before = doc_to_text(doc)
+            mentions = list(doc.mentions)
+            if op == "strip":
+                strip_entities(doc)
+            else:
+                _apply(doc, LAYER_TRANSFORMS[op])
+            assert doc_to_text(doc) == before
+            assert doc.mentions == mentions
