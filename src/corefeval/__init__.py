@@ -26,16 +26,8 @@ from .metrics import (
     ZeroScoreCounts,
     evaluate,
     score_document_pair,
-    zero_score,
 )
 from .model import CorefLayer, Entity, Mention, Node, build_coref_layer
-from .transforms import (
-    conservative_head_reduce,
-    merge_same_span_entities,
-    reduce_to_head,
-    remove_singletons,
-    strip_entities,
-)
-from .baselines import pronoun_gender_link, propn_lemma_merge
+from .transforms import apply_ops, strip_entities
 
 __version__ = "0.1.0"

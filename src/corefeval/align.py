@@ -45,15 +45,6 @@ class MentionAlignment:
     """One-to-one partial mapping between key and response mentions."""
 
     pairs: tuple[tuple[Mention, Mention], ...]
-    policy: str
-
-    def response_index_map(
-        self, key_ms: list[Mention], resp_ms: list[Mention]
-    ) -> dict[int, int]:
-        """Map response positions to the key positions they align with."""
-        key_pos = {id(m): i for i, m in enumerate(key_ms)}
-        resp_pos = {id(m): j for j, m in enumerate(resp_ms)}
-        return {resp_pos[id(r)]: key_pos[id(k)] for k, r in self.pairs}
 
 
 def align_mentions(
@@ -66,7 +57,7 @@ def align_mentions(
         [len(m.position_set) for m in key_ms],
     )
     pairs = tuple((key_ms[i], resp_ms[j]) for i, j in chosen)
-    return MentionAlignment(pairs, policy)
+    return MentionAlignment(pairs)
 
 
 def _candidate_edges(

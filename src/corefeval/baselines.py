@@ -14,14 +14,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .conllu import Document
 from .model import CorefLayer, Entity, Mention, Node
-from .transforms import (
-    LAYER_TRANSFORMS,
-    _apply,
-    merge_same_span_layer,
-    reduce_layer_to_heads,
-)
+from .transforms import LAYER_TRANSFORMS, merge_same_span_layer, reduce_layer_to_heads
 
 
 def _node_owners(layer: CorefLayer) -> dict[int, list[Mention]]:
@@ -138,14 +132,6 @@ def berulasek_layer(layer: CorefLayer) -> None:
 def simple_rule_based_layer(layer: CorefLayer) -> None:
     pronoun_gender_link_layer(layer)
     berulasek_layer(layer)
-
-
-def propn_lemma_merge(doc: Document) -> Document:
-    return _apply(doc, propn_lemma_merge_layer)
-
-
-def pronoun_gender_link(doc: Document) -> Document:
-    return _apply(doc, pronoun_gender_link_layer)
 
 
 BASELINE_RULES = {

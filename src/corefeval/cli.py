@@ -31,7 +31,7 @@ from .metrics import (
     score_document_pair,
 )
 from .model import build_coref_layer
-from .transforms import LAYER_TRANSFORMS, _apply, strip_entities
+from .transforms import LAYER_TRANSFORMS, apply_ops, strip_entities
 from . import stats as stats_mod
 
 EXIT_OK = 0
@@ -404,7 +404,7 @@ def _rewrite_files(args, ops) -> int:
     """Rewrite one document at a time; write each output once all its documents succeed."""
     strip = getattr(args, "strip", False)  # only `baseline` has --strip
     for in_path, out_path in _resolve_outputs(args):
-        out_docs = (_apply(strip_entities(doc) if strip else doc, *ops)
+        out_docs = (apply_ops(strip_entities(doc) if strip else doc, *ops)
                     for doc in iter_documents(in_path))
         if out_path:
             write_file(out_docs, out_path)

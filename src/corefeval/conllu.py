@@ -1,10 +1,11 @@
 """CoNLL-U reading and writing with CorefUD `Entity` annotation.
 
 The parser keeps every input line verbatim, so serializing an unmodified
-document reproduces the input byte for byte.  Only lines whose `Entity`
-value was rewritten (by transforms or baselines) are rebuilt, by
-`with_entity`, and even then all other columns and MISC attributes stay
-untouched.
+document reproduces the input byte for byte.  This module owns the
+`Entity` format: `EntityReader` reads it and `entity_values` writes it.
+`set_mentions`, the one code that changes a document's lines, rebuilds
+(by `with_entity`) only the lines whose `Entity` value changes, and even
+then all other columns and MISC attributes stay untouched.
 
 The parse is the only pass over the token lines: it splits each line
 once, checks its id, builds its `Node` and feeds its `Entity` value to the
@@ -20,12 +21,13 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from sys import intern
 from typing import BinaryIO, Iterable, Iterator
 
-from .errors import ConlluParseError
+from .errors import ConlluParseError, SerializationError
 
 log = logging.getLogger("corefeval")
 
@@ -47,14 +49,6 @@ class EntityBracket:
     eid: str
     part: tuple[int, int] | None = None  # (i, n) from "[i/n]"
     extra_fields: tuple[str, ...] = ()  # opening fields after the eid, verbatim
-
-    def __str__(self) -> str:
-        part = f"[{self.part[0]}/{self.part[1]}]" if self.part else ""
-        if self.kind == CLOSE:
-            return f"{self.eid}{part})"
-        fields = "".join("-" + f for f in self.extra_fields)
-        tail = ")" if self.kind == OPEN_CLOSE else ""
-        return f"({self.eid}{part}{fields}{tail}"
 
 
 def tokenize_entity(value: str) -> list[EntityBracket]:
@@ -117,10 +111,6 @@ def _parse_part(value: str, i: int) -> tuple[tuple[int, int] | None, int]:
 def _is_number(text: str) -> bool:
     """ASCII digits only: `str.isdigit` also accepts "²", which `int` rejects."""
     return text.isascii() and text.isdigit()
-
-
-def serialize_brackets(brackets: Iterable[EntityBracket]) -> str:
-    return "".join(str(b) for b in brackets)
 
 
 Run = tuple[int, int]  # first and last node position of a span, inclusive
@@ -239,8 +229,8 @@ class Document:
     """One `# newdoc` section: the lines the writer emits (the verbatim input
     lines, each sentence followed by one blank line), its nodes and the
     mentions its `Entity` values read as (`EntityReader.end`).  Copies share
-    all three, so code that changes a line replaces `lines`, and code that
-    changes an `Entity` value also replaces `mentions`."""
+    all three.  `set_mentions` is the one code that changes `lines`; it
+    replaces `lines` and `mentions` together, so the two always agree."""
 
     __slots__ = ("doc_id", "lines", "nodes", "mentions")
 
@@ -285,6 +275,73 @@ def with_entity(line: str, entity: str | None) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Writing mentions
+
+def entity_values(mentions: Iterable[ReadMention]) -> dict[int, str]:
+    """The `Entity` value of each node position that carries one, in node
+    order, written from (eid, runs, extra_fields) mentions.
+
+    Mentions are written in (start, -end, eid) order, ties in the order
+    given; a mention of several runs becomes the parts ``[i/n]`` of its
+    runs, and its fields go on the first part only.
+    """
+    closes: dict[int, list[str]] = {}
+    opens: dict[int, list[str]] = {}
+    for eid, runs, fields in sorted(mentions, key=lambda m: (m[1][0][0], -m[1][-1][1], m[0])):
+        tail = "".join("-" + f for f in fields)
+        for part_no, (first, last) in enumerate(runs, start=1):
+            label = eid if len(runs) == 1 else f"{eid}[{part_no}/{len(runs)}]"
+            body = label + (tail if part_no == 1 else "")
+            if first == last:
+                opens.setdefault(first, []).append(f"({body})")
+            else:
+                opens.setdefault(first, []).append(f"({body}")
+                closes.setdefault(last, []).insert(0, f"{label})")
+    return {position: "".join(closes.get(position, ())) + "".join(opens.get(position, ()))
+            for position in sorted(opens.keys() | closes.keys())}
+
+
+def set_mentions(doc: Document, mentions: list[ReadMention]) -> None:
+    """Make `mentions`, as (eid, runs, extra_fields), the document's: the
+    one code that changes `doc.lines`.
+
+    The bracket format cannot express every set of mentions: two same-id
+    spans open at once, or parts that interleave with another mention's
+    parts of the same id.  Unless the `entity_values` of `mentions` read
+    back as `mentions`, `SerializationError` is raised before anything
+    changes.  Otherwise only the lines whose value changes are rebuilt
+    (`with_entity`), into a new list, as copies share `lines`; `mentions`
+    becomes what the values read as, in reading order.
+    """
+    values = entity_values(mentions)
+    reader = EntityReader()
+    try:
+        for position, value in values.items():
+            reader.feed(position, value)
+        read = reader.end()
+    except ConlluParseError as exc:
+        raise SerializationError(f"document {doc.doc_id}: the mentions cannot be"
+                                 f" written in the bracket format: {exc}") from None
+    wanted, got = Counter(mentions), Counter(read)
+    if got != wanted:
+        eids = sorted({m[0] for m in (wanted - got) + (got - wanted)})
+        raise SerializationError(
+            f"document {doc.doc_id}: the mentions of entity {', '.join(map(repr, eids))}"
+            " cannot be written in the bracket format: they would read back"
+            " differently")
+    # the nodes that carry a value now are the run ends of `doc.mentions`
+    positions = {i for _eid, runs, _fields in doc.mentions for run in runs for i in run}
+    lines = list(doc.lines)
+    for position in positions | values.keys():
+        at = doc.nodes[position].line
+        new = values.get(position)
+        if entity_value(lines[at]) != new:
+            lines[at] = with_entity(lines[at], new)
+    doc.lines = lines
+    doc.mentions = read
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 
 _NEWDOC = "# newdoc"
@@ -315,10 +372,7 @@ def parse_text(text: str, path: str = "<string>") -> list[Document]:
 
 
 def _parse_bytes(data: bytes, path: str) -> Iterator[Document]:
-    spans = list(numbered_spans(data, path))
-    if not spans:
-        raise ConlluParseError("no content found", path=path)
-    for _doc_id, first_line, start, end in spans:
+    for _doc_id, first_line, start, end in numbered_spans(data, path):
         yield _parse_document(_decode(data[start:end], path, first_line), path,
                               first_line)
 
@@ -579,11 +633,14 @@ def numbered_spans(
     data: bytes, path: str
 ) -> Iterator[tuple[str | None, int, int, int]]:
     """`scan_document_spans` as (doc_id, first_line, byte_start, byte_end);
-    `path` names the file in errors."""
+    `path` names the file in errors.  A file without a document (empty or
+    blank lines only) is an error."""
     try:
         spans = scan_document_spans(data)
     except ConlluParseError as exc:
         raise ConlluParseError(exc.args[0], path, exc.line) from None
+    if not spans:
+        raise ConlluParseError("no content found", path=path)
     line, prev = 1, 0
     for doc_id, start, end in spans:
         line += data.count(b"\n", prev, start)

@@ -337,15 +337,6 @@ def zero_link_counts(key_layer: CorefLayer, resp_layer: CorefLayer) -> tuple:
     return (tp, wl, fp, fn)
 
 
-def zero_score(key_doc: Document, resp_doc: Document) -> tuple[ZeroScoreCounts, PRF]:
-    """Zero-anaphora score of two documents over the same node universe."""
-    key_layer = build_coref_layer(key_doc)
-    resp_layer = build_coref_layer(resp_doc)
-    check_same_nodes(key_layer, resp_layer)
-    counts = ZeroScoreCounts(*zero_link_counts(key_layer, resp_layer))
-    return counts, counts.prf()
-
-
 # ---------------------------------------------------------------------------
 # Document pipeline
 
@@ -378,12 +369,12 @@ def relabeled_clusters(
     of their aligned partner."""
     key_ms = key_layer.sorted_mentions()
     resp_ms = resp_layer.sorted_mentions()
-    alignment = align_mentions(key_ms, resp_ms, policy)
-    resp_map = alignment.response_index_map(key_ms, resp_ms)
-    number = {id(m): i for i, m in enumerate(key_ms)}
-    number.update((id(m), resp_map.get(j, len(key_ms) + j)) for j, m in enumerate(resp_ms))
-    return ([frozenset(number[id(m)] for m in e.mentions) for e in key_layer.entities],
-            [frozenset(number[id(m)] for m in e.mentions) for e in resp_layer.entities])
+    key_number = {id(m): i for i, m in enumerate(key_ms)}
+    resp_number = {id(m): len(key_ms) + j for j, m in enumerate(resp_ms)}
+    resp_number.update((id(r), key_number[id(k)])
+                       for k, r in align_mentions(key_ms, resp_ms, policy).pairs)
+    return ([frozenset(key_number[id(m)] for m in e.mentions) for e in key_layer.entities],
+            [frozenset(resp_number[id(m)] for m in e.mentions) for e in resp_layer.entities])
 
 
 def score_document_pair(key_doc: Document, resp_doc: Document, opts: EvalOptions) -> dict[str, tuple]:

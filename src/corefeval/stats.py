@@ -9,6 +9,8 @@ surface words only.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .heads import mention_head, treelet_roots
 from .model import CorefLayer
 
@@ -26,71 +28,40 @@ def _surface_words(layers: list[CorefLayer]) -> int:
     return sum(1 for layer in layers for n in layer.nodes if not n.is_empty)
 
 
-def _bucket_percent(counter: dict[int, int], total: int, bucket: int, top: int) -> float:
-    if not total:
-        return 0.0
-    if bucket < top:
-        n = counter.get(bucket, 0)
-    else:
-        n = sum(v for k, v in counter.items() if k >= top)
-    return 100.0 * n / total
+def _length_row(lengths: list[int], words: int, first_bucket: int) -> dict[str, float]:
+    """Count, rate per 1000 words, maximum and mean of `lengths`, and the
+    percentage of each length from `first_bucket` to 4 and of 5 or more."""
+    total = len(lengths)
+    counts = Counter(lengths)
+
+    def pct(n: int) -> float:
+        return 100.0 * n / total if total else 0.0
+
+    row = {
+        "count": total,
+        "per_1k": 1000.0 * total / words if words else 0.0,
+        "max_len": max(lengths, default=0),
+        "avg_len": sum(lengths) / total if total else 0.0,
+    }
+    for bucket in range(first_bucket, 5):
+        row[f"len_{bucket}"] = pct(counts[bucket])
+    row["len_5plus"] = pct(sum(n for length, n in counts.items() if length >= 5))
+    return row
 
 
 def entity_stats(layers: list[CorefLayer]) -> dict[str, float]:
     """Entity totals, rate per 1000 words and length distribution
     (length = number of mentions; singletons have length 1)."""
-    lengths: dict[int, int] = {}
-    total = 0
-    mention_total = 0
-    max_len = 0
-    for layer in layers:
-        for entity in layer.entities:
-            n = len(entity.mentions)
-            total += 1
-            mention_total += n
-            max_len = max(max_len, n)
-            lengths[n] = lengths.get(n, 0) + 1
-    words = _surface_words(layers)
-    row = {
-        "count": total,
-        "per_1k": 1000.0 * total / words if words else 0.0,
-        "max_len": max_len,
-        "avg_len": mention_total / total if total else 0.0,
-    }
-    for bucket in (1, 2, 3, 4):
-        row[f"len_{bucket}"] = _bucket_percent(lengths, total, bucket, 5)
-    row["len_5plus"] = _bucket_percent(lengths, total, 5, 5)
-    return row
+    lengths = [len(e.mentions) for layer in layers for e in layer.entities]
+    return _length_row(lengths, _surface_words(layers), 1)
 
 
 def mention_stats(layers: list[CorefLayer], include_singletons: bool = True) -> dict[str, float]:
     """Mention totals, rate per 1000 words and length distribution
     (length counts surface words only; zeros have length 0)."""
-    lengths: dict[int, int] = {}
-    total = 0
-    length_sum = 0
-    max_len = 0
-    for layer in layers:
-        for entity in layer.entities:
-            if not include_singletons and entity.is_singleton:
-                continue
-            for mention in entity.mentions:
-                n = mention.surface_length
-                total += 1
-                length_sum += n
-                max_len = max(max_len, n)
-                lengths[n] = lengths.get(n, 0) + 1
-    words = _surface_words(layers)
-    row = {
-        "count": total,
-        "per_1k": 1000.0 * total / words if words else 0.0,
-        "max_len": max_len,
-        "avg_len": length_sum / total if total else 0.0,
-    }
-    for bucket in (0, 1, 2, 3, 4):
-        row[f"len_{bucket}"] = _bucket_percent(lengths, total, bucket, 5)
-    row["len_5plus"] = _bucket_percent(lengths, total, 5, 5)
-    return row
+    lengths = [m.surface_length for layer in layers for e in layer.entities
+               if include_singletons or not e.is_singleton for m in e.mentions]
+    return _length_row(lengths, _surface_words(layers), 0)
 
 
 def mention_detail_stats(layers: list[CorefLayer]) -> dict[str, float]:

@@ -1,19 +1,18 @@
 """Deterministic coreference rewrites.
 
-Every transform exists in two flavours: a layer operation mutating a
-`CorefLayer` in place (used directly by the scoring pipeline) and a
-document operation returning a rewritten copy with regenerated `Entity`
-annotation (used by the CLI).  All transforms are idempotent and never
+Each transform is a layer operation: it changes a `CorefLayer` in place,
+and the scoring pipeline calls it directly.  `apply_ops` runs operations
+on the layer of a document copy and writes the result back through
+`rewrite_entity_annotations`.  All transforms are idempotent and never
 add or remove nodes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Callable
 
-from .conllu import Document, EntityReader, ReadMention, entity_value, with_entity
-from .errors import ConlluParseError, SerializationError
+from .conllu import Document, set_mentions
+from .errors import SerializationError
 from .heads import head_upos_set, mention_head
 from .model import CorefLayer, Entity, Mention, Node, build_coref_layer
 
@@ -111,9 +110,11 @@ def filter_by_head_upos_layer(layer: CorefLayer, tag: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Document-level wrappers
+# Documents
 
-def _apply(doc: Document, *ops: Callable[[CorefLayer], None]) -> Document:
+def apply_ops(doc: Document, *ops: Callable[[CorefLayer], None]) -> Document:
+    """A copy of `doc` with the mentions of its layer after `ops`, applied
+    in order."""
     out = doc.copy()
     layer = build_coref_layer(out)
     for op in ops:
@@ -122,27 +123,10 @@ def _apply(doc: Document, *ops: Callable[[CorefLayer], None]) -> Document:
     return out
 
 
-def reduce_to_head(doc: Document) -> Document:
-    return _apply(doc, reduce_layer_to_heads)
-
-
-def merge_same_span_entities(doc: Document) -> Document:
-    return _apply(doc, merge_same_span_layer)
-
-
-def conservative_head_reduce(doc: Document) -> Document:
-    return _apply(doc, conservative_head_reduce_layer)
-
-
-def remove_singletons(doc: Document) -> Document:
-    return _apply(doc, remove_singletons_layer)
-
-
 def strip_entities(doc: Document) -> Document:
-    """Remove all coreference annotation (used to key-strip inputs)."""
+    """A copy of `doc` without coreference annotation (used to key-strip inputs)."""
     out = doc.copy()
-    _set_entity_values(out, {})
-    out.mentions = []
+    set_mentions(out, [])
     return out
 
 
@@ -160,96 +144,21 @@ LAYER_TRANSFORMS: dict[str, Callable[[CorefLayer], None]] = {
 # Entity annotation regeneration
 
 def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
-    """Recompute the `Entity` value of every node from the layer.
-
-    Mentions are emitted in (start, -end, eid) order; a discontinuous
-    mention becomes ``[i/n]`` parts over its contiguous runs.  Opening
-    fields are kept verbatim (on the first part only).  The values must
-    read back as the layer's mentions, else `SerializationError` is
-    raised before any line changes; the mentions they read as become
-    `doc.mentions`.
-    """
-    closes: dict[int, list[str]] = {}
-    opens: dict[int, list[str]] = {}
-    mentions = [m for e in layer.entities for m in e.mentions]
-    for mention in mentions:
+    """Make the layer's mentions the document's (`set_mentions`), each as
+    the runs of consecutive positions of its nodes, with its opening
+    fields verbatim.  A layer the `Entity` format cannot express raises
+    `SerializationError` before anything changes."""
+    mentions = []
+    for mention in (m for e in layer.entities for m in e.mentions):
         if not mention.nodes:
             raise SerializationError(
                 f"mention of entity {mention.entity.eid!r} has no nodes")
-    mentions.sort(key=lambda m: (m.start, -m.end, m.entity.eid))
-
-    written: list[tuple] = []
-    for mention in mentions:
-        runs = _contiguous_runs(mention.nodes)
-        fields = "".join("-" + f for f in mention.extra_fields)
-        for part_no, run in enumerate(runs, start=1):
-            label = mention.entity.eid
-            if len(runs) > 1:
-                label += f"[{part_no}/{len(runs)}]"
-            body = label + (fields if part_no == 1 else "")
-            if len(run) == 1:
-                opens.setdefault(run[0].index, []).append(f"({body})")
-            else:
-                opens.setdefault(run[0].index, []).append(f"({body}")
-                closes.setdefault(run[-1].index, []).insert(0, f"{label})")
-        written.append((mention.entity.eid,
-                        tuple((run[0].index, run[-1].index) for run in runs),
-                        mention.extra_fields))
-
-    values = {index: "".join(closes.get(index, ())) + "".join(opens.get(index, ()))
-              for index in sorted(opens.keys() | closes.keys())}
-    read = _check_read_back(values, written, doc.doc_id)
-
-    _set_entity_values(doc, values)
-    doc.mentions = read
-
-
-def _set_entity_values(doc: Document, values: dict[int, str]) -> None:
-    """Give the node at each position its `Entity` value in `values` (no
-    value elsewhere), rebuilding only the lines whose value changes.  The
-    nodes that carry a value now are the ends of the runs of `doc.mentions`;
-    `doc.lines` is replaced, never changed in place, as copies share it."""
-    positions = {i for _eid, runs, _fields in doc.mentions for run in runs for i in run}
-    lines = list(doc.lines)
-    for position in positions | values.keys():
-        at = doc.nodes[position].line
-        new = values.get(position)
-        if entity_value(lines[at]) != new:
-            lines[at] = with_entity(lines[at], new)
-    doc.lines = lines
-
-
-def _contiguous_runs(nodes: list[Node]) -> list[list[Node]]:
-    runs: list[list[Node]] = [[nodes[0]]]
-    for node in nodes[1:]:
-        if node.index == runs[-1][-1].index + 1:
-            runs[-1].append(node)
-        else:
-            runs.append([node])
-    return runs
-
-
-def _check_read_back(values: dict[int, str], written: list[tuple],
-                     doc_id: str | None) -> list[ReadMention]:
-    """The bracket format cannot express every layer: two same-id spans
-    open at once, or parts that interleave with another mention's parts
-    of the same id.  Reject values that would not read back as the
-    (eid, runs, fields) of the mentions they were written from; return
-    the mentions they read as."""
-    reader = EntityReader()
-    try:
-        for position, value in values.items():
-            reader.feed(position, value)
-        mentions = reader.end()
-        read = Counter(mentions)
-    except ConlluParseError as exc:
-        raise SerializationError(f"document {doc_id}: the mentions cannot be"
-                                 f" written in the bracket format: {exc}") from None
-    wanted = Counter(written)
-    if read != wanted:
-        eids = sorted({m[0] for m in (wanted - read) + (read - wanted)})
-        raise SerializationError(
-            f"document {doc_id}: the mentions of entity {', '.join(map(repr, eids))}"
-            " cannot be written in the bracket format: they would read back"
-            " differently")
-    return mentions
+        indices = [n.index for n in mention.nodes]
+        runs, first = [], indices[0]
+        for prev, index in zip(indices, indices[1:]):
+            if index != prev + 1:
+                runs.append((first, prev))
+                first = index
+        runs.append((first, indices[-1]))
+        mentions.append((mention.entity.eid, tuple(runs), mention.extra_fields))
+    set_mentions(doc, mentions)

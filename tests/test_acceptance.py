@@ -15,7 +15,7 @@ import gen
 import oracles
 from test_baselines import PRONOUN_EXPECTED, PROPN_EXPECTED, entity_map
 from corefeval.align import EXACT, PARTIAL, matches
-from corefeval.baselines import pronoun_gender_link, propn_lemma_merge
+from corefeval.baselines import pronoun_gender_link_layer, propn_lemma_merge_layer
 from corefeval.cli import main, validate_path
 from corefeval.conllu import docs_to_text, parse_text
 from corefeval.metrics import (
@@ -33,8 +33,9 @@ from corefeval.metrics import (
 )
 from corefeval.model import build_coref_layer
 from corefeval.transforms import (
-    conservative_head_reduce,
-    reduce_to_head,
+    apply_ops,
+    conservative_head_reduce_layer,
+    reduce_layer_to_heads,
     remove_singletons_layer,
 )
 
@@ -226,12 +227,12 @@ def test_criterion_05_head_match_equivalence(tmp_path):
         resp_doc = parse_text(gen.conllu_text(skel, resp_specs))[0]
         opts_head = EvalOptions(match="head")
         direct = evaluate({"d": [key_doc]}, {"d": [resp_doc]}, opts_head)
-        manual = evaluate({"d": [conservative_head_reduce(key_doc)]},
-                          {"d": [conservative_head_reduce(resp_doc)]},
+        manual = evaluate({"d": [apply_ops(key_doc, conservative_head_reduce_layer)]},
+                          {"d": [apply_ops(resp_doc, conservative_head_reduce_layer)]},
                           EvalOptions(match="partial"))
         assert direct.per_dataset == manual.per_dataset, f"seed {seed}"
         padded = evaluate({"d": [key_doc]},
-                          {"d": [reduce_to_head(resp_doc)]}, opts_head)
+                          {"d": [apply_ops(resp_doc, reduce_layer_to_heads)]}, opts_head)
         assert direct.per_dataset == padded.per_dataset, f"seed {seed}"
     print("criterion 5 PASS: head match equals partial match on reduced "
           "files and ignores extra response words around the head (30 seeds)")
@@ -405,11 +406,11 @@ def test_criterion_09_performance(big_corpus, capsys):
 def test_criterion_10_baselines(fixtures_dir, tmp_path):
     pronoun_doc = parse_text(
         (fixtures_dir / "pronoun_baseline.conllu").read_text())[0]
-    linked = pronoun_gender_link(pronoun_doc)
+    linked = apply_ops(pronoun_doc, pronoun_gender_link_layer)
     assert entity_map(linked) == PRONOUN_EXPECTED
     propn_doc = parse_text(
         (fixtures_dir / "propn_baseline.conllu").read_text())[0]
-    merged = propn_lemma_merge(propn_doc)
+    merged = apply_ops(propn_doc, propn_lemma_merge_layer)
     assert entity_map(merged) == PROPN_EXPECTED
     for i, doc in enumerate((linked, merged)):
         out = tmp_path / f"baseline{i}.conllu"

@@ -1,12 +1,17 @@
 from corefeval.baselines import (
-    pronoun_gender_link,
-    propn_lemma_merge,
+    pronoun_gender_link_layer,
+    propn_lemma_merge_layer,
     simple_rule_based_layer,
 )
 from corefeval.cli import validate_path
 from corefeval.conllu import doc_to_text, parse_text
 from corefeval.model import build_coref_layer
-from corefeval.transforms import rewrite_entity_annotations
+from corefeval.transforms import (
+    apply_ops,
+    merge_same_span_layer,
+    reduce_layer_to_heads,
+    rewrite_entity_annotations,
+)
 
 
 def entity_map(doc):
@@ -50,7 +55,7 @@ PROPN_EXPECTED = {
 class TestPronounGenderLink:
     def test_twenty_sentence_fixture_hand_derived(self, fixtures_dir, tmp_path):
         doc = parse_text((fixtures_dir / "pronoun_baseline.conllu").read_text())[0]
-        out = pronoun_gender_link(doc)
+        out = apply_ops(doc, pronoun_gender_link_layer)
         assert entity_map(out) == PRONOUN_EXPECTED
         out_path = tmp_path / "out.conllu"
         out_path.write_text(doc_to_text(out))
@@ -62,7 +67,7 @@ class TestPronounGenderLink:
             "1\tdog\tdog\tNOUN\t_\tGender=Masc\t0\troot\t_\t_\n"
             "2\tfox\tfox\tNOUN\t_\tGender=Masc\t1\tconj\t_\t_\n"
             "3\the\the\tPRON\t_\tGender=Masc\t1\tnsubj\t_\t_\n\n")[0]
-        out = entity_map(pronoun_gender_link(doc))
+        out = entity_map(apply_ops(doc, pronoun_gender_link_layer))
         assert out == {"x1": {mention((0, "2")), mention((0, "3"))}}
 
     def test_gender_mismatch_leaves_pronoun_out(self):
@@ -70,7 +75,7 @@ class TestPronounGenderLink:
             "# newdoc id = d\n"
             "1\tdog\tdog\tNOUN\t_\tGender=Masc\t0\troot\t_\t_\n"
             "2\tshe\tshe\tPRON\t_\tGender=Fem\t1\tnsubj\t_\t_\n\n")[0]
-        assert entity_map(pronoun_gender_link(doc)) == {}
+        assert entity_map(apply_ops(doc, pronoun_gender_link_layer)) == {}
 
     def test_empty_nodes_never_antecede(self):
         doc = parse_text(
@@ -78,13 +83,13 @@ class TestPronounGenderLink:
             "1\truns\trun\tVERB\t_\t_\t0\troot\t_\t_\n"
             "1.1\t_\tdog\tNOUN\t_\tGender=Masc\t_\t_\t1:nsubj\t_\n"
             "2\the\the\tPRON\t_\tGender=Masc\t1\tobj\t_\t_\n\n")[0]
-        assert entity_map(pronoun_gender_link(doc)) == {}
+        assert entity_map(apply_ops(doc, pronoun_gender_link_layer)) == {}
 
 
 class TestPropnLemmaMerge:
     def test_twenty_sentence_fixture_hand_derived(self, fixtures_dir, tmp_path):
         doc = parse_text((fixtures_dir / "propn_baseline.conllu").read_text())[0]
-        out = propn_lemma_merge(doc)
+        out = apply_ops(doc, propn_lemma_merge_layer)
         assert entity_map(out) == PROPN_EXPECTED
         out_path = tmp_path / "out.conllu"
         out_path.write_text(doc_to_text(out))
@@ -95,7 +100,7 @@ class TestPropnLemmaMerge:
             "# newdoc id = d\n"
             "1\tBrown\tbrown\tPROPN\t_\t_\t0\troot\t_\t_\n"
             "2\tBrown\tbrown\tPROPN\t_\t_\t1\tflat\t_\t_\n\n")[0]
-        assert entity_map(propn_lemma_merge(doc)) == {
+        assert entity_map(apply_ops(doc, propn_lemma_merge_layer)) == {
             "x1": {mention((0, "1")), mention((0, "2"))}}
 
     def test_annotated_token_pulls_others_into_its_entity(self):
@@ -103,7 +108,7 @@ class TestPropnLemmaMerge:
             "# newdoc id = d\n"
             "1\tBrown\tbrown\tPROPN\t_\t_\t0\troot\t_\tEntity=(e4)\n"
             "2\tBrown\tbrown\tPROPN\t_\t_\t1\tflat\t_\t_\n\n")[0]
-        assert entity_map(propn_lemma_merge(doc)) == {
+        assert entity_map(apply_ops(doc, propn_lemma_merge_layer)) == {
             "e4": {mention((0, "1")), mention((0, "2"))}}
 
     def test_distinct_lemmas_unchanged(self):
@@ -111,7 +116,7 @@ class TestPropnLemmaMerge:
             "# newdoc id = d\n"
             "1\tBrown\tbrown\tPROPN\t_\t_\t0\troot\t_\t_\n"
             "2\tSmith\tsmith\tPROPN\t_\t_\t1\tflat\t_\t_\n\n")[0]
-        assert doc_to_text(propn_lemma_merge(doc)) == doc_to_text(doc)
+        assert doc_to_text(apply_ops(doc, propn_lemma_merge_layer)) == doc_to_text(doc)
 
 
 class TestPipelines:
@@ -123,16 +128,16 @@ class TestPipelines:
         layer = build_coref_layer(doc)
         simple_rule_based_layer(layer)
         rewrite_entity_annotations(doc, layer)
-        by_hand = pronoun_gender_link(
-            parse_text((fixtures_dir / "pronoun_baseline.conllu").read_text())[0])
-        from corefeval.transforms import merge_same_span_entities, reduce_to_head
-        by_hand = propn_lemma_merge(merge_same_span_entities(reduce_to_head(by_hand)))
+        by_hand = parse_text((fixtures_dir / "pronoun_baseline.conllu").read_text())[0]
+        for op in (pronoun_gender_link_layer, reduce_layer_to_heads,
+                   merge_same_span_layer, propn_lemma_merge_layer):
+            by_hand = apply_ops(by_hand, op)
         assert entity_map(doc) == entity_map(by_hand)
 
     def test_outputs_validate(self, fixtures_dir, tmp_path):
-        for name, op in (("pronoun_baseline", pronoun_gender_link),
-                         ("propn_baseline", propn_lemma_merge)):
+        for name, op in (("pronoun_baseline", pronoun_gender_link_layer),
+                         ("propn_baseline", propn_lemma_merge_layer)):
             doc = parse_text((fixtures_dir / f"{name}.conllu").read_text())[0]
             out_path = tmp_path / f"{name}.out.conllu"
-            out_path.write_text(doc_to_text(op(doc)))
+            out_path.write_text(doc_to_text(apply_ops(doc, op)))
             assert validate_path(str(out_path)) == []

@@ -13,7 +13,7 @@ from corefeval.cli import _render_json, main
 from corefeval.conllu import docs_to_text, parse_file, parse_text
 from corefeval.metrics import EvalOptions, evaluate
 from corefeval.model import build_coref_layer
-from corefeval.transforms import reduce_to_head
+from corefeval.transforms import apply_ops, reduce_layer_to_heads
 
 BUNDLED = ("animals", "zeros", "discontinuous", "pronoun_baseline", "propn_baseline")
 
@@ -59,7 +59,7 @@ class TestScoreCommand:
 
     def test_duplicate_document_ids_keep_a_row_each(self, gold, tmp_path, capsys):
         resp = tmp_path / "resp.conllu"
-        resp.write_text(docs_to_text(reduce_to_head(d) for d in parse_file(gold)))
+        resp.write_text(docs_to_text(apply_ops(d, reduce_layer_to_heads) for d in parse_file(gold)))
         (tmp_path / "dup").mkdir()
         dup_key, dup_resp = tmp_path / "dup" / "gold.conllu", tmp_path / "dup" / "resp.conllu"
         for src, dst in ((gold, dup_key), (resp, dup_resp)):
@@ -176,7 +176,7 @@ class TestSharedEngine:
         key = fixtures_dir / f"{name}.conllu"
         key_docs = parse_file(key)
         perturbed = tmp_path / "perturbed.conllu"
-        perturbed.write_text(docs_to_text([reduce_to_head(d) for d in key_docs]))
+        perturbed.write_text(docs_to_text([apply_ops(d, reduce_layer_to_heads) for d in key_docs]))
         for resp in (key, perturbed):
             resp_docs = parse_file(resp)
             for match in ("partial", "exact", "head"):
@@ -300,6 +300,23 @@ class TestMissingInput:
 
     def test_baseline(self, missing, capsys):
         self.check(capsys, missing, "baseline", missing, "--rules", "propn-lemma")
+
+
+class TestEmptyInput:
+    """A file without a document, empty or of blank lines only, is an input
+    error that names it, in `score` as in the commands that parse it."""
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank"])
+    def test_score(self, gold, tmp_path, capsys, text):
+        empty = tmp_path / "empty.conllu"
+        empty.write_text(text)
+        for key, resp in ((empty, gold), (gold, empty), (empty, empty)):
+            for jobs in ("1", "2"):
+                code, out, err = run(capsys, "score", key, resp, "--jobs", jobs)
+                assert code == 2 and out == ""
+                assert err == f"error: {empty}: no content found\n"
+        code, out, err = run(capsys, "stats", empty)
+        assert code == 2 and err == f"error: {empty}: no content found\n"
 
 
 class TestOneDocumentAtATime:

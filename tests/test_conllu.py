@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,7 +13,6 @@ from corefeval.conllu import (
     parse_text,
     docs_to_text,
     scan_document_spans,
-    serialize_brackets,
     tokenize_entity,
 )
 from corefeval.errors import ConlluParseError
@@ -55,11 +55,6 @@ class TestEntityTokenizer:
     def test_malformed(self, value):
         with pytest.raises(ConlluParseError):
             tokenize_entity(value)
-
-    def test_serialize_inverts_tokenize(self):
-        for value in ["(e5-person-1-", "(e9)", "e5)", "(e7[1/2]-org-1-",
-                      "e1)(e2-x-1)(e3", "(e1(e2)e3)", "(e12--2-gstype:gen"]:
-            assert serialize_brackets(tokenize_entity(value)) == value
 
 
 class TestParsing:
@@ -278,3 +273,14 @@ class TestWithEntity:
         line = conllu.with_entity(tok("1", "A=1|SpaceAfter=No"), "(e9)")
         assert line == tok("1", "Entity=(e9)|A=1|SpaceAfter=No")
         assert conllu.entity_value(line) == "(e9)"
+
+
+class TestEntityWriter:
+    @pytest.mark.parametrize("fixture", ["animals", "zeros", "discontinuous",
+                                         "pronoun_baseline", "propn_baseline"])
+    def test_reader_inverts_writer(self, fixture, fixtures_dir):
+        for doc in conllu.parse_file(fixtures_dir / f"{fixture}.conllu"):
+            reader = conllu.EntityReader()
+            for position, value in conllu.entity_values(doc.mentions).items():
+                reader.feed(position, value)
+            assert Counter(reader.end()) == Counter(doc.mentions)

@@ -8,6 +8,7 @@ from corefeval.conllu import parse_text
 from corefeval.errors import DocumentPairError
 from corefeval.metrics import (
     EvalOptions,
+    ZeroScoreCounts,
     bcub_counts,
     blanc_counts,
     blanc_prf,
@@ -22,7 +23,6 @@ from corefeval.metrics import (
     relabeled_clusters,
     score_document_pair,
     zero_link_counts,
-    zero_score,
 )
 from corefeval.model import build_coref_layer
 from corefeval.transforms import remove_singletons_layer
@@ -245,19 +245,22 @@ def _assert_oracle_match(kc, rc, context):
         assert scores[name].f1 == pytest.approx(f, abs=APPROX), f"{name} {context}"
 
 
+ZERO_ONLY = EvalOptions(metrics=("zero",), keep_singletons=True)
+
+
 class TestZeroScore:
     def test_identity_single_anaphoric_zero(self, fixtures_dir):
         docs = parse_text((fixtures_dir / "zeros.conllu").read_text())
         for doc in docs:
-            counts, scores = zero_score(doc, doc)
+            counts = ZeroScoreCounts(*score_document_pair(doc, doc, ZERO_ONLY)["zero"])
             assert counts.fp == counts.fn == counts.wl == 0
-        counts, scores = zero_score(docs[0], docs[0])
-        assert counts.tp >= 1 and scores == (1.0, 1.0, 1.0)
+        counts = ZeroScoreCounts(*score_document_pair(docs[0], docs[0], ZERO_ONLY)["zero"])
+        assert counts.tp >= 1 and counts.prf() == (1.0, 1.0, 1.0)
 
     def test_differing_universes_rejected(self, fixtures_dir):
         docs = parse_text((fixtures_dir / "zeros.conllu").read_text())
         with pytest.raises(DocumentPairError):
-            zero_score(docs[0], docs[1])
+            score_document_pair(docs[0], docs[1], ZERO_ONLY)
 
     def test_random_against_naive_definition(self):
         for seed in range(200):
@@ -410,5 +413,5 @@ class TestEvaluate:
 
 
 def _perturbed_response(docs):
-    from corefeval.transforms import reduce_to_head
-    return [reduce_to_head(d) for d in docs]
+    from corefeval.transforms import apply_ops, reduce_layer_to_heads
+    return [apply_ops(d, reduce_layer_to_heads) for d in docs]

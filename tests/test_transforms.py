@@ -6,19 +6,18 @@ import corefeval.baselines  # registers the baseline rules as transforms
 import gen
 import oracles
 from corefeval.conllu import (doc_to_text, entity_value, parse_file, parse_text,
-                              tokenize_entity)
+                              set_mentions, tokenize_entity)
 from corefeval.errors import SerializationError
 from corefeval.metrics import EvalOptions, evaluate
 from corefeval.model import build_coref_layer
 from corefeval.transforms import (
     LAYER_TRANSFORMS,
-    conservative_head_reduce,
-    merge_same_span_entities,
+    apply_ops,
+    conservative_head_reduce_layer,
     merge_same_span_layer,
-    reduce_to_head,
-    remove_singletons,
+    reduce_layer_to_heads,
+    remove_singletons_layer,
     rewrite_entity_annotations,
-    _apply,
     strip_entities,
 )
 
@@ -45,26 +44,26 @@ class TestReduceToHead:
     def test_spans_become_heads(self):
         skel = simple_skeleton()
         doc = doc_from(skel, [gen.MentionSpec("e1", (1, 2, 3))])
-        reduced = reduce_to_head(doc)
+        reduced = apply_ops(doc, reduce_layer_to_heads)
         assert spans_by_eid(reduced) == {"e1": [(1,)]}  # chain root of 2,3,4
 
     def test_single_node_mention_unchanged(self):
         skel = simple_skeleton()
         doc = doc_from(skel, [gen.MentionSpec("e1", (2,))])
-        assert doc_to_text(reduce_to_head(doc)) == doc_to_text(doc)
+        assert doc_to_text(apply_ops(doc, reduce_layer_to_heads)) == doc_to_text(doc)
 
     def test_shared_head_produces_duplicate_spans(self):
         skel = simple_skeleton()
         doc = doc_from(skel, [gen.MentionSpec("e1", (1, 2, 3)),
                               gen.MentionSpec("e2", (1, 2))])
-        reduced = reduce_to_head(doc)
+        reduced = apply_ops(doc, reduce_layer_to_heads)
         assert spans_by_eid(reduced) == {"e1": [(1,)], "e2": [(1,)]}
 
     def test_output_has_only_single_node_brackets(self, rng):
         for seed in range(20):
             sub = random.Random(seed)
             _, _, text = gen.random_document(sub, f"d{seed}", p_discontinuous=0.3)
-            reduced = reduce_to_head(parse_text(text)[0])
+            reduced = apply_ops(parse_text(text)[0], reduce_layer_to_heads)
             for node in reduced.nodes:
                 value = entity_value(reduced.lines[node.line])
                 if value:
@@ -73,8 +72,8 @@ class TestReduceToHead:
 
     def test_idempotent(self, rng):
         _, _, text = gen.random_document(rng, "dx")
-        once = reduce_to_head(parse_text(text)[0])
-        twice = reduce_to_head(once)
+        once = apply_ops(parse_text(text)[0], reduce_layer_to_heads)
+        twice = apply_ops(once, reduce_layer_to_heads)
         assert doc_to_text(once) == doc_to_text(twice)
 
 
@@ -83,7 +82,7 @@ class TestMergeSameSpan:
         skel = simple_skeleton()
         doc = doc_from(skel, [gen.MentionSpec("e1", (2,)), gen.MentionSpec("e2", (2,)),
                               gen.MentionSpec("e2", (4, 5))])
-        merged = merge_same_span_entities(doc)
+        merged = apply_ops(doc, merge_same_span_layer)
         assert spans_by_eid(merged) == {"e1": [(2,), (4, 5)]}
 
     def test_no_duplicates_no_change(self, rng):
@@ -93,7 +92,7 @@ class TestMergeSameSpan:
         unique = [m for m in mentions
                   if m.positions not in seen and not seen.add(m.positions)]
         doc = doc_from(skel, unique)
-        assert doc_to_text(merge_same_span_entities(doc)) == doc_to_text(doc)
+        assert doc_to_text(apply_ops(doc, merge_same_span_layer)) == doc_to_text(doc)
 
     def test_transitive_chain_with_union_find_oracle(self):
         skel = simple_skeleton()
@@ -102,7 +101,7 @@ class TestMergeSameSpan:
             gen.MentionSpec("e1", (2,)), gen.MentionSpec("e1", (6, 7)),
             gen.MentionSpec("e2", (2,)), gen.MentionSpec("e2", (4,)),
             gen.MentionSpec("e3", (4,)), gen.MentionSpec("e3", (0,))])
-        merged = merge_same_span_entities(doc)
+        merged = apply_ops(doc, merge_same_span_layer)
         groups = oracles.transitive_span_groups({
             "e1": [frozenset({2}), frozenset({6, 7})],
             "e2": [frozenset({2}), frozenset({4})],
@@ -122,7 +121,7 @@ class TestMergeSameSpan:
                 continue
             doc = doc_from(skel, mentions)
             try:
-                merged = merge_same_span_entities(doc)
+                merged = apply_ops(doc, merge_same_span_layer)
             except SerializationError:
                 # merging two entities with crossing multi-node spans can
                 # produce a layer the bracket format cannot express
@@ -143,32 +142,37 @@ class TestMergeSameSpan:
         doc = doc_from(skel, [gen.MentionSpec("e1", (1, 6)), gen.MentionSpec("e2", (3, 5)),
                               gen.MentionSpec("e1", (8,)), gen.MentionSpec("e2", (8,))])
         with pytest.raises(SerializationError, match="'e1'"):
-            merge_same_span_entities(doc)
+            apply_ops(doc, merge_same_span_layer)
         layer = build_coref_layer(doc)
         merge_same_span_layer(layer)
         before = doc_to_text(doc)
         with pytest.raises(SerializationError):
             rewrite_entity_annotations(doc, layer)
         assert doc_to_text(doc) == before  # no token was changed
+        lines, mentions = doc.lines, doc.mentions
+        with pytest.raises(SerializationError, match="'e1'"):
+            set_mentions(doc, [("e1", ((1, 1), (6, 6)), ()), ("e1", ((3, 3), (5, 5)), ()),
+                               ("e1", ((8, 8),), ())])
+        assert doc.lines is lines and doc.mentions is mentions
 
     def test_idempotent(self, rng):
         skel = simple_skeleton()
         doc = doc_from(skel, [gen.MentionSpec("e1", (2,)), gen.MentionSpec("e2", (2,))])
-        once = merge_same_span_entities(doc)
-        assert doc_to_text(merge_same_span_entities(once)) == doc_to_text(once)
+        once = apply_ops(doc, merge_same_span_layer)
+        assert doc_to_text(apply_ops(once, merge_same_span_layer)) == doc_to_text(once)
 
 
 class TestConservativeHeadReduce:
     def test_lone_mention_reduces(self):
         skel = simple_skeleton()
         doc = doc_from(skel, [gen.MentionSpec("e1", (1, 2))])
-        assert spans_by_eid(conservative_head_reduce(doc)) == {"e1": [(1,)]}
+        assert spans_by_eid(apply_ops(doc, conservative_head_reduce_layer)) == {"e1": [(1,)]}
 
     def test_shared_head_keeps_larger_span(self):
         skel = simple_skeleton()
         doc = doc_from(skel, [gen.MentionSpec("e1", (1, 2, 3)),
                               gen.MentionSpec("e2", (1,))])
-        reduced = conservative_head_reduce(doc)
+        reduced = apply_ops(doc, conservative_head_reduce_layer)
         assert spans_by_eid(reduced) == {"e1": [(1, 2, 3)], "e2": [(1,)]}
 
     def test_three_sharing_leave_one_multinode(self):
@@ -176,7 +180,7 @@ class TestConservativeHeadReduce:
         doc = doc_from(skel, [gen.MentionSpec("e1", (1, 2, 3)),
                               gen.MentionSpec("e2", (1, 2)),
                               gen.MentionSpec("e3", (1,))])
-        reduced = conservative_head_reduce(doc)
+        reduced = apply_ops(doc, conservative_head_reduce_layer)
         multi = [s for spans in spans_by_eid(reduced).values()
                  for s in spans if len(s) > 1]
         assert multi == [(1, 2, 3)]
@@ -186,27 +190,27 @@ class TestConservativeHeadReduce:
         # both {2,3} rooted at 2 and {2,4} rooted at 2: sizes tie
         doc = doc_from(skel, [gen.MentionSpec("e1", (1, 2)),
                               gen.MentionSpec("e2", (1, 3))])
-        reduced = conservative_head_reduce(doc)
+        reduced = apply_ops(doc, conservative_head_reduce_layer)
         assert spans_by_eid(reduced) == {"e1": [(1, 2)], "e2": [(1,)]}
 
     def test_idempotent(self, rng):
         for seed in range(10):
             sub = random.Random(seed)
             _, _, text = gen.random_document(sub, f"d{seed}")
-            once = conservative_head_reduce(parse_text(text)[0])
-            assert doc_to_text(conservative_head_reduce(once)) == doc_to_text(once)
+            once = apply_ops(parse_text(text)[0], conservative_head_reduce_layer)
+            assert doc_to_text(apply_ops(once, conservative_head_reduce_layer)) == doc_to_text(once)
 
 
 class TestRemoveSingletons:
     def test_all_singletons_empty_layer(self):
         skel = simple_skeleton()
         doc = doc_from(skel, [gen.MentionSpec("e1", (1,)), gen.MentionSpec("e2", (3,))])
-        assert spans_by_eid(remove_singletons(doc)) == {}
+        assert spans_by_eid(apply_ops(doc, remove_singletons_layer)) == {}
 
     def test_no_singletons_unchanged(self):
         skel = simple_skeleton()
         doc = doc_from(skel, [gen.MentionSpec("e1", (1,)), gen.MentionSpec("e1", (3,))])
-        assert doc_to_text(remove_singletons(doc)) == doc_to_text(doc)
+        assert doc_to_text(apply_ops(doc, remove_singletons_layer)) == doc_to_text(doc)
 
     def test_mixed_document_drops_only_singletons(self, rng):
         for seed in range(10):
@@ -216,7 +220,7 @@ class TestRemoveSingletons:
             doc = doc_from(skel, mentions)
             layer = build_coref_layer(doc)
             singles = sum(1 for e in layer.entities if e.is_singleton)
-            kept = build_coref_layer(remove_singletons(doc))
+            kept = build_coref_layer(apply_ops(doc, remove_singletons_layer))
             assert len(kept.entities) == len(layer.entities) - singles
 
 
@@ -225,9 +229,10 @@ class TestTransformInvariants:
         _, _, text = gen.random_document(rng, "dx", p_discontinuous=0.3)
         doc = parse_text(text)[0]
         base = [n.id for n in build_coref_layer(doc).nodes]
-        for op in (reduce_to_head, merge_same_span_entities,
-                   conservative_head_reduce, remove_singletons, strip_entities):
-            assert [n.id for n in build_coref_layer(op(doc)).nodes] == base
+        for op in (reduce_layer_to_heads, merge_same_span_layer,
+                   conservative_head_reduce_layer, remove_singletons_layer):
+            assert [n.id for n in build_coref_layer(apply_ops(doc, op)).nodes] == base
+        assert [n.id for n in build_coref_layer(strip_entities(doc)).nodes] == base
 
     def test_head_match_equals_partial_after_reduction(self):
         # scoring removes singletons before the head reduction; with shared
@@ -244,8 +249,8 @@ class TestTransformInvariants:
             resp_doc = doc_from(skel, resp)
             direct = evaluate({"d": [key_doc]}, {"d": [resp_doc]},
                               EvalOptions(match="head", metrics=("conll", "blanc", "lea")))
-            reduced = evaluate({"d": [conservative_head_reduce(key_doc)]},
-                               {"d": [conservative_head_reduce(resp_doc)]},
+            reduced = evaluate({"d": [apply_ops(key_doc, conservative_head_reduce_layer)]},
+                               {"d": [apply_ops(resp_doc, conservative_head_reduce_layer)]},
                                EvalOptions(match="partial", metrics=("conll", "blanc", "lea")))
             assert direct.per_dataset["d"] == reduced.per_dataset["d"], f"seed {seed}"
 
@@ -256,9 +261,9 @@ class TestTransformInvariants:
             mentions = gen.random_mentions(sub, skel, treelet_only=True,
                                            distinct_heads=True, n_entities=(1, 3))
             doc = doc_from(skel, mentions)
-            a = doc_to_text(reduce_to_head(doc))
-            b = doc_to_text(conservative_head_reduce(doc))
-            c = doc_to_text(merge_same_span_entities(reduce_to_head(doc)))
+            a = doc_to_text(apply_ops(doc, reduce_layer_to_heads))
+            b = doc_to_text(apply_ops(doc, conservative_head_reduce_layer))
+            c = doc_to_text(apply_ops(apply_ops(doc, reduce_layer_to_heads), merge_same_span_layer))
             assert a == b == c, f"seed {seed}"
 
     def test_strip_entities_removes_all_annotation(self, fixtures_dir):
@@ -304,6 +309,6 @@ class TestMentionsInStep:
             if op == "strip":
                 strip_entities(doc)
             else:
-                _apply(doc, LAYER_TRANSFORMS[op])
+                apply_ops(doc, LAYER_TRANSFORMS[op])
             assert doc_to_text(doc) == before
             assert doc.mentions == mentions
