@@ -7,9 +7,11 @@ document reproduces the input byte for byte.  This module owns the
 (by `with_entity`) only the lines whose `Entity` value changes, and even
 then all other columns and MISC attributes stay untouched.
 
-The parse is the only pass over the token lines: it splits each line
-once, checks its id, builds its `Node` and feeds its `Entity` value to the
-one bracket reader, so a `Document` is its lines, nodes and mentions.
+The parse is the only pass over the token lines: it checks every line
+and feeds its `Entity` value to the one bracket reader, so a `Document` is
+its lines, nodes and mentions.  Of each node the parse keeps the line
+index, sentence and id; `Nodes` builds the `Node` from its line when it is
+first used.
 
 Entity values are sequences of brackets over entity ids, e.g.
 ``(e5-person-1-`` opens mention of entity e5 (extra fields: type, head
@@ -21,11 +23,12 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Sequence
 from pathlib import Path
 from sys import intern
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .errors import ConlluParseError, SerializationError
 
@@ -41,9 +44,9 @@ _FIELD_STOP = frozenset("-()]")
 _CLOSE_STOP = frozenset("[()]")
 
 
-@dataclass(frozen=True, slots=True)
-class EntityBracket:
-    """One bracket token of an `Entity` value."""
+class EntityBracket(NamedTuple):
+    """One bracket token of an `Entity` value; a tuple, since the parse
+    builds one per bracket."""
 
     kind: str  # OPEN | CLOSE | OPEN_CLOSE
     eid: str
@@ -197,7 +200,8 @@ class Node:
     follows word ``n`` (and ``n.(k-1)``), ``0.k`` precede word 1.  Multiword
     range lines are not nodes.  `enhanced_parents` is resolved for empty
     nodes only; their `deprel` comes from the first enhanced dependency.
-    Nodes are not changed after the parse.
+    `Nodes` builds each node from its line on first use; nodes are not
+    changed after that.
     """
 
     __slots__ = (
@@ -205,19 +209,19 @@ class Node:
         "gender", "deprel", "parent", "enhanced_parents",
     )
 
-    def __init__(self, index: int, sent_index: int, line: int, tid: str,
-                 is_empty: bool, form: str, lemma: str, upos: str,
-                 gender: str | None, deprel: str):
+    def __init__(self, index: int, sent_index: int, line: int, tid: str, cols: list[str]):
+        """`cols` are the ten columns of the node's line."""
         self.index = index  # document-wide position
         self.sent_index = sent_index
         self.line = line  # index in `Document.lines`
         self.id = tid
-        self.is_empty = is_empty
-        self.form = form
-        self.lemma = lemma
-        self.upos = upos
-        self.gender = gender
-        self.deprel = deprel
+        self.is_empty = "." in tid
+        # built nodes are kept, so they share repeated column values
+        self.form, self.lemma, self.upos = intern(cols[1]), intern(cols[2]), intern(cols[3])
+        gender = _attr(cols[5], "Gender=") if "Gender=" in cols[5] else None
+        self.gender = gender and intern(gender)
+        # an empty node's comes from its DEPS column (`Nodes._build`)
+        self.deprel = "" if self.is_empty else intern(cols[7])
         self.parent: Node | None = None
         self.enhanced_parents: tuple[Node, ...] = ()
 
@@ -225,16 +229,109 @@ class Node:
         return f"Node({self.sent_index}:{self.id} {self.form!r})"
 
 
+class Nodes(Sequence[Node]):
+    """The nodes of one document, each built from its line on first use.
+
+    The parse keeps three columns per node: `line_index` (into `lines`),
+    `sent_index` and `ids`, the id as the line spells it.  `len`, the
+    columns and `first_difference` build nothing; indexing or iterating
+    builds a `Node` with its parent chain or enhanced parents and caches
+    it, so each position has one `Node`.
+    """
+
+    __slots__ = ("lines", "line_index", "sent_index", "ids", "_built", "_by_id")
+
+    def __init__(self, lines: list[str], line_index: list[int],
+                 sent_index: list[int], ids: list[str]):
+        # rewrites replace `Document.lines`, but change only `Entity` values
+        self.lines = lines
+        self.line_index = line_index
+        self.sent_index = sent_index
+        self.ids = ids
+        self._built: list[Node | None] = [None] * len(ids)
+        self._by_id: dict[int, dict[str, int]] = {}  # per sentence: position by id
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self._build(range(*i.indices(len(self._built))))
+        elif self._built[i] is None:  # (an IndexError past either end)
+            self._build((i % len(self._built),))
+        return self._built[i]
+
+    def __iter__(self) -> Iterator[Node]:
+        self._build(range(len(self._built)))
+        return iter(self._built)
+
+    def first_difference(self, other: "Nodes") -> int | None:
+        """The first position whose sentence, id or form differs from
+        `other`'s, up to the shorter length; None if there is none."""
+        if other is not self:
+            for i, (sent, other_sent, at, other_at) in enumerate(zip(
+                    self.sent_index, other.sent_index, self.line_index, other.line_index)):
+                line, other_line = self.lines[at], other.lines[other_at]
+                if sent != other_sent or line != other_line and (
+                        line.split("\t", 2)[:2] != other_line.split("\t", 2)[:2]):
+                    return i
+        return None
+
+    def _build(self, positions: Iterable[int]) -> None:
+        """Build the nodes at `positions` and their parents, theirs and so on.
+        Each node is cached before its parents are looked up, and a parent
+        not built yet is linked once it is, so that dependency cycles end."""
+        built, lines, line_index, ids = self._built, self.lines, self.line_index, self.ids
+        sent_index, by_sent = self.sent_index, self._by_id
+        todo = [i for i in positions if built[i] is None]
+        made: list[tuple[Node, list[int]]] = []
+        while todo:
+            i = todo.pop()
+            if built[i] is not None:
+                continue
+            sent = sent_index[i]
+            by_id = by_sent.get(sent)
+            if by_id is None:  # the sentence's positions by id
+                first = bisect_left(sent_index, sent)
+                end = bisect_right(sent_index, sent, first)
+                by_id = by_sent[sent] = dict(zip(ids[first:end], range(first, end)))
+            at = line_index[i]
+            cols = lines[at].split("\t")
+            node = built[i] = Node(i, sent, at, ids[i], cols)
+            if node.is_empty:  # DEPS: "head:relation" items, head 0 the root
+                deps = [item.partition(":") for item in cols[8].split("|")]
+                node.deprel = next((rel for _h, _s, rel in deps if rel), "")
+                parents = [by_id[h] for h, _s, _rel in deps if h in by_id]
+            else:
+                head = by_id.get(cols[6])
+                if head is None:
+                    if cols[6] not in ("0", "_"):
+                        log.debug("unresolved head %s in sentence %d", cols[6], sent)
+                    continue
+                node.parent = built[head]
+                if node.parent is not None:
+                    continue
+                parents = [head]
+            made.append((node, parents))
+            todo.extend(parents)
+        for node, parents in made:
+            if node.is_empty:
+                node.enhanced_parents = tuple(built[i] for i in parents)
+            else:
+                node.parent = built[parents[0]]
+
+
 class Document:
     """One `# newdoc` section: the lines the writer emits (the verbatim input
-    lines, each sentence followed by one blank line), its nodes and the
+    lines, each sentence followed by one blank line), its `Nodes` and the
     mentions its `Entity` values read as (`EntityReader.end`).  Copies share
-    all three.  `set_mentions` is the one code that changes `lines`; it
-    replaces `lines` and `mentions` together, so the two always agree."""
+    all three, and so the nodes built through any of them.  `set_mentions`
+    is the one code that changes `lines`; it replaces `lines` and
+    `mentions` together, so the two always agree."""
 
     __slots__ = ("doc_id", "lines", "nodes", "mentions")
 
-    def __init__(self, doc_id: str | None, lines: list[str], nodes: list[Node],
+    def __init__(self, doc_id: str | None, lines: list[str], nodes: Nodes,
                  mentions: list[ReadMention]):
         self.doc_id = doc_id
         self.lines = lines
@@ -333,7 +430,7 @@ def set_mentions(doc: Document, mentions: list[ReadMention]) -> None:
     positions = {i for _eid, runs, _fields in doc.mentions for run in runs for i in run}
     lines = list(doc.lines)
     for position in positions | values.keys():
-        at = doc.nodes[position].line
+        at = doc.nodes.line_index[position]
         new = values.get(position)
         if entity_value(lines[at]) != new:
             lines[at] = with_entity(lines[at], new)
@@ -402,11 +499,17 @@ def _utf8_error(
         line=first_line + exc.object.count(b"\n", 0, exc.start))
 
 
+# the ids of surface words 1, 2, ... and how their lines start; words of
+# longer sentences take the general checks
+_WORD_IDS = [str(n) for n in range(1, 257)]
+_WORD_PREFIXES = [tid + "\t" for tid in _WORD_IDS]
+
+
 def _parse_document(text: str, path: str, first_line: int) -> Document:
     """Parse one document chunk (a span of `scan_document_spans`); its
-    `# newdoc` comment, if any, is in the first sentence block.  Each
-    token line is split once: the parser checks its id, builds its node
-    and reads its `Entity` value."""
+    `# newdoc` comment, if any, is in the first sentence block.  The parse
+    checks every line and reads the `Entity` values; of each node it keeps
+    the line index, sentence and id, from which `Nodes` builds the node."""
     if text.startswith("\ufeff"):
         raise ConlluParseError("byte order mark (U+FEFF); save the file as UTF-8"
                                " without BOM", path=path, line=first_line)
@@ -419,15 +522,15 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
         log.warning("%s: file does not end with a newline", path)
     lines = text.rstrip("\n").split("\n")
     doc_id: str | None = None
-    nodes: list[Node] = []
     reader = EntityReader()
-    # the current sentence: its number, first line and whether a token line
-    # came; its nodes by id and each node's HEAD or DEPS column
-    sent_index = 0
+    # the node columns of `Nodes`
+    line_index: list[int] = []
+    sent_index: list[int] = []
+    ids: list[str] = []
+    # the current sentence: its number, first line and whether a token line came
+    sent = 0
     sent_start = 0
     has_tokens = False
-    by_id: dict[str, Node] = {}
-    head_cols: list[tuple[Node, str]] = []
     last_surface = 0
     last_empty = 0.0
     pending_range: tuple[int, int] | None = None
@@ -437,8 +540,7 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
 
     def close_sentence(i: int) -> None:
         """End the sentence at the blank line (or end) at line index `i`."""
-        nonlocal sent_index, sent_start, has_tokens, by_id, head_cols
-        nonlocal last_surface, last_empty, pending_range
+        nonlocal sent, sent_start, has_tokens, last_surface, last_empty, pending_range
         if i == sent_start:
             raise err("empty sentence (consecutive blank lines)", i)
         if pending_range is not None and pending_range[1] > last_surface:
@@ -449,15 +551,8 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
                 "%s: mention of %s crosses a sentence boundary in document %s",
                 path, ", ".join(eids), doc_id,
             )
-        for node, col in head_cols:
-            if node.is_empty:
-                node.enhanced_parents, node.deprel = _parse_deps(col, by_id)
-            else:
-                node.parent = by_id.get(col)
-                if node.parent is None:
-                    log.debug("unresolved head %s in sentence %d", col, sent_index)
-        sent_index += 1
-        sent_start, has_tokens, by_id, head_cols = i + 1, False, {}, []
+        sent += 1
+        sent_start, has_tokens = i + 1, False
         last_surface, last_empty, pending_range = 0, 0.0, None
 
     for i, line in enumerate(lines):
@@ -472,60 +567,57 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
             continue
 
         has_tokens = True
-        cols = line.split("\t")
-        if len(cols) != 10:
-            raise err(f"expected 10 tab-separated columns, got {len(cols)}", i)
-        tid = cols[0]
-        entity = _attr(cols[9], "Entity=")
-        if "." in tid:
-            word, _, sub = tid.partition(".")
-            if not _is_number(word) or not _is_number(sub) or int(sub) < 1:
-                raise err(f"unknown token id syntax {tid!r}", i)
-            order = int(word) + int(sub) / 1e9
-            if int(word) != last_surface:
-                raise err(f"empty node {tid} does not follow word {word}", i)
-            if order <= last_empty:
-                raise err(f"empty node ids not strictly increasing at {tid}", i)
-            last_empty = order
-            is_empty = True
-        elif "-" in tid:
-            lo, _, hi = tid.partition("-")
-            if not _is_number(lo) or not _is_number(hi) or int(hi) < int(lo):
-                raise err(f"unknown token id syntax {tid!r}", i)
-            if entity is not None:
-                raise err(f"Entity annotation on multiword range line {tid}", i)
-            if int(lo) != last_surface + 1:
-                raise err(f"token range {tid} does not start at next word id", i)
-            if pending_range is not None and pending_range[1] > last_surface:
-                raise err(f"overlapping token ranges at {tid}", i)
-            pending_range = (int(lo), int(hi))
-            continue  # not a node
-        elif _is_number(tid) and tid[0] != "0":
-            if int(tid) != last_surface + 1:
-                raise err(f"surface word ids not consecutive at {tid}", i)
-            last_surface = int(tid)
+        if (last_surface < len(_WORD_PREFIXES) and line.startswith(_WORD_PREFIXES[last_surface])
+                and line.count("\t") == 9):
+            # the next surface word, as most lines are: no other check applies
+            tid = _WORD_IDS[last_surface]
+            last_surface += 1
             last_empty = float(last_surface)
-            is_empty = False
+            entity = _attr(line[line.rfind("\t") + 1:], "Entity=") if "Entity=" in line else None
         else:
-            raise err(f"unknown token id syntax {tid!r}", i)
-
-        # a document keeps its nodes, so they share repeated column values
-        gender = _attr(cols[5], "Gender=")
-        node = Node(len(nodes), sent_index, i, intern(tid), is_empty,
-                    intern(cols[1]), intern(cols[2]), intern(cols[3]),
-                    gender and intern(gender), "" if is_empty else intern(cols[7]))
-        if is_empty:
-            head_cols.append((node, cols[8]))
-        elif cols[6] not in ("0", "_"):
-            head_cols.append((node, cols[6]))
+            cols = line.split("\t")
+            if len(cols) != 10:
+                raise err(f"expected 10 tab-separated columns, got {len(cols)}", i)
+            tid = cols[0]
+            entity = _attr(cols[9], "Entity=")
+            if "." in tid:
+                word, _, sub = tid.partition(".")
+                if not _is_number(word) or not _is_number(sub) or int(sub) < 1:
+                    raise err(f"unknown token id syntax {tid!r}", i)
+                order = int(word) + int(sub) / 1e9
+                if int(word) != last_surface:
+                    raise err(f"empty node {tid} does not follow word {word}", i)
+                if order <= last_empty:
+                    raise err(f"empty node ids not strictly increasing at {tid}", i)
+                last_empty = order
+            elif "-" in tid:
+                lo, _, hi = tid.partition("-")
+                if not _is_number(lo) or not _is_number(hi) or int(hi) < int(lo):
+                    raise err(f"unknown token id syntax {tid!r}", i)
+                if entity is not None:
+                    raise err(f"Entity annotation on multiword range line {tid}", i)
+                if int(lo) != last_surface + 1:
+                    raise err(f"token range {tid} does not start at next word id", i)
+                if pending_range is not None and pending_range[1] > last_surface:
+                    raise err(f"overlapping token ranges at {tid}", i)
+                pending_range = (int(lo), int(hi))
+                continue  # not a node
+            elif _is_number(tid) and tid[0] != "0":
+                if int(tid) != last_surface + 1:
+                    raise err(f"surface word ids not consecutive at {tid}", i)
+                last_surface = int(tid)
+                last_empty = float(last_surface)
+            else:
+                raise err(f"unknown token id syntax {tid!r}", i)
 
         if entity is not None:
             try:
-                reader.feed(node.index, entity)
+                reader.feed(len(ids), entity)
             except ConlluParseError as exc:
                 raise err(exc.args[0], i) from None
-        nodes.append(node)
-        by_id[tid] = node
+        line_index.append(i)
+        sent_index.append(sent)
+        ids.append(tid)
 
     close_sentence(len(lines))
     lines.append("")  # the blank line that ends the last sentence
@@ -534,7 +626,7 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
     except ConlluParseError as exc:
         raise ConlluParseError(f"{exc.args[0]} at end of document {doc_id}",
                                path=path) from None
-    return Document(doc_id, lines, nodes, mentions)
+    return Document(doc_id, lines, Nodes(lines, line_index, sent_index, ids), mentions)
 
 
 def _attr(column: str, prefix: str) -> str | None:
@@ -545,22 +637,6 @@ def _attr(column: str, prefix: str) -> str | None:
         if attr.startswith(prefix):
             return attr[len(prefix):]
     return None
-
-
-def _parse_deps(deps: str, by_id: dict[str, Node]) -> tuple[tuple[Node, ...], str]:
-    if deps in ("_", ""):
-        return (), ""
-    parents: list[Node] = []
-    first_rel = ""
-    for item in deps.split("|"):
-        head, _, rel = item.partition(":")
-        if not first_rel:
-            first_rel = rel
-        if head != "0":
-            parent = by_id.get(head)
-            if parent is not None:
-                parents.append(parent)
-    return tuple(parents), first_rel
 
 
 # ---------------------------------------------------------------------------

@@ -354,12 +354,13 @@ def check_same_nodes(key_layer: CorefLayer, resp_layer: CorefLayer) -> None:
         raise DocumentPairError(
             f"document {doc}: node counts differ "
             f"({len(key_layer.nodes)} vs {len(resp_layer.nodes)})")
-    for kn, rn in zip(key_layer.nodes, resp_layer.nodes):
-        if kn.sent_index != rn.sent_index or kn.id != rn.id or kn.form != rn.form:
-            raise DocumentPairError(
-                f"document {doc}: tokens differ at sentence {kn.sent_index + 1},"
-                f" node {kn.id} ({kn.form!r} vs sentence {rn.sent_index + 1},"
-                f" node {rn.id} {rn.form!r})")
+    at = key_layer.nodes.first_difference(resp_layer.nodes)
+    if at is not None:
+        kn, rn = key_layer.nodes[at], resp_layer.nodes[at]
+        raise DocumentPairError(
+            f"document {doc}: tokens differ at sentence {kn.sent_index + 1},"
+            f" node {kn.id} ({kn.form!r} vs sentence {rn.sent_index + 1},"
+            f" node {rn.id} {rn.form!r})")
 
 
 def relabeled_clusters(

@@ -4,19 +4,20 @@ The parser already gives each document its nodes in document order
 (surface words plus empty nodes) and the mentions its `Entity` values read
 as; the layer turns those mentions into node lists (possibly
 discontinuous) and groups them into entities by their id.  Everything
-here is a plain in-memory value: build once, read from any thread.
+here is a plain in-memory value of one process: reading it from several
+threads is unsafe, as `Nodes` builds each node on first use.
 """
 
 from __future__ import annotations
 
-from .conllu import Document, Node
+from .conllu import Document, Node, Nodes
 
 
 class Mention:
     """A set of nodes of one document referring to an entity."""
 
     __slots__ = ("entity", "nodes", "extra_fields", "provided_head_index",
-                 "_head", "_pos_set")
+                 "_head", "_pos_set", "_is_zero")
 
     def __init__(self, entity: "Entity", nodes: list[Node],
                  extra_fields: tuple[str, ...] = ()):
@@ -26,6 +27,7 @@ class Mention:
         self.provided_head_index = _head_index(extra_fields)
         self._head: Node | None = None
         self._pos_set: frozenset[int] | None = None
+        self._is_zero: bool | None = None
 
     @property
     def position_set(self) -> frozenset[int]:
@@ -47,7 +49,9 @@ class Mention:
 
     @property
     def is_zero(self) -> bool:
-        return all(n.is_empty for n in self.nodes)
+        if self._is_zero is None:
+            self._is_zero = all(n.is_empty for n in self.nodes)
+        return self._is_zero
 
     @property
     def contains_empty(self) -> bool:
@@ -61,6 +65,7 @@ class Mention:
         self.nodes = nodes
         self._head = None
         self._pos_set = None
+        self._is_zero = None
 
     def __repr__(self) -> str:
         ids = ",".join(n.id for n in self.nodes)
@@ -99,7 +104,7 @@ class CorefLayer:
 
     __slots__ = ("doc", "nodes", "entities")
 
-    def __init__(self, doc: Document, nodes: list[Node], entities: list[Entity]):
+    def __init__(self, doc: Document, nodes: Nodes, entities: list[Entity]):
         self.doc = doc
         self.nodes = nodes
         self.entities = entities

@@ -25,7 +25,7 @@ DETAIL_COLUMNS = ("w_empty", "w_gap", "non_tree") + tuple(
 
 
 def _surface_words(layers: list[CorefLayer]) -> int:
-    return sum(1 for layer in layers for n in layer.nodes if not n.is_empty)
+    return sum(1 for layer in layers for tid in layer.nodes.ids if "." not in tid)
 
 
 def _length_row(lengths: list[int], words: int, first_bucket: int) -> dict[str, float]:

@@ -81,7 +81,7 @@ class TestParsing:
     def test_header_only_document(self):
         text = "# newdoc id = d1\n# note = empty\n\n"
         docs = parse_text(text)
-        assert docs[0].nodes == []
+        assert list(docs[0].nodes) == []
         assert docs[0].lines == ["# newdoc id = d1", "# note = empty", ""]
         assert docs_to_text(docs) == text
 

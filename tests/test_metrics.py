@@ -13,6 +13,7 @@ from corefeval.metrics import (
     blanc_counts,
     blanc_prf,
     ceafe_counts,
+    check_same_nodes,
     counts_to_prfs,
     evaluate,
     lea_counts,
@@ -246,6 +247,51 @@ def _assert_oracle_match(kc, rc, context):
 
 
 ZERO_ONLY = EvalOptions(metrics=("zero",), keep_singletons=True)
+
+
+def _zeros_1(fixtures_dir) -> str:
+    """The first document of zeros.conllu: sentences of 3, 5 and 5 nodes,
+    with empty nodes 0.1, 0.1 and 3.1."""
+    text = (fixtures_dir / "zeros.conllu").read_text()
+    return text[:text.index("# newdoc id = zeros-2")]
+
+
+class TestCheckSameNodes:
+    """The three `DocumentPairError` messages, in full."""
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t[:t.index("# sent_id = z1-s3")],
+         "document zeros-1: sentence counts differ (3 vs 2)"),
+        (lambda t: t.replace("3.1\t_\t_\tADV\t_\t_\t_\t_\t3:advmod\t_\n", ""),
+         "document zeros-1: node counts differ (13 vs 12)"),
+        (lambda t: t.replace("2\tcely\tcely", "2\tcela\tcely"),
+         "document zeros-1: tokens differ at sentence 2, node 2 ('cely' vs"
+         " sentence 2, node 2 'cela')"),
+        (lambda t: t.replace("0.1\t_\t_\tPRON\t_\t_\t_\t_\t1:exp",
+                             "0.2\t_\t_\tPRON\t_\t_\t_\t_\t1:exp"),
+         "document zeros-1: tokens differ at sentence 2, node 0.1 ('_' vs"
+         " sentence 2, node 0.2 '_')"),
+        # the same nodes, but a sentence without nodes moved: equal lines
+        # in different sentences differ
+        (lambda t: t.replace("# sent_id = z1-s3", "# sent_id = none\n\n# sent_id = z1-s3"),
+         "document zeros-1: tokens differ at sentence 3, node 1 ('Ten' vs"
+         " sentence 4, node 1 'Ten')"),
+    ])
+    def test_message(self, fixtures_dir, edit, message):
+        key_text = _zeros_1(fixtures_dir)
+        resp_text = edit(key_text)
+        assert resp_text != key_text
+        if "sent_id = none" in resp_text:  # both sides get the sentence
+            key_text += "# sent_id = none\n\n"
+        key, resp = _layer_pair(key_text, resp_text)
+        with pytest.raises(DocumentPairError) as info:
+            check_same_nodes(key, resp)
+        assert str(info.value) == message
+
+    def test_same_tokens_pass(self, fixtures_dir):
+        key_text = _zeros_1(fixtures_dir)
+        resp_text = key_text.replace("Entity=(e2\n", "_\n").replace("Entity=e2)\n", "_\n")
+        check_same_nodes(*_layer_pair(key_text, resp_text))
 
 
 class TestZeroScore:

@@ -68,6 +68,8 @@ class TestLayerBuilding:
         mention = entity.mentions[0]
         assert [n.id for n in mention.nodes] == ["1", "1.1", "2"]
         assert mention.contains_empty and not mention.is_zero
+        mention.set_nodes([mention.nodes[1]])  # as the head reduction does
+        assert mention.is_zero
 
     def test_nested_mentions_two_entities(self):
         doc = doc_of([line("1", "Entity=(e1"), line("2", "Entity=(e2", "1"),
