@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .model import CorefLayer, Entity, Mention, Node
+from .model import CorefLayer, Entity, Mention
 from .transforms import LAYER_TRANSFORMS, merge_same_span_layer, reduce_layer_to_heads
 
 
@@ -54,20 +54,19 @@ def propn_lemma_merge_layer(layer: CorefLayer) -> None:
     Tokens already covered by a mention pull their whole entity into the
     merge (lowest id wins); uncovered tokens get new single-node mentions.
     """
-    groups: dict[str, list[Node]] = {}
-    for node in layer.nodes:
-        if node.upos == "PROPN" and not node.is_empty:
-            groups.setdefault(node.lemma, []).append(node)
+    groups: dict[str, list[int]] = {}
+    for i, _upos, lemma, _gender in layer.nodes.words("PROPN"):
+        groups.setdefault(lemma, []).append(i)
 
     owners = _node_owners(layer)
     used_eids = layer.eids()
-    for _lemma, nodes in sorted(groups.items(), key=lambda kv: kv[1][0].index):
-        if len(nodes) < 2:
+    for _lemma, positions in sorted(groups.items(), key=lambda kv: kv[1][0]):
+        if len(positions) < 2:
             continue
         involved: list[Entity] = []
         seen: set[int] = set()
-        for node in nodes:
-            for mention in owners.get(node.index, ()):
+        for i in positions:
+            for mention in owners.get(i, ()):
                 if id(mention.entity) not in seen:
                     seen.add(id(mention.entity))
                     involved.append(mention.entity)
@@ -79,11 +78,11 @@ def propn_lemma_merge_layer(layer: CorefLayer) -> None:
         else:
             target = Entity(_fresh_eid(used_eids))
             layer.entities.append(target)
-        for node in nodes:
-            if not owners.get(node.index):
-                mention = Mention(target, [node])
+        for i in positions:
+            if not owners.get(i):
+                mention = Mention(target, [layer.nodes[i]])
                 target.mentions.append(mention)
-                owners.setdefault(node.index, []).append(mention)
+                owners.setdefault(i, []).append(mention)
         target.sort_mentions()
 
 
@@ -92,34 +91,36 @@ def pronoun_gender_link_layer(layer: CorefLayer) -> None:
     token with the same `Gender` feature; skip pronouns without gender,
     without a matching noun, or already inside a mention."""
     nouns_by_gender: dict[str, list[int]] = {}
-    for node in layer.nodes:
-        if node.upos == "NOUN" and not node.is_empty and node.gender:
-            nouns_by_gender.setdefault(node.gender, []).append(node.index)
+    pronouns: list[tuple[int, str]] = []
+    for i, upos, _lemma, gender in layer.nodes.words("NOUN", "PRON"):
+        if gender:
+            if upos == "NOUN":
+                nouns_by_gender.setdefault(gender, []).append(i)
+            else:
+                pronouns.append((i, gender))
 
     owners = _node_owners(layer)
     used_eids = layer.eids()
-    for node in layer.nodes:
-        if node.upos != "PRON" or node.is_empty or not node.gender:
+    for i, gender in pronouns:
+        if owners.get(i):
             continue
-        if owners.get(node.index):
-            continue
-        candidates = nouns_by_gender.get(node.gender, ())
-        at = bisect_left(candidates, node.index)
+        candidates = nouns_by_gender.get(gender, ())
+        at = bisect_left(candidates, i)
         if at == 0:
             continue
-        noun = layer.nodes[candidates[at - 1]]
-        noun_owners = owners.get(noun.index)
+        noun = candidates[at - 1]
+        noun_owners = owners.get(noun)
         if noun_owners:
             target = min((m.entity for m in noun_owners), key=lambda e: e.eid)
         else:
             target = Entity(_fresh_eid(used_eids))
             layer.entities.append(target)
-            noun_mention = Mention(target, [noun])
+            noun_mention = Mention(target, [layer.nodes[noun]])
             target.mentions.append(noun_mention)
-            owners.setdefault(noun.index, []).append(noun_mention)
-        mention = Mention(target, [node])
+            owners.setdefault(noun, []).append(noun_mention)
+        mention = Mention(target, [layer.nodes[i]])
         target.mentions.append(mention)
-        owners.setdefault(node.index, []).append(mention)
+        owners.setdefault(i, []).append(mention)
         target.sort_mentions()
 
 

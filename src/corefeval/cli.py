@@ -12,15 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import multiprocessing
 import os
 import sys
+import traceback
+from functools import partial
+from itertools import islice
 from pathlib import Path
+from typing import Callable, Iterator
 
 from . import baselines  # registers baseline rules as transforms
 from . import __version__
-from .conllu import (docs_to_text, iter_documents, numbered_spans, read_document,
-                     write_file)
+from .conllu import doc_to_text, iter_documents, numbered_spans, read_document
 from .errors import ConlluParseError, DocumentPairError, SerializationError
 from .metrics import (
     ALL_METRICS,
@@ -49,8 +51,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="-v for info, -vv for debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the one --jobs option of the commands that go document by document
+    jobs = argparse.ArgumentParser(add_help=False)
+    jobs.add_argument("--jobs", type=_job_count, default=0,
+                      help="worker processes (default: all cores)")
 
-    score = sub.add_parser("score", help="evaluate response files against key files")
+    score = sub.add_parser("score", parents=[jobs],
+                           help="evaluate response files against key files")
     score.add_argument("key", help="key (gold) file, or comma-separated list pairing datasets")
     score.add_argument("response", help="response (system) file or comma-separated list")
     score.add_argument("--match", choices=("partial", "exact", "head"), default="partial")
@@ -64,8 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--per-doc", action="store_true", help="report each document")
     score.add_argument("-o", "--output", metavar="FILE",
                        help="also write the report to FILE (.json/.tsv by extension)")
-    score.add_argument("--jobs", type=int, default=0,
-                       help="worker processes (default: all cores)")
     score.set_defaults(func=cmd_score)
 
     validate = sub.add_parser("validate", help="check files structurally")
@@ -83,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--format", choices=("text", "tsv"), default="text")
     stats.set_defaults(func=cmd_stats)
 
-    transform = sub.add_parser("transform", help="rewrite coreference annotation")
+    transform = sub.add_parser("transform", parents=[jobs],
+                               help="rewrite coreference annotation")
     transform.add_argument("paths", nargs="+")
     transform.add_argument("--ops", required=True,
                            help="comma-separated: " + ",".join(sorted(LAYER_TRANSFORMS)))
@@ -91,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     transform.add_argument("--out-dir", help="output directory (any number of inputs)")
     transform.set_defaults(func=cmd_transform)
 
-    baseline = sub.add_parser("baseline", help="run rule-based predictors")
+    baseline = sub.add_parser("baseline", parents=[jobs], help="run rule-based predictors")
     baseline.add_argument("paths", nargs="+")
     baseline.add_argument("--rules",
                           help="comma-separated: " + ",".join(sorted(baselines.BASELINE_RULES)))
@@ -105,9 +111,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _job_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 0:
+        raise argparse.ArgumentTypeError(f"{jobs} is negative; 0 means all cores")
+    return jobs
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    _configure_logging((logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)])
+    level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
+    logging.basicConfig(level=level, format="%(levelname)s: %(message)s")
     try:
         return args.func(args)
     except DocumentPairError as exc:
@@ -122,8 +139,72 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
-def _configure_logging(level: int) -> None:
-    logging.basicConfig(level=level, format="%(levelname)s: %(message)s")
+# ---------------------------------------------------------------------------
+# documents in worker processes
+
+def _map_documents(fn: Callable, tasks: list, jobs: int) -> Iterator:
+    """`fn(task)` for each task (a document's byte spans from
+    `numbered_spans`, with the command's options), yielded in task order.
+
+    With one job (0 means one per core) or one task this runs here, one
+    task at a time as the results are taken.  Otherwise one pool of
+    min(jobs, tasks) workers runs chunks of tasks, each worker reading its
+    documents itself.  A worker keeps its tasks' log records, and they are
+    emitted here in task order: a failing task's records, then its
+    exception, and no record of a later task.  So the output and the
+    errors are the same for any job count and process start method."""
+    jobs = jobs or os.cpu_count() or 1
+    if jobs == 1 or len(tasks) < 2:
+        yield from map(fn, tasks)
+        return
+    pool = _start_pool(min(jobs, len(tasks)))
+    try:
+        for result, exc, records in pool.map(partial(_run_captured, fn), tasks,
+                                             chunksize=4):
+            for record in records:
+                logging.getLogger(record.name).handle(record)
+            if exc is not None:
+                raise exc from RuntimeError(result)  # the worker's traceback
+            yield result
+    finally:
+        # drops the chunks not started; no worker is killed mid-chunk
+        pool.shutdown(cancel_futures=True)
+
+
+def _start_pool(workers: int):
+    # here, as most commands start no pool
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, initializer=_keep_log_records,
+                               initargs=(logging.getLogger().level,))
+
+
+_records: list[logging.LogRecord] = []  # of the current task, in a pool worker
+
+
+class _KeepRecords(logging.Handler):
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args = record.getMessage(), None  # so that it pickles
+        _records.append(record)
+
+
+def _keep_log_records(level: int) -> None:
+    """Pool worker set-up: log at `level` into `_records`, not to stderr."""
+    root = logging.getLogger()
+    root.handlers = [_KeepRecords()]
+    root.setLevel(level)
+
+
+def _run_captured(fn: Callable, task):
+    """`fn(task)` in a pool worker, as (result, exception, log records);
+    the result of a failed task is its traceback."""
+    try:
+        result, exc = fn(task), None
+    except Exception as caught:  # raised again in the main process
+        result, exc = traceback.format_exc(), caught
+    records = _records[:]
+    _records.clear()
+    return result, exc, records
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +222,6 @@ def cmd_score(args) -> int:
         metrics=tuple(m.strip() for m in args.metrics.split(",") if m.strip()),
         upos_filter=args.upos_filter,
     )
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     names = _dataset_names(key_paths)
     doc_keys, work = [], []
     for name, key_path, resp_path in zip(names, key_paths, resp_paths):
@@ -154,13 +234,7 @@ def cmd_score(args) -> int:
             work.append(((key_path, *key_spans[i][1:]),
                          None if j is None else (resp_path, *resp_spans[j][1:]), opts))
 
-    # workers read their own byte spans, so they need no inherited state
-    if jobs > 1 and len(work) > 1:
-        with multiprocessing.Pool(jobs, _configure_logging,
-                                  (logging.getLogger().level,)) as pool:
-            counts = list(pool.imap(_score_worker, work, chunksize=4))
-    else:
-        counts = [_score_worker(w) for w in work]
+    counts = list(_map_documents(_score_worker, work, args.jobs))
     report = build_report(names, [(name, doc_key, c) for (name, doc_key), c
                                   in zip(doc_keys, counts)], opts, args.per_doc)
 
@@ -401,16 +475,35 @@ def _resolve_outputs(args) -> list[tuple[str, str | None]]:
 
 
 def _rewrite_files(args, ops) -> int:
-    """Rewrite one document at a time; write each output once all its documents succeed."""
+    """Rewrite each document where it is read (`_map_documents`); write each
+    output once all of its documents succeed, in input order."""
     strip = getattr(args, "strip", False)  # only `baseline` has --strip
+    outputs, failure = [], None
     for in_path, out_path in _resolve_outputs(args):
-        out_docs = (apply_ops(strip_entities(doc) if strip else doc, *ops)
-                    for doc in iter_documents(in_path))
+        try:
+            spans = [(in_path, *s[1:]) for s in
+                     numbered_spans(Path(in_path).read_bytes(), in_path)]
+        except (OSError, ConlluParseError) as exc:
+            failure = exc  # raised once the inputs before it are written
+            break
+        outputs.append((out_path, spans))
+    texts = _map_documents(_rewrite_worker, [(span, ops, strip) for _out, spans in outputs
+                                             for span in spans], args.jobs)
+    for out_path, spans in outputs:
+        text = "".join(islice(texts, len(spans)))
         if out_path:
-            write_file(out_docs, out_path)
+            Path(out_path).write_bytes(text.encode("utf-8"))
         else:
-            sys.stdout.write(docs_to_text(out_docs))
+            sys.stdout.write(text)
+    if failure is not None:
+        raise failure
     return EXIT_OK
+
+
+def _rewrite_worker(task) -> str:
+    span, ops, strip = task
+    doc = read_document(*span)
+    return doc_to_text(apply_ops(strip_entities(doc) if strip else doc, *ops))
 
 
 def cmd_transform(args) -> int:

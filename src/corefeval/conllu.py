@@ -22,7 +22,6 @@ index, ...), ``e5)`` closes it, ``(e9)`` is a single-node mention and
 from __future__ import annotations
 
 import logging
-import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Sequence
@@ -234,9 +233,9 @@ class Nodes(Sequence[Node]):
 
     The parse keeps three columns per node: `line_index` (into `lines`),
     `sent_index` and `ids`, the id as the line spells it.  `len`, the
-    columns and `first_difference` build nothing; indexing or iterating
-    builds a `Node` with its parent chain or enhanced parents and caches
-    it, so each position has one `Node`.
+    columns, `words` and `first_difference` build nothing; indexing or
+    iterating builds a `Node` with its parent chain or enhanced parents and
+    caches it, so each position has one `Node`.
     """
 
     __slots__ = ("lines", "line_index", "sent_index", "ids", "_built", "_by_id")
@@ -265,6 +264,20 @@ class Nodes(Sequence[Node]):
         self._build(range(len(self._built)))
         return iter(self._built)
 
+    def words(self, *upos: str) -> Iterator[tuple[int, str, str, str | None]]:
+        """(position, UPOS, lemma, `Gender`) of each surface word whose UPOS
+        is one of `upos`, read from its line; no `Node` is built."""
+        lines, line_index, ids = self.lines, self.line_index, self.ids
+        found: set[int] = set()
+        for tag in upos:  # a substring test first: most lines have none
+            tag = f"\t{tag}\t"
+            found.update(i for i, at in enumerate(line_index) if tag in lines[at])
+        for i in sorted(found):
+            if "." not in ids[i]:
+                cols = lines[line_index[i]].split("\t", 6)
+                if cols[3] in upos:
+                    yield i, cols[3], cols[2], _attr(cols[5], "Gender=")
+
     def first_difference(self, other: "Nodes") -> int | None:
         """The first position whose sentence, id or form differs from
         `other`'s, up to the shorter length; None if there is none."""
@@ -283,7 +296,7 @@ class Nodes(Sequence[Node]):
         not built yet is linked once it is, so that dependency cycles end."""
         built, lines, line_index, ids = self._built, self.lines, self.line_index, self.ids
         sent_index, by_sent = self.sent_index, self._by_id
-        todo = [i for i in positions if built[i] is None]
+        todo = list(positions)
         made: list[tuple[Node, list[int]]] = []
         while todo:
             i = todo.pop()
@@ -662,11 +675,18 @@ def write_file(docs: Iterable[Document], target: str | Path | BinaryIO) -> None:
 # ---------------------------------------------------------------------------
 # Document splitting
 
-_NEWDOC_RE = re.compile(rb"^# newdoc", re.MULTILINE)
-
-
 def _newdoc_id(line: str) -> str | None:
     return line.split("=", 1)[1].strip() if "=" in line else None
+
+
+def _marker_lines(data: bytes) -> Iterator[int]:
+    """The offset of each line that starts with the `# newdoc` marker."""
+    if data.startswith(b"# newdoc"):
+        yield 0
+    at = data.find(b"\n# newdoc")
+    while at != -1:
+        yield at + 1
+        at = data.find(b"\n# newdoc", at + 1)
 
 
 def scan_document_spans(data: bytes) -> list[tuple[str | None, int, int]]:
@@ -679,17 +699,16 @@ def scan_document_spans(data: bytes) -> list[tuple[str | None, int, int]]:
     UTF-8 in a `# newdoc` line is a `ConlluParseError` with no path.
     """
     starts: list[tuple[int, str | None]] = []
-    for match in _NEWDOC_RE.finditer(data):
-        at = data.rfind(b"\n\n", 0, match.start())
+    for marker in _marker_lines(data):
+        at = data.rfind(b"\n\n", 0, marker)
         # a single blank line opening the file separates nothing
         start = at + 2 if at != -1 else int(data.startswith(b"\n"))
-        line_end = data.find(b"\n", match.start())
-        line = data[match.start():line_end if line_end != -1 else len(data)]
+        line_end = data.find(b"\n", marker)
+        line = data[marker:line_end if line_end != -1 else len(data)]
         try:
             doc_id = _newdoc_id(line.decode("utf-8"))
         except UnicodeDecodeError as exc:
-            raise _utf8_error(exc, None,
-                              data.count(b"\n", 0, match.start()) + 1) from None
+            raise _utf8_error(exc, None, data.count(b"\n", 0, marker) + 1) from None
         if starts and starts[-1][0] == start:
             starts[-1] = (start, doc_id)
             continue

@@ -9,6 +9,7 @@ import pytest
 
 import corefeval
 import gen
+from corefeval import cli
 from corefeval.cli import _render_json, main
 from corefeval.conllu import docs_to_text, parse_file, parse_text
 from corefeval.metrics import EvalOptions, evaluate
@@ -225,6 +226,194 @@ class TestSharedEngine:
         assert (f"WARNING: {key}: mention of e1 crosses a sentence boundary"
                 " in document cross") in proc.stderr.splitlines()
 
+
+# One `main()` call per argument list in a fresh interpreter, each with
+# its own stdout, stderr and logging set-up: prints [[code, out, err], ...].
+RUN_MAINS = """\
+import contextlib, io, json, logging, multiprocessing, sys
+if sys.argv[1] == "spawn":
+    multiprocessing.set_start_method("spawn")
+from corefeval.cli import main
+results = []
+for argv in json.loads(sys.argv[2]):
+    logging.getLogger().handlers.clear()  # so that main() logs to this stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def run_mains(start_method: str, argvs: list[list[str]]) -> list[list]:
+    src = str(Path(corefeval.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", RUN_MAINS, start_method,
+                           json.dumps([[str(a) for a in argv] for argv in argvs])],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+# a mention across a sentence boundary, which the parse warns about, and a
+# head that resolves to no word, which building its node logs at -vv
+CROSS = ("# newdoc id = {}\n"
+         "1\tw\tw\tNOUN\t_\tGender=Fem\t0\troot\t_\tEntity=(e1\n\n"
+         "1\tv\tv\tPRON\t_\tGender=Fem\t0\troot\t_\tEntity=e1)\n"
+         "2\tu\tu\tPROPN\t_\t_\t9\tdep\t_\tEntity=(e1)\n"
+         "3\tu\tu\tPROPN\t_\t_\t1\tdep\t_\t_\n\n")
+UNCLOSED = "# newdoc id = {}\n1\tz\tz\tNOUN\t_\t_\t0\troot\t_\tEntity=(e3\n\n"
+
+
+def random_docs(seed: int, names: list[str]) -> str:
+    rng = random.Random(seed)
+    return "".join(gen.random_document(rng, name, p_provided_head=0.5)[2]
+                   for name in names)
+
+
+class TestParallelRewrites:
+    """`transform` and `baseline` at --jobs 1, at --jobs 2 and at --jobs 2
+    with spawned workers: the same output files, stdout, stderr at every
+    -v level, and exit code.  Document 2 of `late.conllu` warns, document
+    3 cannot be parsed and document 4 warns too late to be reported."""
+
+    COMMANDS = (["transform", "--ops", "conservative-head-reduce,merge-same-span"],
+                ["baseline", "--pipeline", "simple-rule-based", "--strip"])
+
+    def test_same_for_any_job_count_and_start_method(self, fixtures_dir, tmp_path):
+        fixtures = [fixtures_dir / f"{name}.conllu" for name in BUNDLED]
+        good, late = tmp_path / "good.conllu", tmp_path / "late.conllu"
+        good.write_text(random_docs(1, ["g1", "g2"]) + CROSS.format("g3")
+                        + random_docs(2, ["g4", "g5", "g6"]))
+        late.write_text(random_docs(3, ["d1"]) + CROSS.format("d2") + UNCLOSED.format("d3")
+                        + CROSS.format("d4") + random_docs(4, ["d5", "d6"]))
+        modes = ("1", "2", "spawn")
+        argvs = {mode: [] for mode in modes}
+        for mode in modes:
+            jobs = ["--jobs", "1" if mode == "1" else "2"]
+            for i, (command, *options) in enumerate(self.COMMANDS):
+                for level, verbose in enumerate(([], ["-v"], ["-vv"])):
+                    where = tmp_path / mode / f"{i}{level}"
+                    argvs[mode] += [
+                        [*verbose, command, good, *options, *jobs],  # to stdout
+                        [*verbose, command, late, *options, *jobs, "-o", where / "late"],
+                        # the last input fails
+                        [*verbose, command, good, *fixtures, late, *options, *jobs,
+                         "--out-dir", where]]
+        results = {mode: run_mains(mode, argvs[mode]) for mode in modes}
+        files = {mode: sorted((str(p.relative_to(tmp_path / mode)), p.read_bytes())
+                              for p in (tmp_path / mode).rglob("*") if p.is_file())
+                 for mode in modes}
+        assert results["1"] == results["2"] == results["spawn"]
+        assert files["1"] == files["2"] == files["spawn"]
+        # what the serial run itself shows
+        assert [code for code, _out, _err in results["1"]] == [0, 2, 2] * 6
+        assert len(files["1"]) == 6 * (1 + len(fixtures))
+        assert not any(name.endswith("late") or name.endswith("late.conllu")
+                       for name, _data in files["1"])
+        for (_code, out, err), argv in zip(results["1"], argvs["1"]):
+            lines = err.splitlines()
+            assert (argv[0] == "-vv") == any("unresolved head 9" in line for line in lines)
+            if late in argv:
+                assert lines[-1] == (f"error: {late}: unclosed Entity bracket for 'e3'"
+                                     " at end of document d3")
+                # the failing document's own warning comes before its error
+                warned = [line[-2:] for line in lines if "crosses a sentence" in line]
+                assert warned == (["g3", "d2", "d3"] if good in argv else ["d2", "d3"])
+            else:
+                assert out.startswith("# newdoc id = g1\n")
+
+
+class TestWorkers:
+    def test_score_warnings_in_document_order(self, tmp_path):
+        key = tmp_path / "k.conllu"
+        key.write_text("".join(CROSS.format(f"d{d}") + random_docs(d, [f"r{d}"])
+                               for d in range(12)))
+        src = str(Path(corefeval.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        runs = [subprocess.run([sys.executable, "-m", "corefeval.cli", "score", str(key),
+                                str(key), "--format", "json", "--jobs", jobs],
+                               env=env, capture_output=True, text=True, timeout=120)
+                for jobs in ("1", "2")]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
+        assert runs[0].stderr.splitlines() == runs[1].stderr.splitlines() == [
+            f"WARNING: {key}: mention of e1 crosses a sentence boundary in document d{d}"
+            for d in range(12) for _side in ("key", "response")]
+
+    @pytest.fixture
+    def pools(self, monkeypatch) -> list[int]:
+        """The worker counts of the pools started, each run in-process."""
+        started = []
+
+        class InProcess:
+            def __init__(self, workers):
+                started.append(workers)
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(cli, "_start_pool", InProcess)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        return started
+
+    def test_workers_at_most_documents(self, pools, gold, fixtures_dir, tmp_path, capsys):
+        one = fixtures_dir / "pronoun_baseline.conllu"  # a single document
+        assert len(parse_file(one)) == 1 and len(parse_file(gold)) == 2
+        for argv, workers in (
+                (["transform", gold, "--ops", "reduce-head"], [2]),
+                (["transform", gold, "--ops", "reduce-head", "--jobs", "3"], [2]),
+                (["baseline", gold, "--rules", "propn-lemma", "--jobs", "1"], []),
+                (["baseline", one, "--rules", "propn-lemma"], []),
+                (["transform", gold, gold, gold, "--ops", "reduce-head",
+                  "--out-dir", tmp_path / "out"], []),  # refused before reading
+                (["transform", gold, one, "--ops", "reduce-head",
+                  "--out-dir", tmp_path / "out"], [3]),
+                (["score", gold, gold, "--jobs", "5"], [2]),
+                (["score", one, one], [])):
+            pools.clear()
+            code, _out, _err = run(capsys, *argv)
+            assert (code, pools) == (2 if argv.count(gold) == 3 else 0, workers), argv
+
+    @pytest.mark.parametrize("command", [["score", "{gold}", "{gold}"],
+                                         ["transform", "{gold}", "--ops", "reduce-head"],
+                                         ["baseline", "{gold}", "--rules", "propn-lemma"]])
+    def test_negative_jobs_rejected(self, command, gold, capsys):
+        argv = [a.format(gold=gold) for a in command]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv + ["--jobs", "-1"])
+        assert exit_.value.code == 2
+        assert "argument --jobs: -1 is negative" in capsys.readouterr().err
+
+    def test_multiprocessing_imported_only_for_a_pool(self, fixtures_dir, tmp_path):
+        animals = str(fixtures_dir / "animals.conllu")
+        serial = [["validate", animals], ["stats", animals],
+                  ["score", animals, animals, "--jobs", "1"],
+                  ["transform", animals, "--ops", "reduce-head", "--jobs", "1"],
+                  ["baseline", animals, "--rules", "propn-lemma", "--jobs", "1"],
+                  ["score", str(fixtures_dir / "pronoun_baseline.conllu"),
+                   str(fixtures_dir / "pronoun_baseline.conllu")]]  # one document
+        script = ("import contextlib, io, sys\n"
+                  "from corefeval.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    with contextlib.suppress(SystemExit):\n"
+                  "        main(['--version'])\n"
+                  f"    codes = [main(argv) for argv in {serial!r}]\n"
+                  "    loaded = 'multiprocessing' in sys.modules\n"
+                  f"    main({['transform', animals, '--ops', 'reduce-head', '--jobs', '2']!r})\n"
+                  "print(codes, loaded, 'multiprocessing' in sys.modules)\n")
+        src = str(Path(corefeval.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[0, 0, 0, 0, 0, 0] False True\n"
 
 class TestInputPolicy:
     @pytest.mark.parametrize("kind", ["crlf", "bom", "badutf", "sup", "badpart"])

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -253,6 +254,81 @@ class TestDocumentSplitting:
         with pytest.raises(ConlluParseError, match=f"{path}:5: invalid UTF-8"):
             conllu.parse_file(path)
 
+
+def regex_spans(data: bytes) -> list[tuple[str | None, int, int]]:
+    """`scan_document_spans` as written with a multiline `^# newdoc`
+    regex: the reference the byte search must agree with."""
+    starts: list[tuple[int, str | None]] = []
+    for match in re.finditer(rb"^# newdoc", data, re.MULTILINE):
+        at = data.rfind(b"\n\n", 0, match.start())
+        start = at + 2 if at != -1 else int(data.startswith(b"\n"))
+        line_end = data.find(b"\n", match.start())
+        line = data[match.start():line_end if line_end != -1 else len(data)]
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ConlluParseError("invalid UTF-8",
+                                   line=data.count(b"\n", 0, match.start()) + 1) from None
+        doc_id = text.split("=", 1)[1].strip() if "=" in text else None
+        if starts and starts[-1][0] == start:
+            starts[-1] = (start, doc_id)
+        else:
+            starts.append((start, doc_id))
+    spans = []
+    if not starts or starts[0][0] > 0:
+        end = starts[0][0] if starts else len(data)
+        if data[:end].strip(b"\n"):
+            spans.append((None, 0, end))
+    for i, (start, doc_id) in enumerate(starts):
+        spans.append((doc_id, start, starts[i + 1][0] if i + 1 < len(starts) else len(data)))
+    return spans
+
+
+class TestScanMatchesRegex:
+    def check(self, text: str) -> None:
+        data = text.encode("utf-8")
+        assert scan_document_spans(data) == regex_spans(data), text
+
+    def test_fixtures(self, fixtures_dir):
+        for path in sorted(fixtures_dir.glob("*.conllu")):
+            data = path.read_bytes()
+            assert scan_document_spans(data) == regex_spans(data), path.name
+
+    def test_random_files(self):
+        for seed in range(30):
+            rng = random.Random(seed)
+            parts = [gen.random_document(rng, f"d{seed}-{d}")[2]
+                     for d in range(rng.randint(1, 5))]
+            self.check("".join(parts))
+
+    def test_marker_on_the_first_line_and_after_a_blank_line(self):
+        for text in (make_doc([tok("1")]), "\n" + make_doc([tok("1")]),
+                     "\n\n" + make_doc([tok("1")]), "# newdoc",
+                     "# newdoc id = x", "\n# newdoc id = x\n"):
+            self.check(text)
+
+    def test_two_markers_in_one_block(self):
+        self.check("# newdoc id = a\n# newdoc id = b\n" + tok("1") + "\n\n"
+                   + make_doc([tok("1")], doc_id="c")
+                   + "# x\n# newdoc id = d\n# newdoc\n" + tok("1") + "\n\n")
+
+    def test_markers_that_are_not_whole_words(self):
+        self.check("# newdocument id = a\n" + tok("1") + "\n\n"
+                   + make_doc([tok("1")]) + "# newdocs\n" + tok("1") + "\n\n"
+                   + " # newdoc id = not at a line start\n" + tok("1") + "\n")
+
+    def test_invalid_utf8_in_a_marker_line(self):
+        text = make_doc([tok("1")]) + "\n" + make_doc([tok("1")], doc_id="d2")
+        data = text.encode().replace(b"id = d2", b"id = d\xff2")
+        with pytest.raises(ConlluParseError) as fast:
+            scan_document_spans(data)
+        with pytest.raises(ConlluParseError) as ref:
+            regex_spans(data)
+        assert fast.value.line == ref.value.line == 5
+        first = b"# newdoc id = \xfe\n" + tok("1").encode() + b"\n\n"
+        with pytest.raises(ConlluParseError) as fast:
+            scan_document_spans(first)
+        assert fast.value.line == 1
 
 class TestWithEntity:
     def test_changed_value_rebuilds_misc_in_place(self):

@@ -7,7 +7,7 @@ import pytest
 
 import gen
 from corefeval import conllu
-from corefeval.cli import validate_path
+from corefeval.cli import main, validate_path
 from corefeval.conllu import iter_documents, parse_file, parse_text
 from corefeval.metrics import EvalOptions, check_same_nodes, score_document_pair
 from corefeval.model import build_coref_layer
@@ -142,6 +142,24 @@ class TestBuiltNodesEqualTheLines:
         assert unresolved > 40 and cycles > 100 and several > 50
 
 
+class TestWords:
+    def test_words_are_the_nodes_with_those_tags(self, fixtures_dir):
+        """`Nodes.words` against the built nodes, on lines whose XPOS,
+        lemma or form spell another UPOS tag."""
+        rng = random.Random(9)
+        tags = [*gen.UPOS_CHOICES, "X"]
+        for text in _documents(fixtures_dir):
+            rows = [line.split("\t") for line in text.split("\n")]
+            for row in rows:
+                if len(row) == 10:
+                    row[1:3] = rng.choice(tags), rng.choice(tags)
+                    row[4] = rng.choice(tags)
+            doc = parse_text("\n".join("\t".join(row) for row in rows))[0]
+            for upos in (("PROPN",), ("NOUN", "PRON")):
+                words = list(doc.nodes.words(*upos))
+                assert words == [(n.index, n.upos, n.lemma, n.gender) for n in doc.nodes
+                                 if n.upos in upos and not n.is_empty], text
+
 @pytest.fixture
 def built(monkeypatch) -> list[int]:
     """A one-element list counting `Node` constructions."""
@@ -164,6 +182,20 @@ def corpus(tmp_path):
     key.write_text(gen.synthetic_corpus(random.Random(3), 2, 30, 24))
     resp.write_text(gen.synthetic_corpus(random.Random(3), 2, 30, 24, perturb=True))
     return key, resp
+
+
+@pytest.fixture
+def tagged(tmp_path):
+    """Documents with every UPOS the baseline rules read, `Gender` on most
+    nouns and pronouns, and a few entities."""
+    rng = random.Random(7)
+    parts = []
+    for d in range(4):
+        skel = gen.random_skeleton(rng, f"d{d}", n_sentences=(20, 30), n_words=(8, 15))
+        parts.append(gen.conllu_text(skel, gen.random_mentions(rng, skel, n_entities=(3, 6))))
+    path = tmp_path / "tagged.conllu"
+    path.write_text("".join(parts))
+    return path
 
 
 def _with_ancestors(doc) -> set[int]:
@@ -207,3 +239,17 @@ class TestNodesBuilt:
             score_document_pair(key_doc, resp_doc, EvalOptions())
             bound = len(_with_ancestors(key_doc)) + len(_with_ancestors(resp_doc))
             assert 0 < built[0] - before <= bound < len(key_doc.nodes)
+
+    @pytest.mark.parametrize("rules", [["--pipeline", "simple-rule-based", "--strip"],
+                                       ["--rules", "pronoun-gender,propn-lemma"]])
+    def test_baseline_builds_mention_nodes_and_ancestors(self, built, tagged, tmp_path,
+                                                         rules):
+        out = tmp_path / "out.conllu"
+        assert main(["baseline", str(tagged), *rules, "-o", str(out), "--jobs", "1"]) == 0
+        count = built[0]
+        # the nodes of the output mentions, and of the input's unless stripped
+        inputs = parse_file(tagged)
+        bound = sum(len(_with_ancestors(doc) | (
+                        set() if "--strip" in rules else _with_ancestors(original)))
+                    for doc, original in zip(parse_file(out), inputs))
+        assert 0 < count <= bound < sum(len(doc.nodes) for doc in inputs)
