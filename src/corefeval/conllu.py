@@ -558,7 +558,9 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
             raise err("empty sentence (consecutive blank lines)", i)
         if pending_range is not None and pending_range[1] > last_surface:
             raise err(f"token range {pending_range[0]}-{pending_range[1]} exceeds sentence", i)
-        if reader.open:
+        # at the end of the document (i == len(lines)) an open bracket is
+        # `EntityReader.end`'s error, not a crossing
+        if reader.open and i < len(lines):
             eids = sorted({eid for eid, _ in reader.open})
             log.warning(
                 "%s: mention of %s crosses a sentence boundary in document %s",

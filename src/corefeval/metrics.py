@@ -157,16 +157,16 @@ def bcub_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tu
 def ceafe_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
     """Total entity similarity 2|K∩R|/(|K|+|R|) under optimal assignment."""
     key_membership = _membership(key_clusters)
-    overlaps: dict[tuple[int, int], int] = {}
+    overlaps: list[dict[int, int]] = [{} for _ in key_clusters]
     for rj, c in enumerate(resp_clusters):
         for m in c:
             ki = key_membership.get(m)
             if ki is not None:
-                overlaps[(ki, rj)] = overlaps.get((ki, rj), 0) + 1
-    similarity = {(ki, rj): 2.0 * ov / (len(key_clusters[ki]) + len(resp_clusters[rj]))
-                  for (ki, rj), ov in overlaps.items()}
+                overlaps[ki][rj] = overlaps[ki].get(rj, 0) + 1
+    similarity = [[(rj, 2.0 * ov / (len(key_clusters[ki]) + len(resp_clusters[rj])))
+                   for rj, ov in row.items()] for ki, row in enumerate(overlaps)]
     # fsum: phi does not depend on the order the components are solved in
-    phi = math.fsum(similarity[e] for e in optimal_edges(similarity))
+    phi = math.fsum(w for _, _, w in optimal_edges(similarity, len(resp_clusters)))
     return (phi, len(key_clusters), len(resp_clusters))
 
 

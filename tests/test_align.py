@@ -16,8 +16,9 @@ from corefeval.align import (
 )
 from corefeval.conllu import parse_file, parse_text
 from corefeval.heads import mention_head
-from corefeval.metrics import ceafe_counts
+from corefeval.metrics import ceafe_counts, mor_counts
 from corefeval.model import build_coref_layer
+from corefeval.transforms import conservative_head_reduce_layer
 
 
 def two_sided(key_specs, resp_specs, n_words=10):
@@ -147,6 +148,21 @@ class TestAlignment:
                 expected = oracles.exhaustive_alignment(edges, overlaps, sizes)
                 got = solve_alignment(overlaps, sizes)
                 assert got == expected, f"seed {seed} policy {policy}"
+                aligned = align_mentions(key_ms, resp_ms, policy).pairs
+                assert [(key_ms.index(k), resp_ms.index(r)) for k, r in aligned] \
+                    == expected, f"seed {seed} policy {policy}"
+
+    def test_candidate_overlaps_are_the_intersections(self):
+        # the predicate fixes each edge's overlap without intersecting sets
+        for seed in range(200):
+            key_ms, resp_ms = _random_pair(seed, p_discontinuous=0.3)
+            for policy in (EXACT, PARTIAL):
+                adj = corefeval.align._candidate_edges(key_ms, resp_ms, policy)
+                got = {(i, j): ov for i, row in enumerate(adj) for j, ov in row}
+                assert sum(map(len, adj)) == len(got)
+                assert got == {(i, j): len(k.position_set & r.position_set)
+                               for i, k in enumerate(key_ms)
+                               for j, r in enumerate(resp_ms) if matches(k, r, policy)}
 
     def test_order_independence(self, rng):
         key_ms, resp_ms = _random_pair(7)
@@ -243,6 +259,33 @@ class TestSolverCalls:
             assert solve_alignment(overlaps, sizes) == expected, case
         assert calls  # the cases reached the solver
 
+    def test_twin_nests_take_one_solve_each(self, calls, fixtures_dir):
+        # the score_stress shape: in each of the two sentences of a document,
+        # 32 nested key mentions end on one head and 16 single-word response
+        # mentions, one per entity, lie on that head
+        docs = zip(parse_file(fixtures_dir / "nest_key.conllu"),
+                   parse_file(fixtures_dir / "nest_response.conllu"))
+        for key_doc, resp_doc in docs:
+            for reduced in (False, True):
+                layers = build_coref_layer(key_doc), build_coref_layer(resp_doc)
+                if reduced:
+                    for layer in layers:
+                        conservative_head_reduce_layer(layer)
+                key_ms, resp_ms = (layer.sorted_mentions() for layer in layers)
+                assert (len(key_ms), len(resp_ms)) == (64, 32)
+                # the 16 tightest keys of a nest, in document order, take its
+                # responses in order: the innermost 16 of the nested spans;
+                # after the reduction, the first 16 keys reduced to the head
+                first = 1 if reduced else 16
+                assert [(key_ms.index(k), resp_ms.index(r))
+                        for k, r in align_mentions(key_ms, resp_ms, PARTIAL).pairs] \
+                    == [(32 * s + first + b, 16 * s + b) for s in (0, 1) for b in range(16)]
+                assert calls == [(16, 32)] * 2  # one solve per nest, flipped
+                calls.clear()
+                assert mor_counts(key_ms, resp_ms)[0] == 16 * 2
+                assert calls == [(16, 32)] * 2
+                calls.clear()
+
     def test_ceafe_phi_does_not_depend_on_the_tied_edge_set(self, monkeypatch):
         # every similarity is 1/2 or 1, so each optimum sums exactly; the
         # first two keys and responses have two tied optimal edge sets
@@ -272,12 +315,13 @@ class TestSolverCalls:
         assert phis == [2.0] * len(phis)
 
 
-def _random_pair(seed, small=False):
+def _random_pair(seed, small=False, p_discontinuous=0.15):
     sub = random.Random(seed)
     skel = gen.random_skeleton(sub, f"d{seed}", n_sentences=(1, 2),
                                n_words=(4, 7 if small else 9))
     key = gen.random_mentions(sub, skel, n_entities=(1, 3),
-                              n_mentions=(1, 3 if small else 4))
+                              n_mentions=(1, 3 if small else 4),
+                              p_discontinuous=p_discontinuous)
     resp = gen.perturb_mentions(sub, key, skel)
     key_layer = build_coref_layer(parse_text(gen.conllu_text(skel, key))[0])
     resp_layer = build_coref_layer(parse_text(gen.conllu_text(skel, resp))[0])

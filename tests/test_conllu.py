@@ -145,6 +145,13 @@ class TestParsing:
             parse_text(text)
         assert any("crosses a sentence boundary" in r.message for r in caplog.records)
 
+    def test_bracket_open_at_document_end_is_an_error_not_a_crossing(self, caplog):
+        text = make_doc([tok("1", "Entity=(e1)")], [tok("1", "Entity=(e3")])
+        with caplog.at_level("WARNING", logger="corefeval"):
+            with pytest.raises(ConlluParseError, match="unclosed Entity bracket for 'e3'"):
+                parse_text(text)
+        assert not any("crosses" in r.message for r in caplog.records)
+
 
 class TestRoundTrip:
     def test_fixture_files_byte_identical(self, fixtures_dir):
