@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .heads import mention_head
+from .heads import head_position
 from .model import Mention
 
 EXACT = "exact"
@@ -43,7 +43,7 @@ def matches(key: Mention, resp: Mention, policy: str) -> bool:
         return key.position_set == resp.position_set
     if policy == PARTIAL:
         return (resp.position_set <= key.position_set
-                and mention_head(key).index in resp.position_set)
+                and head_position(key) in resp.position_set)
     raise ValueError(f"unknown match policy {policy!r}")
 
 
@@ -72,7 +72,7 @@ def _candidate_edges(key_ms: list[Mention], resp_ms: list[Mention], policy: str)
     key_sets = [k.position_set for k in key_ms]
     by_probe: dict = {}  # keys by node set (exact) or by head position (partial)
     for i, k in enumerate(key_ms):
-        by_probe.setdefault(key_sets[i] if exact else mention_head(k).index, []).append(i)
+        by_probe.setdefault(key_sets[i] if exact else head_position(k), []).append(i)
     adj: Adjacency = [[] for _ in key_ms]
     for j, r in enumerate(resp_ms):
         rset = r.position_set

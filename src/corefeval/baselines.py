@@ -22,17 +22,19 @@ def _node_owners(layer: CorefLayer) -> dict[int, list[Mention]]:
     owners: dict[int, list[Mention]] = {}
     for entity in layer.entities:
         for mention in entity.mentions:
-            for node in mention.nodes:
-                owners.setdefault(node.index, []).append(mention)
+            for i in mention.positions:
+                owners.setdefault(i, []).append(mention)
     return owners
 
 
-def _fresh_eid(used: set[str]) -> str:
+def _new_entity(layer: CorefLayer, by_eid: dict[str, Entity]) -> Entity:
+    """A new entity of `layer`, with the first id "x<n>" not in `by_eid`."""
     n = 1
-    while f"x{n}" in used:
+    while f"x{n}" in by_eid:
         n += 1
-    used.add(f"x{n}")
-    return f"x{n}"
+    entity = by_eid[f"x{n}"] = Entity(f"x{n}")
+    layer.entities.append(entity)
+    return entity
 
 
 def _merge_entities(layer: CorefLayer, involved: list[Entity]) -> Entity:
@@ -42,7 +44,7 @@ def _merge_entities(layer: CorefLayer, involved: list[Entity]) -> Entity:
             continue
         target.mentions.extend(entity.mentions)
         for mention in entity.mentions:
-            mention.entity = target
+            mention.eid = target.eid
         entity.mentions = []
     layer.entities = [e for e in layer.entities if e.mentions]
     return target
@@ -59,28 +61,20 @@ def propn_lemma_merge_layer(layer: CorefLayer) -> None:
         groups.setdefault(lemma, []).append(i)
 
     owners = _node_owners(layer)
-    used_eids = layer.eids()
+    by_eid = {entity.eid: entity for entity in layer.entities}
     for _lemma, positions in sorted(groups.items(), key=lambda kv: kv[1][0]):
         if len(positions) < 2:
             continue
-        involved: list[Entity] = []
-        seen: set[int] = set()
-        for i in positions:
-            for mention in owners.get(i, ()):
-                if id(mention.entity) not in seen:
-                    seen.add(id(mention.entity))
-                    involved.append(mention.entity)
+        # a merge retargets the eids of its mentions, so these are current
+        involved = {mention.eid: by_eid[mention.eid]
+                    for i in positions for mention in owners.get(i, ())}
         if involved:
-            # follow current ownership: earlier groups may have merged these
-            involved = list({id(e): e for e in involved if e.mentions}.values())
-        if involved:
-            target = _merge_entities(layer, involved)
+            target = _merge_entities(layer, list(involved.values()))
         else:
-            target = Entity(_fresh_eid(used_eids))
-            layer.entities.append(target)
+            target = _new_entity(layer, by_eid)
         for i in positions:
             if not owners.get(i):
-                mention = Mention(target, [layer.nodes[i]])
+                mention = Mention(target.eid, (i,), layer.nodes)
                 target.mentions.append(mention)
                 owners.setdefault(i, []).append(mention)
         target.sort_mentions()
@@ -100,7 +94,7 @@ def pronoun_gender_link_layer(layer: CorefLayer) -> None:
                 pronouns.append((i, gender))
 
     owners = _node_owners(layer)
-    used_eids = layer.eids()
+    by_eid = {entity.eid: entity for entity in layer.entities}
     for i, gender in pronouns:
         if owners.get(i):
             continue
@@ -111,14 +105,13 @@ def pronoun_gender_link_layer(layer: CorefLayer) -> None:
         noun = candidates[at - 1]
         noun_owners = owners.get(noun)
         if noun_owners:
-            target = min((m.entity for m in noun_owners), key=lambda e: e.eid)
+            target = by_eid[min(m.eid for m in noun_owners)]
         else:
-            target = Entity(_fresh_eid(used_eids))
-            layer.entities.append(target)
-            noun_mention = Mention(target, [layer.nodes[noun]])
+            target = _new_entity(layer, by_eid)
+            noun_mention = Mention(target.eid, (noun,), layer.nodes)
             target.mentions.append(noun_mention)
             owners.setdefault(noun, []).append(noun_mention)
-        mention = Mention(target, [layer.nodes[i]])
+        mention = Mention(target.eid, (i,), layer.nodes)
         target.mentions.append(mention)
         owners.setdefault(i, []).append(mention)
         target.sort_mentions()

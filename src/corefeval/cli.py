@@ -377,13 +377,14 @@ def validate_path(path: str, strict: bool = False) -> list[str]:
     try:
         for doc in iter_documents(path):
             if strict:
+                sent_index = doc.nodes.sent_index
                 for entity in build_coref_layer(doc).entities:
                     for mention in entity.mentions:
-                        sents = {n.sent_index for n in mention.nodes}
-                        if len(sents) > 1:
+                        first, last = sent_index[mention.start], sent_index[mention.end]
+                        if first != last:
                             problems.append(f"{path}: document {doc.doc_id}: mention of"
                                             f" {entity.eid!r} crosses sentences"
-                                            f" {min(sents) + 1}-{max(sents) + 1}")
+                                            f" {first + 1}-{last + 1}")
     except ConlluParseError as exc:
         return [str(exc)]
     except OSError as exc:

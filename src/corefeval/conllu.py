@@ -10,8 +10,10 @@ then all other columns and MISC attributes stay untouched.
 The parse is the only pass over the token lines: it checks every line
 and feeds its `Entity` value to the one bracket reader, so a `Document` is
 its lines, nodes and mentions.  Of each node the parse keeps the line
-index, sentence and id; `Nodes` builds the `Node` from its line when it is
-first used.
+index, sentence and id.  `Nodes` owns the dependency tree as positions
+(`Nodes.parent`, `Nodes.depth`), read from the HEAD and DEPS columns on
+first use; it builds a `Node`, which holds only its line's columns, when
+one is asked for.  No other module reads HEAD or DEPS.
 
 Entity values are sequences of brackets over entity ids, e.g.
 ``(e5-person-1-`` opens mention of entity e5 (extra fields: type, head
@@ -193,19 +195,18 @@ class EntityReader:
 
 
 class Node:
-    """One syntactic word or empty node, positioned in the document order.
+    """One syntactic word or empty node, positioned in the document order:
+    the columns of its line.
 
     Surface words are ordered by sentence and word id; empty node ``n.k``
     follows word ``n`` (and ``n.(k-1)``), ``0.k`` precede word 1.  Multiword
-    range lines are not nodes.  `enhanced_parents` is resolved for empty
-    nodes only; their `deprel` comes from the first enhanced dependency.
-    `Nodes` builds each node from its line on first use; nodes are not
-    changed after that.
+    range lines are not nodes.  An empty node's `deprel` comes from its
+    first enhanced dependency.  The tree is not here but in `Nodes.parent`.
     """
 
     __slots__ = (
         "index", "sent_index", "line", "id", "is_empty", "form", "lemma", "upos",
-        "gender", "deprel", "parent", "enhanced_parents",
+        "gender", "deprel",
     )
 
     def __init__(self, index: int, sent_index: int, line: int, tid: str, cols: list[str]):
@@ -219,26 +220,31 @@ class Node:
         self.form, self.lemma, self.upos = intern(cols[1]), intern(cols[2]), intern(cols[3])
         gender = _attr(cols[5], "Gender=") if "Gender=" in cols[5] else None
         self.gender = gender and intern(gender)
-        # an empty node's comes from its DEPS column (`Nodes._build`)
-        self.deprel = "" if self.is_empty else intern(cols[7])
-        self.parent: Node | None = None
-        self.enhanced_parents: tuple[Node, ...] = ()
+        self.deprel = (next((rel for _h, _s, rel in _deps(cols[8]) if rel), "")
+                       if self.is_empty else intern(cols[7]))
 
     def __repr__(self) -> str:
         return f"Node({self.sent_index}:{self.id} {self.form!r})"
 
 
+def _deps(column: str) -> list[tuple[str, str, str]]:
+    """The "head:relation" items of a DEPS column, partitioned at ":"."""
+    return [item.partition(":") for item in column.split("|")]
+
+
 class Nodes(Sequence[Node]):
-    """The nodes of one document, each built from its line on first use.
+    """The nodes of one document and their dependency tree, as positions.
 
     The parse keeps three columns per node: `line_index` (into `lines`),
     `sent_index` and `ids`, the id as the line spells it.  `len`, the
     columns, `words` and `first_difference` build nothing; indexing or
-    iterating builds a `Node` with its parent chain or enhanced parents and
-    caches it, so each position has one `Node`.
+    iterating builds a `Node` from its line and caches it, so each position
+    has one `Node`.  `parent` and `depth` read the tree from the lines, one
+    node at a time, and build no `Node` either.
     """
 
-    __slots__ = ("lines", "line_index", "sent_index", "ids", "_built", "_by_id")
+    __slots__ = ("lines", "line_index", "sent_index", "ids", "_built", "_by_id",
+                 "_parent", "_depth")
 
     def __init__(self, lines: list[str], line_index: list[int],
                  sent_index: list[int], ids: list[str]):
@@ -247,22 +253,64 @@ class Nodes(Sequence[Node]):
         self.line_index = line_index
         self.sent_index = sent_index
         self.ids = ids
-        self._built: list[Node | None] = [None] * len(ids)
+        self._built: dict[int, Node] = {}
         self._by_id: dict[int, dict[str, int]] = {}  # per sentence: position by id
+        # of the nodes read so far: parent positions, and depths (None: a cycle)
+        self._parent: dict[int, int] = {}
+        self._depth: dict[int, int | None] = {}
 
     def __len__(self) -> int:
-        return len(self._built)
+        return len(self.ids)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            self._build(range(*i.indices(len(self._built))))
-        elif self._built[i] is None:  # (an IndexError past either end)
-            self._build((i % len(self._built),))
-        return self._built[i]
+            return [self[j] for j in range(*i.indices(len(self.ids)))]
+        i = range(len(self.ids))[i]  # (an IndexError past either end)
+        node = self._built.get(i)
+        if node is None:
+            at = self.line_index[i]
+            node = self._built[i] = Node(i, self.sent_index[i], at, self.ids[i],
+                                         self.lines[at].split("\t"))
+        return node
 
-    def __iter__(self) -> Iterator[Node]:
-        self._build(range(len(self._built)))
-        return iter(self._built)
+    def parent(self, i: int) -> int:
+        """The position of node i's parent, or -1 for none: a surface word's
+        HEAD, an empty node's first DEPS head that resolves.  Each is read
+        from the node's line on first use."""
+        parent = self._parent.get(i)
+        if parent is None:
+            sent = self.sent_index[i]
+            by_id = self._by_id.get(sent)
+            if by_id is None:  # the sentence's positions by id
+                first = bisect_left(self.sent_index, sent)
+                end = bisect_right(self.sent_index, sent, first)
+                by_id = self._by_id[sent] = dict(zip(self.ids[first:end], range(first, end)))
+            line = self.lines[self.line_index[i]]
+            if "." in self.ids[i]:  # DEPS: "head:relation" items, head 0 the root
+                parent = next((by_id[h] for h, _s, _rel in _deps(line.split("\t", 9)[8])
+                               if h in by_id), -1)
+            else:
+                head = line.split("\t", 7)[6]
+                parent = by_id.get(head, -1)
+                if parent < 0 and head not in ("0", "_"):
+                    log.debug("unresolved head %s in sentence %d", head, sent)
+            self._parent[i] = parent
+        return parent
+
+    def depth(self, i: int) -> int | None:
+        """The number of `parent` steps from node i to a node without one;
+        None if the steps run into a cycle.  Memoised per node."""
+        depths, chain, at = self._depth, [], i
+        while at >= 0 and at not in depths:
+            depths[at] = None  # until the walk ends: reaching it again is a cycle
+            chain.append(at)
+            at = self.parent(at)
+        depth = -1 if at < 0 else depths[at]
+        if depth is not None:
+            for at in reversed(chain):
+                depth += 1
+                depths[at] = depth
+        return depths[i]
 
     def words(self, *upos: str) -> Iterator[tuple[int, str, str, str | None]]:
         """(position, UPOS, lemma, `Gender`) of each surface word whose UPOS
@@ -289,49 +337,6 @@ class Nodes(Sequence[Node]):
                         line.split("\t", 2)[:2] != other_line.split("\t", 2)[:2]):
                     return i
         return None
-
-    def _build(self, positions: Iterable[int]) -> None:
-        """Build the nodes at `positions` and their parents, theirs and so on.
-        Each node is cached before its parents are looked up, and a parent
-        not built yet is linked once it is, so that dependency cycles end."""
-        built, lines, line_index, ids = self._built, self.lines, self.line_index, self.ids
-        sent_index, by_sent = self.sent_index, self._by_id
-        todo = list(positions)
-        made: list[tuple[Node, list[int]]] = []
-        while todo:
-            i = todo.pop()
-            if built[i] is not None:
-                continue
-            sent = sent_index[i]
-            by_id = by_sent.get(sent)
-            if by_id is None:  # the sentence's positions by id
-                first = bisect_left(sent_index, sent)
-                end = bisect_right(sent_index, sent, first)
-                by_id = by_sent[sent] = dict(zip(ids[first:end], range(first, end)))
-            at = line_index[i]
-            cols = lines[at].split("\t")
-            node = built[i] = Node(i, sent, at, ids[i], cols)
-            if node.is_empty:  # DEPS: "head:relation" items, head 0 the root
-                deps = [item.partition(":") for item in cols[8].split("|")]
-                node.deprel = next((rel for _h, _s, rel in deps if rel), "")
-                parents = [by_id[h] for h, _s, _rel in deps if h in by_id]
-            else:
-                head = by_id.get(cols[6])
-                if head is None:
-                    if cols[6] not in ("0", "_"):
-                        log.debug("unresolved head %s in sentence %d", cols[6], sent)
-                    continue
-                node.parent = built[head]
-                if node.parent is not None:
-                    continue
-                parents = [head]
-            made.append((node, parents))
-            todo.extend(parents)
-        for node, parents in made:
-            if node.is_empty:
-                node.enhanced_parents = tuple(built[i] for i in parents)
-            else:
-                node.parent = built[parents[0]]
 
 
 class Document:

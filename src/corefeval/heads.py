@@ -4,8 +4,10 @@ A mention head is either read from the annotation (the numeric head-word
 index among the opening fields) or predicted as the "highest" node of the
 span: among the treelet roots (nodes whose parent falls outside the
 mention) the one with minimal depth, preferring surface words over empty
-nodes and then the earliest document position.  Empty nodes hang off their
-first enhanced parent.
+nodes and then the earliest document position.  The tree is the
+document's `Nodes.parent` and `Nodes.depth`, where an empty node hangs
+off its first enhanced parent; everything here works on node positions
+and builds only the `Node`s it returns.
 """
 
 from __future__ import annotations
@@ -24,90 +26,78 @@ HIGHEST_NODE = "highest_node"
 @dataclass(frozen=True)
 class HeadChoice:
     head: Node
-    candidates: tuple[Node, ...]
+    candidates: tuple[int, ...]  # the treelet roots' positions
     rule_used: str
 
 
-def effective_parent(node: Node) -> Node | None:
-    if node.is_empty:
-        return node.enhanced_parents[0] if node.enhanced_parents else None
-    return node.parent
+def treelet_roots(mention: Mention) -> list[int]:
+    """The positions of the mention's nodes whose parent lies outside the
+    mention (or is absent)."""
+    inside, parent = mention.position_set, mention.doc_nodes.parent
+    return [i for i in mention.positions if parent(i) not in inside]
 
 
-def treelet_roots(mention: Mention) -> list[Node]:
-    """Nodes whose parent lies outside the mention (or is absent)."""
-    inside = mention.position_set
-    return [
-        n for n in mention.nodes
-        if (p := effective_parent(n)) is None or p.index not in inside
-    ]
-
-
-def find_head(mention: Mention) -> HeadChoice:
+def _choose(mention: Mention) -> tuple[int, tuple[int, ...], str]:
+    """`find_head`'s choice, with the head as a position."""
     provided = mention.provided_head_index
     if provided is not None:
-        if 1 <= provided <= len(mention.nodes):
-            head = mention.nodes[provided - 1]
+        if 1 <= provided <= len(mention.positions):
+            head = mention.positions[provided - 1]
             if log.isEnabledFor(logging.DEBUG):
-                computed = _highest_node(mention).head
-                if computed is not head:
+                computed = _highest_node(mention)[0]
+                if computed != head:
+                    ids = mention.doc_nodes.ids
                     log.debug("annotated head %s differs from computed %s in %r",
-                              head.id, computed.id, mention)
-            return HeadChoice(head, (), PROVIDED)
+                              ids[head], ids[computed], mention)
+            return head, (), PROVIDED
         log.warning("head index %d out of range in %r; computing instead",
                     provided, mention)
     return _highest_node(mention)
 
 
-def _highest_node(mention: Mention) -> HeadChoice:
+def find_head(mention: Mention) -> HeadChoice:
+    head, candidates, rule_used = _choose(mention)
+    return HeadChoice(mention.doc_nodes[head], candidates, rule_used)
+
+
+def _highest_node(mention: Mention) -> tuple[int, tuple[int, ...], str]:
     candidates = treelet_roots(mention)
     if not candidates:
         log.warning("no treelet root in %r (cyclic dependencies); "
                     "falling back to the first node", mention)
-        return HeadChoice(mention.nodes[0], (mention.nodes[0],), HIGHEST_NODE)
-    depths = _depths(candidates)
-    if depths is None:
+        return mention.start, (mention.start,), HIGHEST_NODE
+    nodes = mention.doc_nodes
+    depths = [nodes.depth(i) for i in candidates]
+    if None in depths:
         log.warning("dependency cycle under %r; falling back to the first "
                     "candidate", mention)
-        head = min(candidates, key=lambda n: n.index)
+        head = candidates[0]
     else:
-        head = min(candidates, key=lambda n: (depths[n.index], n.is_empty, n.index))
-    return HeadChoice(head, tuple(candidates), HIGHEST_NODE)
+        ids = nodes.ids
+        head = min(zip(depths, ("." in ids[i] for i in candidates), candidates))[2]
+    return head, tuple(candidates), HIGHEST_NODE
 
 
-def _depths(candidates: list[Node]) -> dict[int, int] | None:
-    depths: dict[int, int] = {}
-    for node in candidates:
-        chain: list[Node] = []
-        on_chain: set[int] = set()
-        cur: Node | None = node
-        while cur is not None and cur.index not in depths:
-            if cur.index in on_chain:
-                return None  # cycle
-            chain.append(cur)
-            on_chain.add(cur.index)
-            cur = effective_parent(cur)
-        depth = -1 if cur is None else depths[cur.index]
-        for step in reversed(chain):
-            depth += 1
-            depths[step.index] = depth
-    return {n.index: depths[n.index] for n in candidates}
-
-
-def mention_head(mention: Mention) -> Node:
-    """The mention's head node, cached on the mention."""
+def head_position(mention: Mention) -> int:
+    """The position of the mention's head node, cached on the mention."""
     head = mention._head
     if head is None:
-        head = find_head(mention).head
-        mention._head = head
+        head = mention._head = _choose(mention)[0]
     return head
 
 
+def mention_head(mention: Mention) -> Node:
+    """The mention's head node (`head_position`)."""
+    return mention.doc_nodes[head_position(mention)]
+
+
 def head_upos_set(mention: Mention) -> set[str]:
-    """UPOS of the head plus of its `flat` children inside the mention."""
-    head = mention_head(mention)
-    tags = {head.upos}
-    for node in mention.nodes:
-        if node.parent is head and node.deprel.startswith("flat"):
-            tags.add(node.upos)
+    """UPOS of the head plus of its surface `flat` children inside the
+    mention."""
+    nodes, head = mention.doc_nodes, head_position(mention)
+    tags = {nodes[head].upos}
+    for i in mention.positions:
+        if (nodes.parent(i) == head and "." not in nodes.ids[i]
+                and nodes[i].deprel.startswith("flat")):
+            tags.add(nodes[i].upos)
     return tags

@@ -88,9 +88,14 @@ class EvalOptions:
     def __post_init__(self):
         if self.match not in POLICIES:
             raise ValueError(f"unknown match policy {self.match!r}")
+        if not self.metrics:
+            raise ValueError("no metrics given")
         unknown = set(self.metrics) - set(ALL_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics: {', '.join(sorted(unknown))}")
+        twice = sorted(m for m, n in Counter(self.metrics).items() if n > 1)
+        if twice:
+            raise ValueError(f"metrics given more than once: {', '.join(twice)}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +249,8 @@ def mor_counts(key_ms: list[Mention], resp_ms: list[Mention]) -> tuple:
     entity membership plays no role."""
     overlap = max_total_overlap(
         [m.position_set for m in key_ms], [m.position_set for m in resp_ms])
-    return (overlap, sum(len(m.nodes) for m in key_ms),
-            sum(len(m.nodes) for m in resp_ms))
+    return (overlap, sum(len(m.positions) for m in key_ms),
+            sum(len(m.positions) for m in resp_ms))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 The parser already gives each document its nodes in document order
 (surface words plus empty nodes) and the mentions its `Entity` values read
-as; the layer turns those mentions into node lists (possibly
-discontinuous) and groups them into entities by their id.  Everything
-here is a plain in-memory value of one process: reading it from several
-threads is unsafe, as `Nodes` builds each node on first use.
+as; the layer turns those mentions into sorted node positions (possibly
+discontinuous) and groups them into entities by their id.  A mention
+names its entity by id, so no object refers back to what holds it.
+Everything here is a plain in-memory value of one process: reading it
+from several threads is unsafe, as `Nodes` reads its columns on first use.
 """
 
 from __future__ import annotations
@@ -14,62 +15,68 @@ from .conllu import Document, Node, Nodes
 
 
 class Mention:
-    """A set of nodes of one document referring to an entity."""
+    """The sorted node positions of one document that refer to the entity
+    with id `eid`; `doc_nodes` are the document's `Nodes`."""
 
-    __slots__ = ("entity", "nodes", "extra_fields", "provided_head_index",
-                 "_head", "_pos_set", "_is_zero")
+    __slots__ = ("eid", "positions", "doc_nodes", "extra_fields",
+                 "provided_head_index", "_head", "_pos_set")
 
-    def __init__(self, entity: "Entity", nodes: list[Node],
+    def __init__(self, eid: str, positions: tuple[int, ...], doc_nodes: Nodes,
                  extra_fields: tuple[str, ...] = ()):
-        self.entity = entity
-        self.nodes = nodes  # sorted by document position
+        self.eid = eid
+        self.positions = positions
+        self.doc_nodes = doc_nodes
         self.extra_fields = extra_fields
         self.provided_head_index = _head_index(extra_fields)
-        self._head: Node | None = None
+        self._head: int | None = None  # the head's position (`heads.head_position`)
         self._pos_set: frozenset[int] | None = None
-        self._is_zero: bool | None = None
+
+    @property
+    def nodes(self) -> list[Node]:
+        """The mention's nodes, built on demand."""
+        return [self.doc_nodes[i] for i in self.positions]
 
     @property
     def position_set(self) -> frozenset[int]:
         if self._pos_set is None:
-            self._pos_set = frozenset(n.index for n in self.nodes)
+            self._pos_set = frozenset(self.positions)
         return self._pos_set
 
     @property
     def start(self) -> int:
-        return self.nodes[0].index
+        return self.positions[0]
 
     @property
     def end(self) -> int:
-        return self.nodes[-1].index
+        return self.positions[-1]
 
     @property
     def is_discontinuous(self) -> bool:
-        return self.end - self.start + 1 != len(self.nodes)
+        return self.end - self.start + 1 != len(self.positions)
 
     @property
     def is_zero(self) -> bool:
-        if self._is_zero is None:
-            self._is_zero = all(n.is_empty for n in self.nodes)
-        return self._is_zero
+        ids = self.doc_nodes.ids
+        return all("." in ids[i] for i in self.positions)
 
     @property
     def contains_empty(self) -> bool:
-        return any(n.is_empty for n in self.nodes)
+        ids = self.doc_nodes.ids
+        return any("." in ids[i] for i in self.positions)
 
     @property
     def surface_length(self) -> int:
-        return sum(1 for n in self.nodes if not n.is_empty)
+        ids = self.doc_nodes.ids
+        return sum("." not in ids[i] for i in self.positions)
 
-    def set_nodes(self, nodes: list[Node]) -> None:
-        self.nodes = nodes
+    def set_positions(self, positions: tuple[int, ...]) -> None:
+        self.positions = positions
         self._head = None
         self._pos_set = None
-        self._is_zero = None
 
     def __repr__(self) -> str:
-        ids = ",".join(n.id for n in self.nodes)
-        return f"Mention({self.entity.eid}: {ids})"
+        ids = self.doc_nodes.ids
+        return f"Mention({self.eid}: {','.join(ids[i] for i in self.positions)})"
 
 
 def _head_index(fields: tuple[str, ...]) -> int | None:
@@ -111,11 +118,8 @@ class CorefLayer:
 
     def sorted_mentions(self) -> list[Mention]:
         out = [m for e in self.entities for m in e.mentions]
-        out.sort(key=lambda m: (m.start, m.end, m.entity.eid))
+        out.sort(key=lambda m: (m.start, m.end, m.eid))
         return out
-
-    def eids(self) -> set[str]:
-        return {e.eid for e in self.entities}
 
 
 def build_coref_layer(doc: Document) -> CorefLayer:
@@ -130,12 +134,10 @@ def build_coref_layer(doc: Document) -> CorefLayer:
         if entity is None:
             entity = entities[eid] = Entity(eid)
         if len(runs) == 1:
-            start, end = runs[0]
-            mention_nodes = nodes[start:end + 1]
+            positions = tuple(range(runs[0][0], runs[0][1] + 1))
         else:  # parts may overlap
-            positions = {i for start, end in runs for i in range(start, end + 1)}
-            mention_nodes = [nodes[i] for i in sorted(positions)]
-        entity.mentions.append(Mention(entity, mention_nodes, fields))
+            positions = tuple(sorted({i for start, end in runs for i in range(start, end + 1)}))
+        entity.mentions.append(Mention(eid, positions, nodes, fields))
     for entity in entities.values():
         entity.sort_mentions()
     return CorefLayer(doc, nodes, list(entities.values()))

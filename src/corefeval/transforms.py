@@ -13,14 +13,14 @@ from typing import Callable
 
 from .conllu import Document, set_mentions
 from .errors import SerializationError
-from .heads import head_upos_set, mention_head
-from .model import CorefLayer, Entity, Mention, Node, build_coref_layer
+from .heads import head_position, head_upos_set
+from .model import CorefLayer, Mention, build_coref_layer
 
 
-def _reduce_mention(mention: Mention, head: Node) -> None:
-    if len(mention.nodes) == 1 and mention.nodes[0] is head:
+def _reduce_mention(mention: Mention, head: int) -> None:
+    if mention.positions == (head,):
         return
-    mention.set_nodes([head])
+    mention.set_positions((head,))
     mention._head = head
     if mention.provided_head_index is not None:
         fields = list(mention.extra_fields)
@@ -33,7 +33,7 @@ def reduce_layer_to_heads(layer: CorefLayer) -> None:
     """Shrink every mention to its head node (spans may duplicate)."""
     for entity in layer.entities:
         for mention in entity.mentions:
-            _reduce_mention(mention, mention_head(mention))
+            _reduce_mention(mention, head_position(mention))
         entity.sort_mentions()
 
 
@@ -42,48 +42,49 @@ def conservative_head_reduce_layer(layer: CorefLayer) -> None:
     keep the largest of them (ties: earliest start) intact."""
     groups: dict[int, list[Mention]] = {}
     for mention in layer.sorted_mentions():
-        groups.setdefault(mention_head(mention).index, []).append(mention)
+        groups.setdefault(head_position(mention), []).append(mention)
     for group in groups.values():
         keep: Mention | None = None
         if len(group) > 1:
-            keep = min(group, key=lambda m: (-len(m.nodes), m.start, m.end, m.entity.eid))
+            keep = min(group, key=lambda m: (-len(m.positions), m.start, m.end, m.eid))
         for mention in group:
             if mention is not keep:
-                _reduce_mention(mention, mention_head(mention))
+                _reduce_mention(mention, head_position(mention))
     for entity in layer.entities:
         entity.sort_mentions()
 
 
 def merge_same_span_layer(layer: CorefLayer) -> None:
     """Union entities that share a mention span; deduplicate mentions."""
-    parent: dict[int, Entity] = {}
+    parent: dict[str, str] = {}  # union-find over entity ids
 
-    def find(e: Entity) -> Entity:
-        while parent.get(id(e), e) is not e:
-            e = parent[id(e)]
-        return e
+    def find(eid: str) -> str:
+        while parent.get(eid, eid) != eid:
+            eid = parent[eid]
+        return eid
 
-    by_span: dict[frozenset[int], Entity] = {}
+    by_span: dict[frozenset[int], str] = {}
     for mention in layer.sorted_mentions():
-        root = find(mention.entity)
+        root = find(mention.eid)
         other = by_span.get(mention.position_set)
         if other is None:
             by_span[mention.position_set] = root
         else:
             other = find(other)
-            if other is not root:
-                keep, drop = sorted((other, root), key=lambda e: e.eid)
-                parent[id(drop)] = keep
+            if other != root:
+                keep, drop = sorted((other, root))
+                parent[drop] = keep
 
-    merged: list[Entity] = []
+    by_eid = {entity.eid: entity for entity in layer.entities}
+    merged = []
     for entity in layer.entities:
-        root = find(entity)
-        if root is entity:
+        root = find(entity.eid)
+        if root == entity.eid:
             merged.append(entity)
         else:
-            root.mentions.extend(entity.mentions)
+            by_eid[root].mentions.extend(entity.mentions)
             for mention in entity.mentions:
-                mention.entity = root
+                mention.eid = root
     for entity in merged:
         entity.sort_mentions()
         seen: set[frozenset[int]] = set()
@@ -145,20 +146,19 @@ LAYER_TRANSFORMS: dict[str, Callable[[CorefLayer], None]] = {
 
 def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
     """Make the layer's mentions the document's (`set_mentions`), each as
-    the runs of consecutive positions of its nodes, with its opening
-    fields verbatim.  A layer the `Entity` format cannot express raises
+    the runs of its consecutive positions, with its opening fields
+    verbatim.  A layer the `Entity` format cannot express raises
     `SerializationError` before anything changes."""
     mentions = []
     for mention in (m for e in layer.entities for m in e.mentions):
-        if not mention.nodes:
-            raise SerializationError(
-                f"mention of entity {mention.entity.eid!r} has no nodes")
-        indices = [n.index for n in mention.nodes]
-        runs, first = [], indices[0]
-        for prev, index in zip(indices, indices[1:]):
-            if index != prev + 1:
+        positions = mention.positions
+        if not positions:
+            raise SerializationError(f"mention of entity {mention.eid!r} has no nodes")
+        runs, first = [], positions[0]
+        for prev, i in zip(positions, positions[1:]):
+            if i != prev + 1:
                 runs.append((first, prev))
-                first = index
-        runs.append((first, indices[-1]))
-        mentions.append((mention.entity.eid, tuple(runs), mention.extra_fields))
+                first = i
+        runs.append((first, positions[-1]))
+        mentions.append((mention.eid, tuple(runs), mention.extra_fields))
     set_mentions(doc, mentions)

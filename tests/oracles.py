@@ -254,6 +254,26 @@ def naive_zero_counts(key_entities, resp_entities):
 # ---------------------------------------------------------------------------
 # Misc oracles
 
+def tree_parents(lines):
+    """The parent position of each node of a document's `lines`, in
+    document order, or None: a surface word's HEAD, an empty node's first
+    DEPS head that names a node of its sentence."""
+    parents, sentence = [], []  # the columns of the sentence's nodes
+    for line in [*lines, ""]:
+        if line and not line.startswith("#") and "-" not in line.split("\t")[0]:
+            sentence.append(line.split("\t"))
+        elif not line and sentence:
+            position = {cols[0]: len(parents) + k for k, cols in enumerate(sentence)}
+            for cols in sentence:
+                if "." in cols[0]:
+                    heads = [item.split(":")[0] for item in cols[8].split("|")]
+                    parents.append(next((position[h] for h in heads if h in position), None))
+                else:
+                    parents.append(position.get(cols[6]))
+            sentence = []
+    return parents
+
+
 def connected_in_tree(positions, parent_of):
     """Is the node set a connected subgraph of the dependency forest?"""
     inside = set(positions)

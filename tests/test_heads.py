@@ -1,6 +1,10 @@
 import random
 
+import pytest
+
 import gen
+import oracles
+from corefeval import conllu
 from corefeval.conllu import parse_text
 from corefeval.heads import (
     HIGHEST_NODE,
@@ -52,7 +56,7 @@ class TestFindHead:
         mention = mention_of(layer, "e1")
         choice = find_head(mention)
         assert choice.head.id == "6"
-        assert {n.id for n in choice.candidates} == {"4", "6"}
+        assert {layer.nodes.ids[i] for i in choice.candidates} == {"4", "6"}
         assert _exhaustive_depth(layer, "4") == 3
         assert _exhaustive_depth(layer, "6") == 2
 
@@ -120,7 +124,7 @@ class TestFindHead:
             for entity in layer.entities:
                 for mention in entity.mentions:
                     head = find_head(mention).head
-                    mention.set_nodes([head])
+                    mention.set_positions((head.index,))
                     mention.provided_head_index = None
                     assert find_head(mention).head is head
 
@@ -136,10 +140,10 @@ class TestFindHead:
             for entity in layer.entities:
                 for mention in entity.mentions:
                     root = find_head(mention).head
-                    while len(mention.nodes) > 1:
-                        leaves = [n for n in mention.nodes if n is not root]
-                        mention.set_nodes([n for n in mention.nodes
-                                           if n is not leaves[-1]])
+                    while len(mention.positions) > 1:
+                        leaves = [i for i in mention.positions if i != root.index]
+                        mention.set_positions(tuple(i for i in mention.positions
+                                                    if i != leaves[-1]))
                         assert find_head(mention).head is root
 
 
@@ -168,6 +172,17 @@ class TestHeadUposSet:
                           line("2", "Entity=e1)", "1", "ADJ", deprel="amod")])
         assert head_upos_set(mention_of(layer, "e1")) == {"NOUN"}
 
+    def test_empty_flat_child_ignored(self):
+        # the empty node's first enhanced head is the mention head, with
+        # relation flat; only surface words count as flat children
+        layer = layer_of([line("1", "Entity=(e1", "0", "NOUN"),
+                          line("1.1", head="_", upos="PROPN", deps="1:flat", deprel="_"),
+                          line("2", "Entity=e1)", "1", "ADJ", deprel="amod")])
+        mention = mention_of(layer, "e1")
+        assert mention_head(mention).id == "1"
+        assert layer.nodes[1].deprel == "flat"
+        assert head_upos_set(mention) == {"NOUN"}
+
 
 class TestTreeletRoots:
     def test_connected_subtree_has_one_root(self):
@@ -182,11 +197,38 @@ class TestTreeletRoots:
 
 
 def _exhaustive_depth(layer, node_id):
-    node = next(n for n in layer.nodes if n.id == node_id)
+    """The parent steps from a node of a one-sentence layer to its root, by
+    the HEAD and DEPS columns of the lines."""
+    parents = oracles.tree_parents(layer.doc.lines)
+    at = layer.nodes.ids.index(node_id)
     depth = 0
     seen = set()
-    while node.parent is not None and id(node) not in seen:
-        seen.add(id(node))
-        node = node.parent
+    while parents[at] is not None and at not in seen:
+        seen.add(at)
+        at = parents[at]
         depth += 1
     return depth
+
+
+class TestBoundedHeadFinding:
+    @pytest.mark.parametrize("n", [2000, 8000])
+    def test_parent_reads_on_a_chain_are_linear(self, monkeypatch, n):
+        """One sentence whose tree is a single chain (word k hangs off word
+        k + 1), with a mention on every 4th word: finding all heads reads
+        at most 2n parents, where a walk per mention would read ~n²/8."""
+        lines = ["# newdoc id = d"]
+        lines += [line(str(k), "Entity=(e1)" if k % 4 == 0 else "_",
+                       str(k + 1) if k < n else "0") for k in range(1, n + 1)]
+        layer = build_coref_layer(parse_text("\n".join(lines) + "\n\n")[0])
+        reads = [0]
+        parent = conllu.Nodes.parent
+
+        def counted(self, i):
+            reads[0] += 1
+            return parent(self, i)
+
+        monkeypatch.setattr(conllu.Nodes, "parent", counted)
+        mentions = layer.entities[0].mentions
+        heads = [mention_head(m).id for m in mentions]
+        assert heads == [str(k) for k in range(4, n + 1, 4)]
+        assert len(mentions) == n // 4 and reads[0] <= 2 * n

@@ -381,6 +381,13 @@ class TestEvaluate:
             mean = sum(d[name].f1 for d in report.per_dataset.values()) / 2
             assert macro.f1 == pytest.approx(mean)
 
+    @pytest.mark.parametrize("metrics, message", [
+        (("muc", "conll", "muc"), "more than once: muc"), ((), "no metrics")])
+    def test_duplicate_or_no_metrics_are_rejected(self, fixtures_dir, metrics, message):
+        animals = parse_text((fixtures_dir / "animals.conllu").read_text())
+        with pytest.raises(ValueError, match=message):
+            evaluate({"a": animals}, {"a": animals}, EvalOptions(metrics=metrics))
+
     def test_no_datasets_give_an_empty_report(self):
         report = evaluate({}, {}, EvalOptions())
         assert report.per_dataset == {} and report.macro == {}

@@ -1,4 +1,6 @@
+import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +9,9 @@ import gen
 from corefeval.conllu import (CLOSE, OPEN, entity_value, parse_file, parse_text,
                               tokenize_entity)
 from corefeval.errors import ConlluParseError
-from corefeval.model import build_coref_layer
+from corefeval.metrics import EvalOptions, score_document_pair
+from corefeval.model import Entity, Mention, Node, build_coref_layer
+from corefeval.transforms import apply_ops, merge_same_span_layer
 
 
 def line(tid, misc="_", head="0", upos="NOUN", deps="_", feats="_"):
@@ -68,7 +72,7 @@ class TestLayerBuilding:
         mention = entity.mentions[0]
         assert [n.id for n in mention.nodes] == ["1", "1.1", "2"]
         assert mention.contains_empty and not mention.is_zero
-        mention.set_nodes([mention.nodes[1]])  # as the head reduction does
+        mention.set_positions(mention.positions[1:2])  # as the head reduction does
         assert mention.is_zero
 
     def test_nested_mentions_two_entities(self):
@@ -133,6 +137,34 @@ class TestSinglePass:
         assert sum(len(e.mentions) for layer in layers for e in layer.entities) > 0
 
 
+class TestNoCyclicGarbage:
+    @pytest.mark.parametrize("match", ["partial", "head"])
+    def test_scoring_and_merging_free_every_mention(self, fixtures_dir, match):
+        """Layers hold no reference cycle, so a document's mentions, entities
+        and nodes are freed when it is done, not by the cycle collector."""
+        pairs = [(parse_file(fixtures_dir / f"{name}.conllu"),) * 2
+                 for name in ("animals", "zeros", "discontinuous")]
+        pairs.append((parse_file(fixtures_dir / "nest_key.conllu"),
+                      parse_file(fixtures_dir / "nest_response.conllu")))
+        opts = EvalOptions(match=match, keep_singletons=True, upos_filter="NOUN")
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for key_docs, resp_docs in pairs:
+                for key_doc, resp_doc in zip(key_docs, resp_docs):
+                    assert score_document_pair(key_doc, resp_doc, opts)
+                    assert score_document_pair(key_doc, resp_doc, EvalOptions(match=match))
+                    assert apply_ops(key_doc, merge_same_span_layer).mentions
+            del key_doc, resp_doc, key_docs, resp_docs, pairs
+            gc.collect()
+            left = Counter(type(o).__name__ for o in gc.garbage
+                           if isinstance(o, (Mention, Entity, Node)))
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == Counter()
+
+
 class TestLayerProperties:
     def test_partition_property(self, rng):
         for seed in range(30):
@@ -147,8 +179,8 @@ class TestLayerProperties:
             sub = random.Random(seed)
             _, specs, text = gen.random_document(sub, f"d{seed}", p_discontinuous=0.3)
             layer = build_coref_layer(parse_text(text)[0])
-            built = sorted((m.entity.eid, tuple(sorted(m.position_set)))
-                           for e in layer.entities for m in e.mentions)
+            built = sorted((e.eid, m.positions) for e in layer.entities for m in e.mentions)
+            assert all(m.eid == e.eid for e in layer.entities for m in e.mentions)
             wanted = sorted((s.eid, tuple(s.positions)) for s in specs)
             assert built == wanted, f"seed {seed}"
 
@@ -159,8 +191,7 @@ class TestLayerProperties:
             _, _, text = gen.random_document(sub, f"d{seed}", p_discontinuous=0.25)
             doc = parse_text(text)[0]
             layer = build_coref_layer(doc)
-            built = sorted((m.entity.eid, tuple(sorted(m.position_set)))
-                           for e in layer.entities for m in e.mentions)
+            built = sorted((e.eid, m.positions) for e in layer.entities for m in e.mentions)
             assert built == sorted(_naive_mentions(doc)), f"seed {seed}"
 
     def test_determinism(self, rng):

@@ -1,5 +1,6 @@
-"""`Nodes` builds each node on first use: the built nodes against a
-reference read from the raw lines, and counts of the nodes built."""
+"""`Nodes` builds each node on first use and reads the tree as positions:
+the built nodes, parents and depths against a reference read from the raw
+lines, and counts of the nodes built."""
 
 import random
 
@@ -88,10 +89,23 @@ def _documents(fixtures_dir) -> list[str]:
 
 
 def _as_built(node) -> dict:
-    row = {field: getattr(node, field) for field in FIELDS}
-    row["parent"] = None if node.parent is None else node.parent.index
-    row["enhanced_parents"] = [p.index for p in node.enhanced_parents]
-    return row
+    return {field: getattr(node, field) for field in FIELDS}
+
+
+def _tree(rows: list[dict]) -> tuple[list[int], list[int | None]]:
+    """`Nodes.parent` and `Nodes.depth` of each node, from the `_reference`
+    rows: an empty node hangs off its first enhanced parent, and a depth
+    that runs into a cycle is None."""
+    parents = [(row["enhanced_parents"] or [-1])[0] if row["is_empty"]
+               else -1 if row["parent"] is None else row["parent"] for row in rows]
+    depths: list[int | None] = []
+    for at in range(len(rows)):
+        seen: set[int] = set()
+        while at >= 0 and at not in seen:
+            seen.add(at)
+            at = parents[at]
+        depths.append(len(seen) - 1 if at < 0 else None)
+    return parents, depths
 
 
 class TestBuiltNodesEqualTheLines:
@@ -115,7 +129,14 @@ class TestBuiltNodesEqualTheLines:
                 built = [None] * len(nodes)
                 for i in positions:
                     built[i] = nodes[i]
-            assert [_as_built(node) for node in built] == _reference(doc.lines), text
+            rows = _reference(doc.lines)
+            assert [_as_built(node) for node in built] == [
+                {field: row[field] for field in FIELDS} for row in rows], text
+            parents, depths = _tree(rows)
+            got = [None] * len(nodes)
+            for i in positions:
+                got[i] = (nodes.depth(i), nodes.parent(i))
+            assert got == list(zip(depths, parents)), text
             copy = doc.copy()
             for i in positions:
                 assert nodes[i] is built[i] and copy.nodes[i] is built[i]
@@ -198,19 +219,10 @@ def tagged(tmp_path):
     return path
 
 
-def _with_ancestors(doc) -> set[int]:
-    """The positions of the document's mention nodes and their ancestors."""
-    todo = [doc.nodes[i] for _eid, runs, _f in doc.mentions
-            for first, last in runs for i in range(first, last + 1)]
-    seen: set[int] = set()
-    while todo:
-        node = todo.pop()
-        if node.index not in seen:
-            seen.add(node.index)
-            todo.extend(node.enhanced_parents)
-            if node.parent is not None:
-                todo.append(node.parent)
-    return seen
+def _mention_nodes(doc) -> set[int]:
+    """The positions of the document's mention nodes."""
+    return {i for _eid, runs, _f in doc.mentions for first, last in runs
+            for i in range(first, last + 1)}
 
 
 class TestNodesBuilt:
@@ -221,6 +233,7 @@ class TestNodesBuilt:
             assert parse_text(path.read_text())
             assert list(iter_documents(path))
             assert validate_path(str(path)) == []
+            validate_path(str(path), strict=True)
         assert built[0] == 0
 
     def test_checking_the_nodes_builds_none(self, built, corpus):
@@ -232,24 +245,25 @@ class TestNodesBuilt:
             check_same_nodes(key_layer, key_layer)
             assert built[0] == before
 
-    def test_scoring_builds_mention_nodes_and_ancestors(self, built, corpus):
+    @pytest.mark.parametrize("match", ["partial", "exact", "head"])
+    def test_scoring_builds_none(self, built, corpus, match):
+        key, resp = corpus
+        for key_doc, resp_doc in zip(parse_file(key), parse_file(resp)):
+            assert score_document_pair(key_doc, resp_doc, EvalOptions(match=match))
+        assert built[0] == 0
+
+    def test_upos_filter_builds_only_mention_nodes(self, built, corpus):
+        """The filter reads the UPOS of heads and of their flat children."""
         key, resp = corpus
         for key_doc, resp_doc in zip(parse_file(key), parse_file(resp)):
             before = built[0]
-            score_document_pair(key_doc, resp_doc, EvalOptions())
-            bound = len(_with_ancestors(key_doc)) + len(_with_ancestors(resp_doc))
+            score_document_pair(key_doc, resp_doc, EvalOptions(upos_filter="NOUN"))
+            bound = len(_mention_nodes(key_doc)) + len(_mention_nodes(resp_doc))
             assert 0 < built[0] - before <= bound < len(key_doc.nodes)
 
     @pytest.mark.parametrize("rules", [["--pipeline", "simple-rule-based", "--strip"],
                                        ["--rules", "pronoun-gender,propn-lemma"]])
-    def test_baseline_builds_mention_nodes_and_ancestors(self, built, tagged, tmp_path,
-                                                         rules):
+    def test_baseline_builds_none(self, built, tagged, tmp_path, rules):
         out = tmp_path / "out.conllu"
         assert main(["baseline", str(tagged), *rules, "-o", str(out), "--jobs", "1"]) == 0
-        count = built[0]
-        # the nodes of the output mentions, and of the input's unless stripped
-        inputs = parse_file(tagged)
-        bound = sum(len(_with_ancestors(doc) | (
-                        set() if "--strip" in rules else _with_ancestors(original)))
-                    for doc, original in zip(parse_file(out), inputs))
-        assert 0 < count <= bound < sum(len(doc.nodes) for doc in inputs)
+        assert out.read_text() != tagged.read_text() and built[0] == 0

@@ -120,16 +120,10 @@ class TestMentionDetailStats:
             row = mention_detail_stats(layers)
             parent_map = {}
             for layer in layers:
-                for node in layer.nodes:
-                    if node.is_empty:
-                        p = node.enhanced_parents[0] if node.enhanced_parents else None
-                    else:
-                        p = node.parent
-                    parent_map[node.index] = p.index if p else None
+                parent_map.update(enumerate(oracles.tree_parents(layer.doc.lines)))
             disconnected = sum(
                 1 for m in mentions
-                if not oracles.connected_in_tree(
-                    [n.index for n in m.nodes], parent_map.get))
+                if not oracles.connected_in_tree(m.positions, parent_map.get))
             assert row["non_tree"] == pytest.approx(
                 100.0 * disconnected / len(mentions)), f"seed {seed}"
 
