@@ -14,18 +14,23 @@ position) pairs, both sides numbered in document order.  The optimality
 makes scores independent of input order.
 
 The alignment, MOR (`max_total_overlap`) and CEAF-e (`optimal_edges`)
-share one path: per-key (response, weight) edge lists, components from a
+share one path: per-key (column, weight) edge lists, components from a
 union-find over integers, one dense solve per component with several
-edges.  The solver starts from no matching: in the dense components that
-occur (nested keys on one head against identical single-word responses)
-the rows tie, so a greedy start matches one row, and augmenting row
-reduction (Jonker & Volgenant 1987) takes 4.7 times the iterations.
+edges.  In alignment and MOR a column is a group of identical responses
+(twins), which have the same edges.  A component with one group needs no
+solve: its keys compete for the group's members, and ranking the keys
+gives the optimum and the tie-break (`_align`).  A component with several
+groups is expanded into their members and solved densely.  The solver
+starts from no matching: on tied rows, such as twins solved densely, a
+greedy start matches one row, and augmenting row reduction (Jonker &
+Volgenant 1987) takes 4.7 times the iterations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .heads import head_position
 from .model import Mention
@@ -55,17 +60,23 @@ class MentionAlignment:
 
 
 def align_mentions(key_ms: list[Mention], resp_ms: list[Mention], policy: str) -> MentionAlignment:
-    adj = _candidate_edges(key_ms, resp_ms, policy)
-    chosen = _align(adj, len(resp_ms), [len(m.position_set) for m in key_ms])
+    adj, later = _candidate_edges(key_ms, resp_ms, policy)
+    chosen = _align(adj, len(resp_ms), later, [len(m.positions) for m in key_ms])
     return MentionAlignment(tuple((key_ms[i], resp_ms[j]) for i, j in chosen))
 
 
 Adjacency = list[list[tuple[int, float]]]  # row i: its (column, weight) edges
+# Identical responses (twins) share their edges, so the first one's column
+# stands for all: Twins maps a first occurrence to its twins' indices.
+Twins = dict[int, list[int]]
 
 
-def _candidate_edges(key_ms: list[Mention], resp_ms: list[Mention], policy: str) -> Adjacency:
-    """For each key, its matching responses with their word overlaps: the
-    predicate fixes the overlap, the response's size under both policies."""
+def _candidate_edges(key_ms: list[Mention], resp_ms: list[Mention],
+                     policy: str) -> tuple[Adjacency, Twins]:
+    """For each key, the (column, overlap) edges of the responses it
+    matches, where only the first of identical responses has a column; and
+    the twins.  The predicate fixes the overlap, the response's size under
+    both policies."""
     if policy not in (EXACT, PARTIAL):
         raise ValueError(f"unknown match policy {policy!r}")
     exact = policy == EXACT
@@ -74,13 +85,17 @@ def _candidate_edges(key_ms: list[Mention], resp_ms: list[Mention], policy: str)
     for i, k in enumerate(key_ms):
         by_probe.setdefault(key_sets[i] if exact else head_position(k), []).append(i)
     adj: Adjacency = [[] for _ in key_ms]
+    first: dict[frozenset[int], int] = {}
+    later: Twins = {}
     for j, r in enumerate(resp_ms):
-        rset = r.position_set
+        if (g := first.setdefault(rset := r.position_set, j)) != j:
+            later.setdefault(g, []).append(j)
+            continue
         for probe in (rset,) if exact else rset:
             for i in by_probe.get(probe, ()):
                 if rset <= key_sets[i]:
                     adj[i].append((j, len(rset)))
-    return adj
+    return adj, later
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +164,16 @@ def _components(adj: Adjacency, n_cols: int) -> list[tuple[list[int], list[int]]
             elif parent[x] != root and (other := find(x)) != root:
                 parent[root] = root = other
     groups: dict[int, tuple[list[int], list[int]]] = {}
-    for x in range(n_rows + n_cols):  # rows, then columns, each ascending
-        if parent[x] != x or x < n_rows and adj[x]:  # x has edges: every root is a row
-            side = x >= n_rows
-            groups.setdefault(find(x), ([], []))[side].append(x - n_rows * side)
+    for i, row in enumerate(adj):  # every root is a row with edges
+        if row:
+            root = find(i)
+            if root in groups:
+                groups[root][0].append(i)
+            else:
+                groups[root] = ([i], [])
+    for x in range(n_rows, n_rows + n_cols):
+        if parent[x] != x:  # a column with edges
+            groups[find(x)][1].append(x - n_rows)
     return list(groups.values())
 
 
@@ -168,6 +189,28 @@ def _solve(rows: list[int], cols: list[int], w: list[list]) -> list[tuple[int, i
             for a, b in (zip(ci, ri) if flip else zip(ri, ci)) if w[a][b]]
 
 
+def _dense(rows: list[int], cols: list[int], edges: list[list[tuple[int, float]]]) -> list[list]:
+    """The weights of a component for `_solve`, edges[a] listing the (col,
+    weight) edges of rows[a]."""
+    at = {j: b for b, j in enumerate(cols)}
+    w = [[0] * len(cols) for _ in rows]
+    for cells, row in zip(w, edges):
+        for j, x in row:
+            cells[at[j]] = x
+    return w
+
+
+def _expand(rows: list[int], groups: list[int], adj: Adjacency,
+            later: Twins) -> tuple[list[int], list[list[tuple[int, float]]]]:
+    """A component whose columns stand for groups of twins as one over all
+    their members: the ascending members, and each row's edges to them."""
+    if later.keys().isdisjoint(groups):  # no twins: the edges as they are
+        return groups, [adj[i] for i in rows]
+    cols = sorted(j for g in groups for j in (g, *later.get(g, ())))
+    return cols, [[(j, x) for g, x in adj[i] for j in (g, *later.get(g, ()))]
+                  for i in rows]
+
+
 def optimal_edges(adj: Adjacency, n_cols: int) -> list[tuple[int, int, float]]:
     """The one-to-one set of edges (row, col, weight) with the largest total
     weight, where adj[i] lists the (col, weight > 0) edges of row i."""
@@ -176,12 +219,7 @@ def optimal_edges(adj: Adjacency, n_cols: int) -> list[tuple[int, int, float]]:
         if len(rows) == len(cols) == 1:  # a single edge
             chosen.append((rows[0], cols[0], adj[rows[0]][0][1]))
             continue
-        at = {j: b for b, j in enumerate(cols)}
-        w = [[0] * len(cols) for _ in rows]
-        for cells, i in zip(w, rows):
-            for j, x in adj[i]:
-                cells[at[j]] = x
-        chosen += _solve(rows, cols, w)
+        chosen += _solve(rows, cols, _dense(rows, cols, [adj[i] for i in rows]))
     return chosen
 
 
@@ -193,12 +231,24 @@ def solve_alignment(overlap: dict[tuple[int, int], int],
     adj: Adjacency = [[] for _ in key_sizes]
     for (i, j), ov in overlap.items():
         adj[i].append((j, ov))
-    return _align(adj, max((j for _, j in overlap), default=-1) + 1, key_sizes)
+    return _align(adj, max((j for _, j in overlap), default=-1) + 1, {}, key_sizes)
 
 
-def _align(adj: Adjacency, n_resps: int, key_sizes: list[int]) -> list[tuple[int, int]]:
-    # One exact integer weight per edge carries the whole objective.  The
-    # high part is layered: pair count over total overlap over key
+def _align(adj: Adjacency, n_resps: int, later: Twins,
+           key_sizes: list[int]) -> list[tuple[int, int]]:
+    # adj[i] lists key i's (column, overlap) edges, and a column g stands
+    # for the group of g and its twins later[g], which share its edges.
+    #
+    # In a component with one group, each key has one edge, to that group,
+    # and the keys compete for its m members.  The optimum matches
+    # p = min(keys, m) pairs: the p keys of largest overlap, then smallest
+    # size, then first position, which in position order take the members
+    # in order.  That is the layered optimum with the lexicographically
+    # smallest pair list, so no solve.
+    #
+    # A component with several groups takes one solve over its members,
+    # with one exact integer weight per edge carrying the whole objective.
+    # The high part is layered: pair count over total overlap over key
     # tightness.  The low part, for the key at component position a matched
     # to the response at position b, is (nR - b) * B**(nK-1-a), B = nR + 1:
     # a total's low part is the base-B number whose digit a is nR - b (0 if
@@ -206,21 +256,28 @@ def _align(adj: Adjacency, n_resps: int, key_sizes: list[int]) -> list[tuple[int
     # maximum takes keys in order, prefers a matched key and then the
     # smaller response: the lexicographically smallest pair list.
     chosen = []
-    for keys, resps in _components(adj, n_resps):
-        if len(keys) == len(resps) == 1:  # a single edge: no ties to break
-            chosen.append((keys[0], resps[0]))
+    for keys, groups in _components(adj, n_resps):
+        if len(groups) == 1:
+            g = groups[0]
+            if len(keys) == 1:  # one key: the group's first member
+                chosen.append((keys[0], g))
+            else:  # a stable sort: ties stay in position order
+                resps = [g, *later.get(g, ())]
+                ranked = sorted(keys, key=lambda i: (-adj[i][0][1], key_sizes[i]))
+                chosen += zip(sorted(ranked[:len(resps)]), resps)
             continue
+        resps, edges = _expand(keys, groups, adj, later)
         size_cap = max(key_sizes[i] for i in keys) + 1
-        tight_scale = sum((size_cap - key_sizes[i]) * len(adj[i]) for i in keys) + 1
-        base = tight_scale * (sum(ov for i in keys for _, ov in adj[i]) + 1)
+        tight_scale = sum((size_cap - key_sizes[i]) * len(row) for i, row in zip(keys, edges)) + 1
+        base = tight_scale * (sum(ov for row in edges for _, ov in row) + 1)
         n_keys, n_cols = len(keys), len(resps)
         high = (n_cols + 1) ** n_keys
         at = {j: b for b, j in enumerate(resps)}
         w = []
-        for a, i in enumerate(keys):
+        for a, (i, row) in enumerate(zip(keys, edges)):
             low, top = (n_cols + 1) ** (n_keys - 1 - a), base + size_cap - key_sizes[i]
             cells = [0] * n_cols
-            for j, ov in adj[i]:
+            for j, ov in row:
                 b = at[j]
                 cells[b] = (top + tight_scale * ov) * high + (n_cols - b) * low
             w.append(cells)
@@ -228,17 +285,35 @@ def _align(adj: Adjacency, n_resps: int, key_sizes: list[int]) -> list[tuple[int
     return sorted(chosen)
 
 
-def max_total_overlap(key_sets: list[frozenset[int]], resp_sets: list[frozenset[int]]) -> int:
-    """Largest total word overlap achievable by a one-to-one alignment."""
+def max_total_overlap(key_sets: list[Iterable[int]], resp_sets: list[Iterable[int]]) -> int:
+    """Largest total word overlap achievable by a one-to-one alignment.
+    Identical responses are one column with their count as capacity: the
+    keys that meet only that column take their largest overlaps, up to the
+    capacity, with no solve."""
     by_pos: dict[int, list[int]] = {}
+    first: dict[frozenset[int], int] = {}
+    later: Twins = {}
     for j, r in enumerate(resp_sets):
+        if (g := first.setdefault(frozenset(r), j)) != j:
+            later.setdefault(g, []).append(j)
+            continue
         for pos in r:
             by_pos.setdefault(pos, []).append(j)
     adj: Adjacency = []
     for k in key_sets:
         seen: dict[int, int] = {}
         for pos in k & by_pos.keys():
-            for j in by_pos[pos]:
-                seen[j] = seen.get(j, 0) + 1
+            for g in by_pos[pos]:
+                seen[g] = seen.get(g, 0) + 1
         adj.append(list(seen.items()))
-    return sum(ov for _, _, ov in optimal_edges(adj, len(resp_sets)))
+    total = 0
+    for keys, groups in _components(adj, len(resp_sets)):
+        if len(keys) == 1 == len(groups):  # a single edge
+            total += adj[keys[0]][0][1]
+        elif len(groups) == 1:
+            overlaps = sorted((adj[i][0][1] for i in keys), reverse=True)
+            total += sum(overlaps[:1 + len(later.get(groups[0], ()))])
+        else:
+            resps, edges = _expand(keys, groups, adj, later)
+            total += sum(ov for _, _, ov in _solve(keys, resps, _dense(keys, resps, edges)))
+    return total

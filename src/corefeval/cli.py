@@ -504,7 +504,7 @@ def _rewrite_files(args, ops) -> int:
 def _rewrite_worker(task) -> str:
     span, ops, strip = task
     doc = read_document(*span)
-    return doc_to_text(apply_ops(strip_entities(doc) if strip else doc, *ops))
+    return doc_to_text(apply_ops(doc, *ops, strip=strip))
 
 
 def cmd_transform(args) -> int:
@@ -514,14 +514,18 @@ def cmd_transform(args) -> int:
             raise ValueError(f"unknown transform {name!r}; available: "
                              + ", ".join(sorted(LAYER_TRANSFORMS)))
         ops.append(LAYER_TRANSFORMS[name])
+    if not ops:
+        raise ValueError("no transforms given")
     return _rewrite_files(args, ops)
 
 
 def cmd_baseline(args) -> int:
     if args.pipeline:
         rule_names = [args.pipeline]
-    elif args.rules:
+    elif args.rules is not None:
         rule_names = [n.strip() for n in args.rules.split(",") if n.strip()]
+        if not rule_names:
+            raise ValueError("no rules given")
     else:
         raise ValueError("baseline needs --rules or --pipeline")
     ops = []

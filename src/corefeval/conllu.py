@@ -4,8 +4,9 @@ The parser keeps every input line verbatim, so serializing an unmodified
 document reproduces the input byte for byte.  This module owns the
 `Entity` format: `EntityReader` reads it and `entity_values` writes it.
 `set_mentions`, the one code that changes a document's lines, rebuilds
-(by `with_entity`) only the lines whose `Entity` value changes, and even
-then all other columns and MISC attributes stay untouched.
+(by `with_entity`) only the lines whose `Entity` value changes or, when
+it writes over the old values, had one; even then all other columns and
+MISC attributes stay untouched.
 
 The parse is the only pass over the token lines: it checks every line
 and feeds its `Entity` value to the one bracket reader, so a `Document` is
@@ -368,22 +369,23 @@ def entity_value(line: str) -> str | None:
     return _attr(line[line.rfind("\t") + 1:], "Entity=")
 
 
-def with_entity(line: str, entity: str | None) -> str:
+def with_entity(line: str, entity: str | None, first: bool = False) -> str:
     """A token line with its `Entity` value set to `entity` (None removes
-    it).  The attribute keeps its position among the MISC attributes (a new
-    one goes first); all other columns and attributes stay as they are."""
+    it).  The attribute keeps its position among the MISC attributes; a new
+    one goes first, and so does every one with `first`, as on a line whose
+    value was removed before.  All other columns and attributes stay as
+    they are."""
     cols = line.split("\t")
     attrs = [] if cols[9] == "_" else cols[9].split("|")
     out = []
-    placed = False
+    placed = entity is None  # nothing to place
     for attr in attrs:
-        if attr.startswith("Entity="):
-            if entity is not None and not placed:
-                out.append("Entity=" + entity)
-                placed = True
-        else:
+        if not attr.startswith("Entity="):
             out.append(attr)
-    if entity is not None and not placed:
+        elif not placed and not first:
+            out.append("Entity=" + entity)
+            placed = True
+    if not placed:
         out.insert(0, "Entity=" + entity)
     cols[9] = "|".join(out) if out else "_"
     return "\t".join(cols)
@@ -416,7 +418,7 @@ def entity_values(mentions: Iterable[ReadMention]) -> dict[int, str]:
             for position in sorted(opens.keys() | closes.keys())}
 
 
-def set_mentions(doc: Document, mentions: list[ReadMention]) -> None:
+def set_mentions(doc: Document, mentions: list[ReadMention], strip: bool = False) -> None:
     """Make `mentions`, as (eid, runs, extra_fields), the document's: the
     one code that changes `doc.lines`.
 
@@ -426,7 +428,10 @@ def set_mentions(doc: Document, mentions: list[ReadMention]) -> None:
     back as `mentions`, `SerializationError` is raised before anything
     changes.  Otherwise only the lines whose value changes are rebuilt
     (`with_entity`), into a new list, as copies share `lines`; `mentions`
-    becomes what the values read as, in reading order.
+    becomes what the values read as, in reading order.  With `strip`, the
+    values are written over the old ones as over a stripped document (see
+    `transforms.strip_entities`): every line that had or gets a value is
+    rebuilt once, and each value goes first among its MISC attributes.
     """
     values = entity_values(mentions)
     reader = EntityReader()
@@ -450,8 +455,8 @@ def set_mentions(doc: Document, mentions: list[ReadMention]) -> None:
     for position in positions | values.keys():
         at = doc.nodes.line_index[position]
         new = values.get(position)
-        if entity_value(lines[at]) != new:
-            lines[at] = with_entity(lines[at], new)
+        if strip or entity_value(lines[at]) != new:
+            lines[at] = with_entity(lines[at], new, first=strip)
     doc.lines = lines
     doc.mentions = read
 

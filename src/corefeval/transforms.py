@@ -113,14 +113,18 @@ def filter_by_head_upos_layer(layer: CorefLayer, tag: str) -> None:
 # ---------------------------------------------------------------------------
 # Documents
 
-def apply_ops(doc: Document, *ops: Callable[[CorefLayer], None]) -> Document:
+def apply_ops(doc: Document, *ops: Callable[[CorefLayer], None],
+              strip: bool = False) -> Document:
     """A copy of `doc` with the mentions of its layer after `ops`, applied
-    in order."""
+    in order.  With `strip` the layer starts from no mentions, and its
+    values are written over the old ones in one `set_mentions`: the same
+    lines as `strip_entities` followed by `apply_ops`, each rebuilt once."""
     out = doc.copy()
-    layer = build_coref_layer(out)
+    layer = build_coref_layer(Document(doc.doc_id, doc.lines, doc.nodes, [])
+                              if strip else out)
     for op in ops:
         op(layer)
-    rewrite_entity_annotations(out, layer)
+    rewrite_entity_annotations(out, layer, strip)
     return out
 
 
@@ -144,11 +148,12 @@ LAYER_TRANSFORMS: dict[str, Callable[[CorefLayer], None]] = {
 # ---------------------------------------------------------------------------
 # Entity annotation regeneration
 
-def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
-    """Make the layer's mentions the document's (`set_mentions`), each as
-    the runs of its consecutive positions, with its opening fields
-    verbatim.  A layer the `Entity` format cannot express raises
-    `SerializationError` before anything changes."""
+def rewrite_entity_annotations(doc: Document, layer: CorefLayer,
+                               strip: bool = False) -> None:
+    """Make the layer's mentions the document's (`set_mentions`, with
+    `strip`), each as the runs of its consecutive positions, with its
+    opening fields verbatim.  A layer the `Entity` format cannot express
+    raises `SerializationError` before anything changes."""
     mentions = []
     for mention in (m for e in layer.entities for m in e.mentions):
         positions = mention.positions
@@ -161,4 +166,4 @@ def rewrite_entity_annotations(doc: Document, layer: CorefLayer) -> None:
                 first = i
         runs.append((first, positions[-1]))
         mentions.append((mention.eid, tuple(runs), mention.extra_fields))
-    set_mentions(doc, mentions)
+    set_mentions(doc, mentions, strip)

@@ -15,9 +15,9 @@ from corefeval.align import (
     solve_alignment,
 )
 from corefeval.conllu import parse_file, parse_text
-from corefeval.heads import mention_head
+from corefeval.heads import head_position, mention_head
 from corefeval.metrics import ceafe_counts, mor_counts
-from corefeval.model import build_coref_layer
+from corefeval.model import Mention, build_coref_layer
 from corefeval.transforms import conservative_head_reduce_layer
 
 
@@ -157,12 +157,20 @@ class TestAlignment:
         for seed in range(200):
             key_ms, resp_ms = _random_pair(seed, p_discontinuous=0.3)
             for policy in (EXACT, PARTIAL):
-                adj = corefeval.align._candidate_edges(key_ms, resp_ms, policy)
+                adj, later = corefeval.align._candidate_edges(key_ms, resp_ms, policy)
                 got = {(i, j): ov for i, row in enumerate(adj) for j, ov in row}
                 assert sum(map(len, adj)) == len(got)
+                # a response identical to an earlier one has no column of its
+                # own: it is a twin of the first
+                first, twins = {}, {}
+                for j, r in enumerate(resp_ms):
+                    if (g := first.setdefault(r.position_set, j)) != j:
+                        twins.setdefault(g, []).append(j)
+                assert later == twins
                 assert got == {(i, j): len(k.position_set & r.position_set)
                                for i, k in enumerate(key_ms)
-                               for j, r in enumerate(resp_ms) if matches(k, r, policy)}
+                               for j, r in enumerate(resp_ms)
+                               if j == first[r.position_set] and matches(k, r, policy)}
 
     def test_order_independence(self, rng):
         key_ms, resp_ms = _random_pair(7)
@@ -259,10 +267,10 @@ class TestSolverCalls:
             assert solve_alignment(overlaps, sizes) == expected, case
         assert calls  # the cases reached the solver
 
-    def test_twin_nests_take_one_solve_each(self, calls, fixtures_dir):
+    def test_twin_nests_need_no_solve(self, calls, fixtures_dir):
         # the score_stress shape: in each of the two sentences of a document,
         # 32 nested key mentions end on one head and 16 single-word response
-        # mentions, one per entity, lie on that head
+        # mentions, one per entity, lie on that head: one column of twins
         docs = zip(parse_file(fixtures_dir / "nest_key.conllu"),
                    parse_file(fixtures_dir / "nest_response.conllu"))
         for key_doc, resp_doc in docs:
@@ -280,11 +288,74 @@ class TestSolverCalls:
                 assert [(key_ms.index(k), resp_ms.index(r))
                         for k, r in align_mentions(key_ms, resp_ms, PARTIAL).pairs] \
                     == [(32 * s + first + b, 16 * s + b) for s in (0, 1) for b in range(16)]
-                assert calls == [(16, 32)] * 2  # one solve per nest, flipped
-                calls.clear()
                 assert mor_counts(key_ms, resp_ms)[0] == 16 * 2
-                assert calls == [(16, 32)] * 2
-                calls.clear()
+                assert calls == []
+
+    def test_a_component_of_twins_and_another_response_takes_one_solve(self, calls):
+        # keys {0,1,2} and {1} on head 1; responses {1} twice and {0,1}: one
+        # component of two groups, solved over its three responses
+        key_ms, resp_ms = two_sided([("e1", (0, 1, 2), ("x", "2")), ("e2", (1,))],
+                                    [("r1", (1,)), ("r2", (0, 1)), ("r3", (1,))])
+        assert [(key_ms.index(k), resp_ms.index(r))
+                for k, r in align_mentions(key_ms, resp_ms, PARTIAL).pairs] == [(0, 0), (1, 1)]
+        assert [len(r.position_set) for r in resp_ms] == [2, 1, 1]
+        assert calls == [(2, 3)]
+        calls.clear()
+        assert max_total_overlap([k.position_set for k in key_ms],
+                                 [r.position_set for r in resp_ms]) == 3
+        assert calls == [(2, 3)]
+
+    def test_twin_heavy_inputs_match_the_exhaustive_oracles(self, calls):
+        # repeated response spans, key twins, nests on one head and mixed
+        # components, straight as mentions over the nodes of random trees
+        sub = random.Random(14)
+        docs = [parse_text(gen.conllu_text(gen.random_skeleton(
+            sub, f"d{n}", n_sentences=(1, 1), n_words=(5, 7), p_empty=0.2), []))[0]
+            for n in range(6)]
+        no_solve = 0
+        for case in range(3000):
+            nodes = sub.choice(docs).nodes
+
+            def span():
+                a = sub.randrange(len(nodes))
+                b = sub.randrange(a, min(a + 4, len(nodes)))
+                return tuple(p for p in range(a, b + 1) if p == a or sub.random() < 0.8)
+
+            key_spans = []
+            for _ in range(sub.randint(1, 5)):
+                key_spans.append(sub.choice(key_spans) if key_spans and sub.random() < 0.25
+                                 else span())
+            key_ms = [Mention("k", ps, nodes) for ps in key_spans]
+            resp_spans = []
+            for _ in range(sub.randint(1, 6)):
+                if resp_spans and sub.random() < 0.4:
+                    resp_spans.append(sub.choice(resp_spans))
+                elif sub.random() < 0.7:  # a part of a key around its head
+                    key = sub.choice(key_ms)
+                    head = head_position(key)
+                    resp_spans.append(tuple(p for p in key.positions
+                                            if p == head or sub.random() < 0.3))
+                else:
+                    resp_spans.append(span())
+            resp_ms = [Mention("r", ps, nodes) for ps in resp_spans]
+            solves = len(calls)
+            for policy in (EXACT, PARTIAL):
+                edges = [(i, j) for i, k in enumerate(key_ms)
+                         for j, r in enumerate(resp_ms) if matches(k, r, policy)]
+                overlaps = {(i, j): len(key_ms[i].position_set & resp_ms[j].position_set)
+                            for i, j in edges}
+                sizes = [len(k.position_set) for k in key_ms]
+                expected = oracles.exhaustive_alignment(edges, overlaps, sizes)
+                aligned = align_mentions(key_ms, resp_ms, policy).pairs
+                assert [(key_ms.index(k), resp_ms.index(r)) for k, r in aligned] \
+                    == expected, f"case {case} policy {policy}"
+            key_sets = [set(ps) for ps in key_spans]
+            resp_sets = [set(ps) for ps in resp_spans]
+            total = max_total_overlap(key_sets, resp_sets)
+            assert oracles.exhaustive_mor(key_sets, resp_sets) == oracles.prf_from(
+                total, sum(map(len, key_sets)), total, sum(map(len, resp_sets))), case
+            no_solve += len(calls) == solves and len(set(resp_spans)) < len(resp_spans)
+        assert calls and no_solve > 600  # both the solve and the closed form ran
 
     def test_ceafe_phi_does_not_depend_on_the_tied_edge_set(self, monkeypatch):
         # every similarity is 1/2 or 1, so each optimum sums exactly; the

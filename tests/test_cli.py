@@ -633,6 +633,13 @@ class TestTransformCommand:
         assert code == 2
         assert "unknown transform" in err
 
+    @pytest.mark.parametrize("ops", [",", "", " , "])
+    def test_no_op_exits_two(self, gold, tmp_path, capsys, ops):
+        out = tmp_path / "out.conllu"
+        code, stdout, err = run(capsys, "transform", gold, "--ops", ops, "-o", out)
+        assert (code, stdout, err) == (2, "", "error: no transforms given\n")
+        assert not out.exists()
+
     def test_multiple_inputs_need_out_dir(self, gold, capsys):
         code, _, err = run(capsys, "transform", gold, gold, "--ops", "reduce-head")
         assert code == 2
@@ -683,6 +690,31 @@ class TestBaselineCommand:
         layer = build_coref_layer(parse_text(out.read_text())[0])
         assert all(e.eid.startswith("x") for e in layer.entities)
 
+    @pytest.mark.parametrize("rules", [",", "", " , "])
+    def test_no_rule_exits_two(self, gold, tmp_path, capsys, rules):
+        out = tmp_path / "out.conllu"
+        code, stdout, err = run(capsys, "baseline", gold, "--rules", rules, "-o", out)
+        assert (code, stdout, err) == (2, "", "error: no rules given\n")
+        assert not out.exists()
+
+    def test_strip_puts_each_new_value_first_and_drops_old_ones(self, tmp_path, capsys):
+        # MISC attributes before Entity: strip-then-rewrite put a rule's value
+        # first, and the single rewrite over the old values must too, also
+        # where the old value equals the new one
+        cols = "\t_\t_\t"
+        src = tmp_path / "in.conllu"
+        src.write_text("# newdoc id = d\n# sent_id = 1\n# text = Anna Anna\n"
+                       f"1\tAnna\tanna\tPROPN{cols}0\troot\t_\tSpaceAfter=No|Entity=(x1)\n"
+                       f"2\tAnna\tanna\tPROPN{cols}1\tconj\t_\tA=1|Entity=(e2)|B=2\n\n"
+                       "# sent_id = 2\n# text = Bob\n"
+                       f"1\tBob\tbob\tNOUN{cols}0\troot\t_\tSpaceAfter=No|Entity=(e3)\n\n")
+        out = tmp_path / "out.conllu"
+        code, _, err = run(capsys, "baseline", src, "--rules", "propn-lemma",
+                           "--strip", "-o", out)
+        assert (code, err) == (0, "")
+        misc = [line.split("\t")[9] for line in out.read_text().split("\n") if "\t" in line]
+        assert misc == ["Entity=(x1)|SpaceAfter=No", "Entity=(x1)|A=1|B=2", "SpaceAfter=No"]
+
     def test_requires_rules_or_pipeline(self, gold, capsys):
         code, _, err = run(capsys, "baseline", gold)
         assert code == 2
@@ -717,8 +749,9 @@ class TestNoNumpy:
                   "        pass\n"
                   f"    codes = [main(argv) for argv in {runs!r}]\n"
                   "by_commands = len(solves)\n"
-                  "# one key against two responses it overlaps: a real solve\n"
-                  "assert max_total_overlap([{0, 1, 2}], [{0, 1}, {1, 2}]) == 2\n"
+                  "# one key against two different responses it overlaps: two\n"
+                  "# columns, so a real solve (twins would be one column)\n"
+                  "assert max_total_overlap([{0, 1, 2}], [{0, 1}, {2}]) == 2\n"
                   "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
                   "print(codes, by_commands > 0, len(solves) > by_commands, loaded)\n")
         src = str(Path(corefeval.__file__).parent.parent)
