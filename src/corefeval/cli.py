@@ -279,21 +279,24 @@ def _render_report(report: ScoreReport, fmt: str, per_doc: bool) -> str:
     if fmt == "json":
         return _render_json(report, per_doc)
     if fmt == "tsv":
-        return _render_tsv(report)
+        return _render_tsv(report, per_doc)
     return _render_text(report, per_doc)
 
 
 def _render_text(report: ScoreReport, per_doc: bool) -> str:
     match, singletons = report.variant
     lines = [f"match: {match}   singletons: {'kept' if singletons else 'excluded'}"]
-    width = max((len(n) for n in report.per_dataset), default=8)
+    labels = list(report.per_dataset)
+    if per_doc:
+        labels += [f"  [{d}]" for docs in report.per_doc.values() for d in docs]
+    width = max((len(n) for n in labels), default=8)
     width = max(width, len("dataset"), 5)
 
-    def block(name: str, scores: dict, indent: str = "") -> None:
+    def block(name: str, scores: dict) -> None:
         for metric in report.metrics:
             if metric in scores:
                 s = scores[metric]
-                lines.append(f"{indent}{name:<{width}}  {metric:<6} "
+                lines.append(f"{name:<{width}}  {metric:<6} "
                              f"{_pct(s.recall):>7.2f} {_pct(s.precision):>7.2f} "
                              f"{_pct(s.f1):>7.2f}")
 
@@ -331,7 +334,7 @@ def _render_json(report: ScoreReport, per_doc: bool) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _render_tsv(report: ScoreReport) -> str:
+def _render_tsv(report: ScoreReport, per_doc: bool) -> str:
     metrics = [m for m in report.metrics
                if any(m in s for s in report.per_dataset.values())]
     header = ["dataset"]
@@ -349,6 +352,9 @@ def _render_tsv(report: ScoreReport) -> str:
 
     for name, scores in report.per_dataset.items():
         rows.append(row(name, scores))
+        if per_doc:
+            rows += [row(f"{name} [{d}]", s)
+                     for d, s in report.per_doc.get(name, {}).items()]
     if len(report.per_dataset) > 1:
         rows.append(row("MACRO", report.macro))
     return "\n".join(rows) + "\n"

@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 from .align import (
@@ -28,7 +31,7 @@ from .align import (
 )
 from .conllu import Document
 from .errors import DocumentPairError
-from .model import CorefLayer, Mention, build_coref_layer
+from .model import CorefLayer, Entity, Mention, build_coref_layer
 from .transforms import (
     conservative_head_reduce_layer,
     filter_by_head_upos_layer,
@@ -256,90 +259,71 @@ def mor_counts(key_ms: list[Mention], resp_ms: list[Mention]) -> tuple:
 # ---------------------------------------------------------------------------
 # Zero anaphora
 
-def _anaphora_order(layer: CorefLayer) -> dict[int, tuple]:
-    """Map id(mention) -> (entity, index of the mention in its entity)."""
-    out: dict[int, tuple] = {}
-    for entity in layer.entities:
+def _zeros(layer: CorefLayer) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """The layer's zero mentions by node positions, each as (entity index,
+    order in its entity), in `sorted_mentions` order."""
+    out: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for ei, entity in enumerate(layer.entities):
         for order, mention in enumerate(entity.mentions):
-            out[id(mention)] = (entity, order)
+            if mention.is_zero:
+                out.setdefault(mention.positions, []).append((ei, order))
+    for group in out.values():
+        group.sort(key=lambda zero: layer.entities[zero[0]].eid)
     return out
 
 
-def _span_counterparts(
-    key_layer: CorefLayer, resp_layer: CorefLayer
-) -> tuple[dict[int, Mention], dict[int, Mention]]:
-    """Pair key and response mentions with identical node sets one-to-one,
-    in document order."""
-    def by_span(layer: CorefLayer) -> dict[Cluster, list[Mention]]:
-        out: dict[Cluster, list[Mention]] = {}
-        for m in layer.sorted_mentions():
-            out.setdefault(m.position_set, []).append(m)
-        return out
-
-    key_to_resp: dict[int, Mention] = {}
-    resp_to_key: dict[int, Mention] = {}
-    resp_spans = by_span(resp_layer)
-    for span, key_list in by_span(key_layer).items():
-        for km, rm in zip(key_list, resp_spans.get(span, ())):
-            key_to_resp[id(km)] = rm
-            resp_to_key[id(rm)] = km
-    return key_to_resp, resp_to_key
+def _first_orders(entity: Entity) -> dict[int, int]:
+    """Each node of an entity -> the order of its first mention covering it."""
+    first: dict[int, int] = {}
+    for order, mention in enumerate(entity.mentions):
+        for i in mention.positions:
+            first.setdefault(i, order)
+    return first
 
 
-def _preceding_positions(entity, order: int, cache: dict[int, list[set[int]]]) -> set[int]:
-    """Union of node positions of the first `order` mentions of an entity."""
-    unions = cache.get(id(entity))
-    if unions is None:
-        unions = cache[id(entity)] = [set()]
-    while len(unions) <= order:
-        nxt = set(unions[-1])
-        nxt.update(entity.mentions[len(unions) - 1].position_set)
-        unions.append(nxt)
-    return unions[order]
+def _dominance(key_first: dict[int, int], resp_first: dict[int, int]) -> tuple[list[int], list[int]]:
+    """The nodes two entities share, as their key orders in ascending order
+    and the running minimum of their response orders."""
+    small, big = sorted((key_first, resp_first), key=len)
+    shared = sorted((key_first[i], resp_first[i]) for i in small if i in big)
+    return [k for k, _ in shared], list(accumulate((r for _, r in shared), min))
 
 
 def zero_link_counts(key_layer: CorefLayer, resp_layer: CorefLayer) -> tuple:
     """(tp, wl, fp, fn) over anaphoric zeros.
 
-    A key zero that is not the first mention of its entity is tp when some
-    earlier mention of its entity shares a node with some earlier mention
-    of its response counterpart's entity, wl when the counterpart exists
-    and is anaphoric but no such overlap exists, fn otherwise.  fp counts
-    response-side anaphoric zeros with no anaphoric key counterpart.
+    A zero's counterpart is the response zero with the same nodes, paired
+    one-to-one in document order.  A key zero that is not the first mention
+    of its entity is tp when some earlier mention of its entity shares a
+    node with some earlier mention of its counterpart's entity, wl when the
+    counterpart exists and is anaphoric but no such node exists, fn
+    otherwise.  fp counts response-side anaphoric zeros with no anaphoric
+    key counterpart.
     """
-    key_orders = _anaphora_order(key_layer)
-    resp_orders = _anaphora_order(resp_layer)
-    key_to_resp, resp_to_key = _span_counterparts(key_layer, resp_layer)
-    key_prefixes: dict[int, list[set[int]]] = {}
-    resp_prefixes: dict[int, list[set[int]]] = {}
+    resp_zeros = _zeros(resp_layer)
+    key_first = cache(lambda ki: _first_orders(key_layer.entities[ki]))
+    resp_first = cache(lambda ri: _first_orders(resp_layer.entities[ri]))
+    dominance = cache(lambda ki, ri: _dominance(key_first(ki), resp_first(ri)))
 
-    tp = wl = fp = fn = 0
-    for entity in key_layer.entities:
-        for order, mention in enumerate(entity.mentions):
-            if order == 0 or not mention.is_zero:
+    tp = wl = fn = 0
+    for positions, zeros in _zeros(key_layer).items():
+        twins = resp_zeros.get(positions, ())
+        for n, (ki, order) in enumerate(zeros):
+            if order == 0:
                 continue
-            twin = key_to_resp.get(id(mention))
-            if twin is None:
+            if n >= len(twins) or twins[n][1] == 0:
                 fn += 1
                 continue
-            twin_entity, twin_order = resp_orders[id(twin)]
-            if twin_order == 0:
-                fn += 1
-                continue
-            before_key = _preceding_positions(entity, order, key_prefixes)
-            before_resp = _preceding_positions(twin_entity, twin_order, resp_prefixes)
-            if before_key & before_resp:
+            ri, twin_order = twins[n]
+            # a shared node: key order below `order`, response order below `twin_order`
+            key_orders, minima = dominance(ki, ri)
+            before = bisect_left(key_orders, order)
+            if before and minima[before - 1] < twin_order:
                 tp += 1
             else:
                 wl += 1
-    for entity in resp_layer.entities:
-        for order, mention in enumerate(entity.mentions):
-            if order == 0 or not mention.is_zero:
-                continue
-            twin = resp_to_key.get(id(mention))
-            if twin is None or key_orders[id(twin)][1] == 0:
-                fp += 1
-    return (tp, wl, fp, fn)
+    anaphoric = sum(order > 0 for zeros in resp_zeros.values() for _, order in zeros)
+    return (tp, wl, anaphoric - tp - wl, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -127,9 +127,25 @@ class TestScoreCommand:
         assert code == 0
         assert json.loads(report.read_text())["schema"] == 1
 
-    def test_per_doc_breakdown(self, gold, capsys):
+    def test_per_doc_breakdown(self, gold, tmp_path, capsys):
         _, out, _ = run(capsys, "score", gold, gold, "--per-doc")
         assert "[animals-1]" in out and "[animals-2]" in out
+        # the document labels are wider than the dataset name, yet every row
+        # has the header's columns
+        header, *table = out.splitlines()[1:-2]
+        assert table[-1].startswith("  [animals-2]")
+        col = header.index("metric")
+        for line in table:
+            assert line[col - 2:col] == "  " and line[col] != " ", line
+        assert {len(line) for line in table} == {len(header)}
+
+        _, tsv, _ = run(capsys, "score", gold, gold, "--per-doc", "--format", "tsv",
+                        "-o", tmp_path / "x.tsv")
+        rows = [r.split("\t") for r in tsv.splitlines()]
+        assert [r[0] for r in rows] == [
+            "dataset", "gold", "gold [animals-1]", "gold [animals-2]"]
+        assert {len(r) for r in rows} == {len(rows[0])}
+        assert (tmp_path / "x.tsv").read_text() == tsv
 
     def test_upos_filter_flag(self, gold, capsys):
         code, out, _ = run(capsys, "score", gold, gold, "--upos-filter", "PROPN",

@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
 
 import gen
 import oracles
+from corefeval import metrics
+from corefeval.cli import main
 from corefeval.conllu import parse_text
 from corefeval.errors import DocumentPairError
 from corefeval.metrics import (
@@ -26,7 +29,7 @@ from corefeval.metrics import (
     zero_link_counts,
 )
 from corefeval.model import build_coref_layer
-from corefeval.transforms import remove_singletons_layer
+from corefeval.transforms import merge_same_span_layer, remove_singletons_layer
 
 APPROX = 1e-9
 
@@ -309,16 +312,24 @@ class TestZeroScore:
             score_document_pair(docs[0], docs[1], ZERO_ONLY)
 
     def test_random_against_naive_definition(self):
-        for seed in range(200):
+        # the second input is zero-heavy: no cap on zeros, so an entity pair
+        # holds many of them, and entities that share a span are merged, so
+        # that one entity's mentions overlap and its node orders interleave
+        for seed, (p_empty, n_entities, n_mentions, p_zero, merge) in itertools.product(
+                range(200), [(0.35, (1, 4), (1, 4), 0.5, False),
+                             (0.6, (3, 6), (2, 7), 0.8, True)]):
             sub = random.Random(seed)
             skel = gen.random_skeleton(sub, f"d{seed}", n_sentences=(2, 4),
-                                       p_empty=0.35)
-            key_specs = gen.random_mentions(sub, skel, n_entities=(1, 4),
-                                            n_mentions=(1, 4), p_zero=0.5)
+                                       p_empty=p_empty)
+            key_specs = gen.random_mentions(sub, skel, n_entities=n_entities,
+                                            n_mentions=n_mentions, p_zero=p_zero)
             resp_specs = gen.perturb_mentions(sub, key_specs, skel,
                                               p_shrink=0.0)
             key, resp = _layer_pair(gen.conllu_text(skel, key_specs),
                                     gen.conllu_text(skel, resp_specs))
+            if merge:
+                merge_same_span_layer(key)
+                merge_same_span_layer(resp)
             got = zero_link_counts(key, resp)
             expected = oracles.naive_zero_counts(_entities_data(key),
                                                  _entities_data(resp))
@@ -326,6 +337,28 @@ class TestZeroScore:
             tp, wl, fp, fn = got
             assert tp + wl + fn == _anaphoric_zeros(key), f"seed {seed}"
             assert tp + wl + fp == _anaphoric_zeros(resp), f"seed {seed}"
+
+    def test_long_chain_builds_one_dominance_list(self, tmp_path, monkeypatch):
+        # one entity, each sentence an empty node then a word: every zero
+        # but the first is anaphoric and tp.  The work is counted, not
+        # timed: one first-order map per entity and one dominance list per
+        # entity pair, however many zeros the pair holds
+        m = 4000
+        sentence = ("0.1\t_\t_\tPRON\t_\t_\t_\t_\t1:nsubj\tEntity=(e1)\n"
+                    "1\tw\tw\tNOUN\t_\t_\t0\troot\t_\tEntity=(e1)\n\n")
+        path = tmp_path / "chain.conllu"
+        path.write_text("# newdoc id = chain\n" + sentence * m)
+        results: dict[str, list] = {}
+        for name in ("zero_link_counts", "_first_orders", "_dominance"):
+            def recorded(*args, fn=getattr(metrics, name), name=name):
+                results.setdefault(name, []).append(fn(*args))
+                return results[name][-1]
+            monkeypatch.setattr(metrics, name, recorded)
+        assert main(["score", str(path), str(path), "--metrics", "zero",
+                     "--jobs", "1", "--format", "tsv"]) == 0
+        assert results["zero_link_counts"] == [(m - 1, 0, 0, 0)]
+        assert len(results["_first_orders"]) == 2
+        assert len(results["_dominance"]) == 1
 
 
 def _entities_data(layer):
