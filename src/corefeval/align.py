@@ -14,23 +14,24 @@ position) pairs, both sides numbered in document order.  The optimality
 makes scores independent of input order.
 
 The alignment, MOR (`max_total_overlap`) and CEAF-e (`optimal_edges`)
-share one path: per-key (column, weight) edge lists, components from a
-union-find over integers, one dense solve per component with several
-edges.  In alignment and MOR a column is a group of identical responses
-(twins), which have the same edges.  A component with one group needs no
-solve: its keys compete for the group's members, and ranking the keys
-gives the optimum and the tie-break (`_align`).  A component with several
-groups is expanded into their members and solved densely.  The solver
-starts from no matching: on tied rows, such as twins solved densely, a
-greedy start matches one row, and augmenting row reduction (Jonker &
-Volgenant 1987) takes 4.7 times the iterations.
+share one assignment routine, `_assign`: per-row (column, weight) edge
+lists, components from a union-find over integers.  In alignment and MOR
+a column is a group of identical responses (twins, `_twins`), which have
+the same edges.  A component with one column group needs no solve: its
+rows compete for the group's members, and ranking them by the caller's
+key gives the optimum and, for the alignment, the tie-break.  Every other
+component is expanded into its members and solved once, densely; the
+alignment's weights are exact integers that carry its whole objective
+(`_align`).  The solver starts from no matching: on tied rows, such as
+twins solved densely, a greedy start matches one row, and augmenting row
+reduction (Jonker & Volgenant 1987) takes 4.7 times the iterations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Iterable
 
 from .heads import head_position
 from .model import Mention
@@ -71,6 +72,20 @@ Adjacency = list[list[tuple[int, float]]]  # row i: its (column, weight) edges
 Twins = dict[int, list[int]]
 
 
+def _twins(resp_sets: list[frozenset[int]]) -> tuple[list[int], Twins]:
+    """The first of each group of identical responses, ascending, and the
+    twins of each first that has some."""
+    first: dict[frozenset[int], int] = {}
+    firsts: list[int] = []
+    later: Twins = {}
+    for j, r in enumerate(resp_sets):
+        if (g := first.setdefault(r, j)) == j:
+            firsts.append(j)
+        else:
+            later.setdefault(g, []).append(j)
+    return firsts, later
+
+
 def _candidate_edges(key_ms: list[Mention], resp_ms: list[Mention],
                      policy: str) -> tuple[Adjacency, Twins]:
     """For each key, the (column, overlap) edges of the responses it
@@ -85,12 +100,10 @@ def _candidate_edges(key_ms: list[Mention], resp_ms: list[Mention],
     for i, k in enumerate(key_ms):
         by_probe.setdefault(key_sets[i] if exact else head_position(k), []).append(i)
     adj: Adjacency = [[] for _ in key_ms]
-    first: dict[frozenset[int], int] = {}
-    later: Twins = {}
-    for j, r in enumerate(resp_ms):
-        if (g := first.setdefault(rset := r.position_set, j)) != j:
-            later.setdefault(g, []).append(j)
-            continue
+    resp_sets = [r.position_set for r in resp_ms]
+    firsts, later = _twins(resp_sets)
+    for j in firsts:
+        rset = resp_sets[j]
         for probe in (rset,) if exact else rset:
             for i in by_probe.get(probe, ()):
                 if rset <= key_sets[i]:
@@ -177,50 +190,52 @@ def _components(adj: Adjacency, n_cols: int) -> list[tuple[list[int], list[int]]
     return list(groups.values())
 
 
-def _solve(rows: list[int], cols: list[int], w: list[list]) -> list[tuple[int, int, float]]:
-    """The one-to-one set of edges (row, col, weight) with the largest total
-    weight; w[a][b] > 0 weighs edge (rows[a], cols[b]), 0 marks no edge."""
-    flip = len(rows) > len(cols)  # the solver wants no more rows than columns
+def _solve(w: list[list]) -> list[tuple[int, int]]:
+    """The cells (a, b) of a one-to-one choice with the largest total in
+    `w`, where a cell of 0 is no edge and never chosen."""
+    flip = len(w) > len(w[0])  # the solver wants no more rows than columns
     matrix = _Matrix([list(col) for col in zip(*w)] if flip else w)
-    matrix.size = len(rows) * len(cols)
+    matrix.size = len(w) * len(w[0])
     # looked up at call time, so the module attribute can be wrapped
     ri, ci = linear_sum_assignment(matrix, maximize=True)
-    return [(rows[a], cols[b], w[a][b])
-            for a, b in (zip(ci, ri) if flip else zip(ri, ci)) if w[a][b]]
+    return [(a, b) for a, b in (zip(ci, ri) if flip else zip(ri, ci)) if w[a][b]]
 
 
-def _dense(rows: list[int], cols: list[int], edges: list[list[tuple[int, float]]]) -> list[list]:
-    """The weights of a component for `_solve`, edges[a] listing the (col,
-    weight) edges of rows[a]."""
-    at = {j: b for b, j in enumerate(cols)}
-    w = [[0] * len(cols) for _ in rows]
-    for cells, row in zip(w, edges):
-        for j, x in row:
-            cells[at[j]] = x
-    return w
-
-
-def _expand(rows: list[int], groups: list[int], adj: Adjacency,
-            later: Twins) -> tuple[list[int], list[list[tuple[int, float]]]]:
-    """A component whose columns stand for groups of twins as one over all
-    their members: the ascending members, and each row's edges to them."""
-    if later.keys().isdisjoint(groups):  # no twins: the edges as they are
-        return groups, [adj[i] for i in rows]
-    cols = sorted(j for g in groups for j in (g, *later.get(g, ())))
-    return cols, [[(j, x) for g, x in adj[i] for j in (g, *later.get(g, ()))]
-                  for i in rows]
+def _assign(adj: Adjacency, n_cols: int, later: Twins, rank: Callable[[int], Any],
+            weights: Callable[[list[int], list[list]], list[list]] | None = None,
+            ) -> list[tuple[int, int, float]]:
+    """An optimal one-to-one set of edges (row, column, weight) of `adj`,
+    where column g stands for g and its twins later[g], one component at a
+    time.  In a component with one column group each row has one edge; the
+    rows are ranked by `rank` (a stable sort, so ties keep row order), and
+    as many as the group has members take them, in row order.  Any other
+    component is expanded into its members and solved once, on
+    `weights(rows, values)` of its dense edge values, or on the values."""
+    chosen = []
+    for rows, groups in _components(adj, n_cols):
+        if len(rows) == 1 == len(groups):  # a single edge, most components: no sort
+            chosen.append((rows[0], groups[0], adj[rows[0]][0][1]))
+        elif len(groups) == 1:
+            members = (groups[0], *later.get(groups[0], ()))
+            ranked = sorted(sorted(rows, key=rank)[:len(members)])
+            chosen += [(i, j, adj[i][0][1]) for i, j in zip(ranked, members)]
+        else:
+            cols = sorted(j for g in groups for j in (g, *later.get(g, ())))
+            at = {j: b for b, j in enumerate(cols)}
+            values = [[0] * len(cols) for _ in rows]
+            for cells, i in zip(values, rows):
+                for g, x in adj[i]:
+                    for j in (g, *later.get(g, ())):
+                        cells[at[j]] = x
+            w = values if weights is None else weights(rows, values)
+            chosen += [(rows[a], cols[b], values[a][b]) for a, b in _solve(w)]
+    return chosen
 
 
 def optimal_edges(adj: Adjacency, n_cols: int) -> list[tuple[int, int, float]]:
     """The one-to-one set of edges (row, col, weight) with the largest total
     weight, where adj[i] lists the (col, weight > 0) edges of row i."""
-    chosen = []
-    for rows, cols in _components(adj, n_cols):
-        if len(rows) == len(cols) == 1:  # a single edge
-            chosen.append((rows[0], cols[0], adj[rows[0]][0][1]))
-            continue
-        chosen += _solve(rows, cols, _dense(rows, cols, [adj[i] for i in rows]))
-    return chosen
+    return _assign(adj, n_cols, {}, lambda i: -adj[i][0][1])
 
 
 def solve_alignment(overlap: dict[tuple[int, int], int],
@@ -236,68 +251,48 @@ def solve_alignment(overlap: dict[tuple[int, int], int],
 
 def _align(adj: Adjacency, n_resps: int, later: Twins,
            key_sizes: list[int]) -> list[tuple[int, int]]:
-    # adj[i] lists key i's (column, overlap) edges, and a column g stands
-    # for the group of g and its twins later[g], which share its edges.
+    # adj[i] lists key i's (column, overlap) edges.
     #
-    # In a component with one group, each key has one edge, to that group,
-    # and the keys compete for its m members.  The optimum matches
-    # p = min(keys, m) pairs: the p keys of largest overlap, then smallest
-    # size, then first position, which in position order take the members
-    # in order.  That is the layered optimum with the lexicographically
-    # smallest pair list, so no solve.
+    # In a component with one group, the keys compete for its m members.
+    # The optimum matches p = min(keys, m) pairs: the p keys of largest
+    # overlap, then smallest size, then first position, which in position
+    # order take the members in order.  That is the layered optimum with
+    # the lexicographically smallest pair list, so no solve.
     #
-    # A component with several groups takes one solve over its members,
-    # with one exact integer weight per edge carrying the whole objective.
-    # The high part is layered: pair count over total overlap over key
-    # tightness.  The low part, for the key at component position a matched
-    # to the response at position b, is (nR - b) * B**(nK-1-a), B = nR + 1:
-    # a total's low part is the base-B number whose digit a is nR - b (0 if
-    # key a is unmatched), below B**nK.  So among the layered optima the
-    # maximum takes keys in order, prefers a matched key and then the
-    # smaller response: the lexicographically smallest pair list.
-    chosen = []
-    for keys, groups in _components(adj, n_resps):
-        if len(groups) == 1:
-            g = groups[0]
-            if len(keys) == 1:  # one key: the group's first member
-                chosen.append((keys[0], g))
-            else:  # a stable sort: ties stay in position order
-                resps = [g, *later.get(g, ())]
-                ranked = sorted(keys, key=lambda i: (-adj[i][0][1], key_sizes[i]))
-                chosen += zip(sorted(ranked[:len(resps)]), resps)
-            continue
-        resps, edges = _expand(keys, groups, adj, later)
+    # Any other component takes one exact integer weight per edge carrying
+    # the whole objective.  The high part is layered: pair count over total
+    # overlap over key tightness.  The low part, for the key at component
+    # position a matched to the response at position b, is
+    # (nR - b) * B**(nK-1-a), B = nR + 1: a total's low part is the base-B
+    # number whose digit a is nR - b (0 if key a is unmatched), below
+    # B**nK.  So among the layered optima the maximum takes keys in order,
+    # prefers a matched key and then the smaller response: the
+    # lexicographically smallest pair list.
+    def weights(keys: list[int], overlaps: list[list[int]]) -> list[list[int]]:
+        n_keys, n_cols = len(keys), len(overlaps[0])
         size_cap = max(key_sizes[i] for i in keys) + 1
-        tight_scale = sum((size_cap - key_sizes[i]) * len(row) for i, row in zip(keys, edges)) + 1
-        base = tight_scale * (sum(ov for row in edges for _, ov in row) + 1)
-        n_keys, n_cols = len(keys), len(resps)
+        tight_scale = sum((size_cap - key_sizes[i]) * (n_cols - row.count(0))
+                          for i, row in zip(keys, overlaps)) + 1
+        base = tight_scale * (sum(map(sum, overlaps)) + 1)
         high = (n_cols + 1) ** n_keys
-        at = {j: b for b, j in enumerate(resps)}
         w = []
-        for a, (i, row) in enumerate(zip(keys, edges)):
+        for a, (i, row) in enumerate(zip(keys, overlaps)):
             low, top = (n_cols + 1) ** (n_keys - 1 - a), base + size_cap - key_sizes[i]
-            cells = [0] * n_cols
-            for j, ov in row:
-                b = at[j]
-                cells[b] = (top + tight_scale * ov) * high + (n_cols - b) * low
-            w.append(cells)
-        chosen += [(i, j) for i, j, _ in _solve(keys, resps, w)]
-    return sorted(chosen)
+            w.append([ov and (top + tight_scale * ov) * high + (n_cols - b) * low
+                      for b, ov in enumerate(row)])
+        return w
+
+    return sorted((i, j) for i, j, _ in _assign(
+        adj, n_resps, later, lambda i: (-adj[i][0][1], key_sizes[i]), weights))
 
 
 def max_total_overlap(key_sets: list[Iterable[int]], resp_sets: list[Iterable[int]]) -> int:
-    """Largest total word overlap achievable by a one-to-one alignment.
-    Identical responses are one column with their count as capacity: the
-    keys that meet only that column take their largest overlaps, up to the
-    capacity, with no solve."""
+    """Largest total word overlap achievable by a one-to-one alignment."""
+    resp_sets = [frozenset(r) for r in resp_sets]
+    firsts, later = _twins(resp_sets)
     by_pos: dict[int, list[int]] = {}
-    first: dict[frozenset[int], int] = {}
-    later: Twins = {}
-    for j, r in enumerate(resp_sets):
-        if (g := first.setdefault(frozenset(r), j)) != j:
-            later.setdefault(g, []).append(j)
-            continue
-        for pos in r:
+    for j in firsts:
+        for pos in resp_sets[j]:
             by_pos.setdefault(pos, []).append(j)
     adj: Adjacency = []
     for k in key_sets:
@@ -306,14 +301,5 @@ def max_total_overlap(key_sets: list[Iterable[int]], resp_sets: list[Iterable[in
             for g in by_pos[pos]:
                 seen[g] = seen.get(g, 0) + 1
         adj.append(list(seen.items()))
-    total = 0
-    for keys, groups in _components(adj, len(resp_sets)):
-        if len(keys) == 1 == len(groups):  # a single edge
-            total += adj[keys[0]][0][1]
-        elif len(groups) == 1:
-            overlaps = sorted((adj[i][0][1] for i in keys), reverse=True)
-            total += sum(overlaps[:1 + len(later.get(groups[0], ()))])
-        else:
-            resps, edges = _expand(keys, groups, adj, later)
-            total += sum(ov for _, _, ov in _solve(keys, resps, _dense(keys, resps, edges)))
-    return total
+    return sum(ov for _, _, ov in
+               _assign(adj, len(resp_sets), later, lambda i: -adj[i][0][1]))

@@ -58,8 +58,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     score = sub.add_parser("score", parents=[jobs],
                            help="evaluate response files against key files")
-    score.add_argument("key", help="key (gold) file, or comma-separated list pairing datasets")
-    score.add_argument("response", help="response (system) file or comma-separated list")
+    score.add_argument("key", type=_path_list,
+                       help="key (gold) file, or comma-separated list pairing datasets")
+    score.add_argument("response", type=_path_list,
+                       help="response (system) file or comma-separated list")
     score.add_argument("--match", choices=("partial", "exact", "head"), default="partial")
     score.add_argument("--keep-singletons", action="store_true",
                        help="keep single-mention entities (excluded by default)")
@@ -93,22 +95,33 @@ def build_parser() -> argparse.ArgumentParser:
     transform.add_argument("paths", nargs="+")
     transform.add_argument("--ops", required=True,
                            help="comma-separated: " + ",".join(sorted(LAYER_TRANSFORMS)))
-    transform.add_argument("-o", "--output", help="output file (single input only)")
-    transform.add_argument("--out-dir", help="output directory (any number of inputs)")
+    _add_outputs(transform)
     transform.set_defaults(func=cmd_transform)
 
     baseline = sub.add_parser("baseline", parents=[jobs], help="run rule-based predictors")
     baseline.add_argument("paths", nargs="+")
-    baseline.add_argument("--rules",
-                          help="comma-separated: " + ",".join(sorted(baselines.BASELINE_RULES)))
-    baseline.add_argument("--pipeline", choices=("berulasek", "simple-rule-based"),
-                          help="published rule pipelines (shorthand for --rules)")
+    rules = baseline.add_mutually_exclusive_group(required=True)
+    rules.add_argument("--rules",
+                       help="comma-separated: " + ",".join(sorted(baselines.BASELINE_RULES)))
+    rules.add_argument("--pipeline", choices=("berulasek", "simple-rule-based"),
+                       help="published rule pipelines (shorthand for --rules)")
     baseline.add_argument("--strip", action="store_true",
                           help="drop existing Entity annotation first")
-    baseline.add_argument("-o", "--output", help="output file (single input only)")
-    baseline.add_argument("--out-dir", help="output directory (any number of inputs)")
+    _add_outputs(baseline)
     baseline.set_defaults(func=cmd_baseline)
     return parser
+
+
+def _add_outputs(command: argparse.ArgumentParser) -> None:
+    outputs = command.add_mutually_exclusive_group()
+    outputs.add_argument("-o", "--output", help="output file (single input only)")
+    outputs.add_argument("--out-dir", help="output directory (any number of inputs)")
+
+
+def _path_list(text: str) -> str:
+    if "" in text.split(","):
+        raise argparse.ArgumentTypeError(f"empty file name in {text!r}")
+    return text
 
 
 def _job_count(text: str) -> int:
@@ -241,8 +254,8 @@ def cmd_score(args) -> int:
     rendered = _render_report(report, args.format, args.per_doc)
     print(rendered, end="" if rendered.endswith("\n") else "\n")
     if args.output:
-        fmt = {"json": "json", "tsv": "tsv"}.get(
-            Path(args.output).suffix.lstrip("."), args.format)
+        fmt = {".json": "json", ".tsv": "tsv"}.get(
+            Path(args.output).suffix.lower(), args.format)
         Path(args.output).write_text(
             _render_report(report, fmt, args.per_doc), encoding="utf-8")
     return EXIT_OK
@@ -528,12 +541,10 @@ def cmd_transform(args) -> int:
 def cmd_baseline(args) -> int:
     if args.pipeline:
         rule_names = [args.pipeline]
-    elif args.rules is not None:
+    else:
         rule_names = [n.strip() for n in args.rules.split(",") if n.strip()]
         if not rule_names:
             raise ValueError("no rules given")
-    else:
-        raise ValueError("baseline needs --rules or --pipeline")
     ops = []
     for name in rule_names:
         if name not in baselines.BASELINE_RULES:

@@ -4,7 +4,9 @@ overlap ratio and the anaphor-decomposable zero score.
 Scoring runs per document pair: optional entity filtering by head UPOS,
 optional singleton removal (on both sides), the head-match reduction when
 requested, mention alignment, then metric counting over the relabeled
-clusterings.  Counts are plain number tuples that sum across documents
+clusterings.  MUC, B³, CEAF-e, BLANC and LEA all read one key×response
+contingency table of those clusterings, kept as each entity's nonzero
+cells.  Counts are plain number tuples that sum across documents
 (micro aggregation inside a dataset); datasets combine by unweighted
 macro-averaging.
 """
@@ -106,105 +108,77 @@ class EvalOptions:
 #
 # Key mentions are numbered 0..nk-1 in document order; an aligned response
 # mention takes over the number of its key partner, an unaligned one gets a
-# number no key mention has.  All metrics below see only these clusterings.
+# number no key mention has.  All metrics below see only these clusterings,
+# through the rows of their contingency table (`_spreads`).
 
-def _membership(clusters: list[Cluster]) -> dict[int, int]:
-    return {m: i for i, c in enumerate(clusters) for m in c}
-
-
-def _spread(cluster: Cluster, other_membership: dict[int, int]) -> dict[int, int]:
-    """How many mentions of `cluster` each cluster of the other side holds."""
-    spread: dict[int, int] = {}
-    for o in map(other_membership.get, cluster):
-        if o is not None:
-            spread[o] = spread.get(o, 0) + 1
-    return spread
-
-
-def _muc_half(clusters: list[Cluster], other_membership: dict[int, int]) -> tuple[int, int]:
-    num = den = 0
+def _spreads(clusters: list[Cluster], other_clusters: list[Cluster]) -> list[dict[int, int]]:
+    """Each cluster's row of the contingency table against `other_clusters`:
+    how many of its mentions each other cluster holds, nonzero cells only,
+    in the order the cluster's mentions first meet them."""
+    owner = {m: o for o, c in enumerate(other_clusters) for m in c}
+    rows = []
     for c in clusters:
-        if len(c) < 2:
-            continue
-        partitions: set[int] = set()
-        missing = 0
-        for m in c:
-            o = other_membership.get(m)
-            if o is None:
-                missing += 1
-            else:
-                partitions.add(o)
-        num += len(c) - len(partitions) - missing
-        den += len(c) - 1
-    return num, den
-
-
-def muc_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
-    rn, rd = _muc_half(key_clusters, _membership(resp_clusters))
-    pn, pd = _muc_half(resp_clusters, _membership(key_clusters))
-    return (rn, rd, pn, pd)
-
-
-def _bcub_half(clusters: list[Cluster], other_membership: dict[int, int]) -> tuple[float, int]:
-    num = 0.0
-    den = 0
-    for c in clusters:
-        den += len(c)
-        by_other = _spread(c, other_membership)
-        if by_other:
-            num += sum(k * k for k in by_other.values()) / len(c)
-    return num, den
-
-
-def bcub_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
-    rn, rd = _bcub_half(key_clusters, _membership(resp_clusters))
-    pn, pd = _bcub_half(resp_clusters, _membership(key_clusters))
-    return (rn, rd, pn, pd)
-
-
-def ceafe_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
-    """Total entity similarity 2|K∩R|/(|K|+|R|) under optimal assignment."""
-    key_membership = _membership(key_clusters)
-    overlaps: list[dict[int, int]] = [{} for _ in key_clusters]
-    for rj, c in enumerate(resp_clusters):
-        for m in c:
-            ki = key_membership.get(m)
-            if ki is not None:
-                overlaps[ki][rj] = overlaps[ki].get(rj, 0) + 1
-    similarity = [[(rj, 2.0 * ov / (len(key_clusters[ki]) + len(resp_clusters[rj])))
-                   for rj, ov in row.items()] for ki, row in enumerate(overlaps)]
-    # fsum: phi does not depend on the order the components are solved in
-    phi = math.fsum(w for _, _, w in optimal_edges(similarity, len(resp_clusters)))
-    return (phi, len(key_clusters), len(resp_clusters))
+        row: dict[int, int] = {}
+        for o in map(owner.get, c):
+            if o is not None:
+                row[o] = row.get(o, 0) + 1
+        rows.append(row)
+    return rows
 
 
 def _pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _muc_half(clusters: list[Cluster], others: list[Cluster]) -> tuple[int, int]:
+    num = den = 0
+    for c, row in zip(clusters, _spreads(clusters, others)):
+        if len(c) > 1:
+            num += sum(row.values()) - len(row)
+            den += len(c) - 1
+    return num, den
+
+
+def muc_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
+    return (*_muc_half(key_clusters, resp_clusters), *_muc_half(resp_clusters, key_clusters))
+
+
+def _bcub_half(clusters: list[Cluster], others: list[Cluster]) -> tuple[float, int]:
+    num = 0.0
+    for c, row in zip(clusters, _spreads(clusters, others)):
+        num += sum(n * n for n in row.values()) / len(c)
+    return num, sum(map(len, clusters))
+
+
+def bcub_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
+    return (*_bcub_half(key_clusters, resp_clusters), *_bcub_half(resp_clusters, key_clusters))
+
+
+def ceafe_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
+    """Total entity similarity 2|K∩R|/(|K|+|R|) under optimal assignment."""
+    similarity = [[(rj, 2.0 * n / (len(k) + len(resp_clusters[rj]))) for rj, n in row.items()]
+                  for k, row in zip(key_clusters, _spreads(key_clusters, resp_clusters))]
+    # fsum: phi does not depend on the order the components are solved in
+    phi = math.fsum(w for _, _, w in optimal_edges(similarity, len(resp_clusters)))
+    return (phi, len(key_clusters), len(resp_clusters))
+
+
 def blanc_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
     """Link counts: (coref both, coref key, coref resp, non-coref both,
     non-coref key, non-coref resp)."""
-    key_membership = _membership(key_clusters)
-    resp_membership = _membership(resp_clusters)
+    rows = _spreads(key_clusters, resp_clusters)
+    in_resp = [0] * len(resp_clusters)  # the table's column sums
+    for row in rows:
+        for rj, n in row.items():
+            in_resp[rj] += n
     ck = sum(_pairs(len(c)) for c in key_clusters)
     cr = sum(_pairs(len(c)) for c in resp_clusters)
-    mk = len(key_membership)
-    mr = len(resp_membership)
-    common = [m for m in key_membership if m in resp_membership]
-    cc = 0
-    ck_common = 0
-    for c in key_clusters:
-        by_resp = _spread(c, resp_membership)
-        ck_common += _pairs(sum(by_resp.values()))
-        cc += sum(_pairs(k) for k in by_resp.values())
-    cr_common = 0
-    for c in resp_clusters:
-        aligned = sum(1 for m in c if m in key_membership)
-        cr_common += _pairs(aligned)
-    nn = _pairs(len(common)) - ck_common - cr_common + cc
-    nk = _pairs(mk) - ck
-    nr = _pairs(mr) - cr
+    cc = sum(_pairs(n) for row in rows for n in row.values())
+    # non-coreferent in both: pairs of common mentions apart on both sides
+    nn = (_pairs(sum(in_resp)) - sum(_pairs(sum(row.values())) for row in rows)
+          - sum(map(_pairs, in_resp)) + cc)
+    nk = _pairs(sum(map(len, key_clusters))) - ck
+    nr = _pairs(sum(map(len, resp_clusters))) - cr
     return (cc, ck, cr, nn, nk, nr)
 
 
@@ -220,31 +194,19 @@ def blanc_prf(counts: tuple) -> PRF:
     return _mean_prfs(parts)
 
 
-def _lea_half(
-    clusters: list[Cluster],
-    other_clusters: list[Cluster],
-    other_membership: dict[int, int],
-) -> tuple[float, int]:
+def _lea_half(clusters: list[Cluster], others: list[Cluster]) -> tuple[float, int]:
     num = 0.0
-    den = 0
-    for c in clusters:
-        den += len(c)
+    for c, row in zip(clusters, _spreads(clusters, others)):
         if len(c) == 1:
             # self-link: resolved iff the counterpart entity is the same singleton
-            (m,) = c
-            o = other_membership.get(m)
-            if o is not None and len(other_clusters[o]) == 1:
-                num += 1.0
-            continue
-        resolved = sum(_pairs(k) for k in _spread(c, other_membership).values())
-        num += len(c) * resolved / _pairs(len(c))
-    return num, den
+            num += 1.0 if any(len(others[o]) == 1 for o in row) else 0.0
+        else:
+            num += len(c) * sum(map(_pairs, row.values())) / _pairs(len(c))
+    return num, sum(map(len, clusters))
 
 
 def lea_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
-    rn, rd = _lea_half(key_clusters, resp_clusters, _membership(resp_clusters))
-    pn, pd = _lea_half(resp_clusters, key_clusters, _membership(key_clusters))
-    return (rn, rd, pn, pd)
+    return (*_lea_half(key_clusters, resp_clusters), *_lea_half(resp_clusters, key_clusters))
 
 
 def mor_counts(key_ms: list[Mention], resp_ms: list[Mention]) -> tuple:

@@ -35,6 +35,7 @@ from corefeval.model import build_coref_layer
 from corefeval.transforms import (
     apply_ops,
     conservative_head_reduce_layer,
+    merge_same_span_layer,
     reduce_layer_to_heads,
     remove_singletons_layer,
 )
@@ -195,19 +196,26 @@ def test_criterion_04_zero_score_oracle():
         resp_specs = gen.perturb_mentions(sub, key_specs, skel, p_shrink=0.0)
         key = build_coref_layer(parse_text(gen.conllu_text(skel, key_specs))[0])
         resp = build_coref_layer(parse_text(gen.conllu_text(skel, resp_specs))[0])
-        got = zero_link_counts(key, resp)
-        expected = oracles.naive_zero_counts(
-            [[(m.position_set, m.is_zero) for m in e.mentions]
-             for e in sorted(key.entities, key=lambda e: e.eid)],
-            [[(m.position_set, m.is_zero) for m in e.mentions]
-             for e in sorted(resp.entities, key=lambda e: e.eid)])
-        assert got == expected, f"seed {seed}"
-        tp, wl, fp, fn = got
-        anaphoric = lambda layer: sum(
-            1 for e in layer.entities
-            for i, m in enumerate(e.mentions) if i > 0 and m.is_zero)
-        assert tp + wl + fn == anaphoric(key), f"seed {seed}"
-        assert tp + wl + fp == anaphoric(resp), f"seed {seed}"
+        # then the same layers with same-span entities merged, so that one
+        # entity's mentions overlap and a node's first mention order is not
+        # monotone in its position
+        for merged in (False, True):
+            if merged:
+                merge_same_span_layer(key)
+                merge_same_span_layer(resp)
+            got = zero_link_counts(key, resp)
+            expected = oracles.naive_zero_counts(
+                [[(m.position_set, m.is_zero) for m in e.mentions]
+                 for e in sorted(key.entities, key=lambda e: e.eid)],
+                [[(m.position_set, m.is_zero) for m in e.mentions]
+                 for e in sorted(resp.entities, key=lambda e: e.eid)])
+            assert got == expected, f"seed {seed} merged {merged}"
+            tp, wl, fp, fn = got
+            anaphoric = lambda layer: sum(
+                1 for e in layer.entities
+                for i, m in enumerate(e.mentions) if i > 0 and m.is_zero)
+            assert tp + wl + fn == anaphoric(key), f"seed {seed} merged {merged}"
+            assert tp + wl + fp == anaphoric(resp), f"seed {seed} merged {merged}"
         docs += 1
     assert docs == 200
     print("criterion 4 PASS: 200 random documents match the naive zero-score "

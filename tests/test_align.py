@@ -229,6 +229,13 @@ class TestSolverCalls:
             assert len(align_mentions(ms, ms, PARTIAL).pairs) == len(ms)
         assert calls == []
 
+    def test_one_response_entity_over_several_key_entities_takes_no_solve(self, calls):
+        # a CEAF-e component with one column: the key entities compete for it
+        keys = [frozenset({0, 1}), frozenset({2}), frozenset({3, 4, 5})]
+        phi, nk, nr = ceafe_counts(keys, [frozenset({0, 2, 3, 4}), frozenset({6})])
+        assert (phi, nk, nr) == (2 * 2 / (3 + 4), 3, 2)
+        assert calls == []
+
     def test_one_call_per_multi_edge_component_on_dense_n160(self, calls):
         # equal overlaps and key sizes: every perfect matching ties on the
         # layered weight, so the tie-break alone picks the diagonal

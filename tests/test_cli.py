@@ -99,6 +99,16 @@ class TestScoreCommand:
         code, _, _ = run(capsys, "score", f"{gold},{gold}", gold)
         assert code == 3
 
+    @pytest.mark.parametrize("key, resp, argument", [
+        ("{g},", "{g},{g}", "key"), ("{g},{g}", ",{g}", "response"),
+        ("{g},,{g}", "{g},{g},{g}", "key"), ("", "{g}", "key")])
+    def test_empty_file_name_in_a_list_exits_two(self, gold, capsys, key, resp, argument):
+        # an empty entry would be read as the current directory
+        with pytest.raises(SystemExit) as exit_:
+            main(["score", key.format(g=gold), resp.format(g=gold)])
+        assert exit_.value.code == 2
+        assert f"argument {argument}: empty file name in" in capsys.readouterr().err
+
     def test_json_schema(self, gold, capsys):
         code, out, _ = run(capsys, "score", gold, gold, "--format", "json")
         payload = json.loads(out)
@@ -126,6 +136,12 @@ class TestScoreCommand:
         code, _, _ = run(capsys, "score", gold, gold, "-o", report)
         assert code == 0
         assert json.loads(report.read_text())["schema"] == 1
+
+    def test_output_format_from_upper_case_suffix(self, gold, tmp_path, capsys):
+        for name, first in (("report.TSV", "dataset\t"), ("report.Json", "{")):
+            code, out, _ = run(capsys, "score", gold, gold, "-o", tmp_path / name)
+            assert code == 0 and "CoNLL F1" in out  # stdout keeps --format
+            assert (tmp_path / name).read_text().startswith(first), name
 
     def test_per_doc_breakdown(self, gold, tmp_path, capsys):
         _, out, _ = run(capsys, "score", gold, gold, "--per-doc")
@@ -656,6 +672,18 @@ class TestTransformCommand:
         assert (code, stdout, err) == (2, "", "error: no transforms given\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["transform", "--ops", "reduce-head"],
+                                         ["baseline", "--rules", "propn-lemma"]])
+    def test_output_file_and_out_dir_conflict(self, command, gold, tmp_path, capsys):
+        out, out_dir = tmp_path / "x.conllu", tmp_path / "od"
+        with pytest.raises(SystemExit) as exit_:
+            main([command[0], str(gold), *command[1:], "--out-dir", str(out_dir),
+                  "-o", str(out)])
+        assert exit_.value.code == 2
+        assert "argument -o/--output: not allowed with argument --out-dir" \
+            in capsys.readouterr().err
+        assert not out.exists() and not out_dir.exists()
+
     def test_multiple_inputs_need_out_dir(self, gold, capsys):
         code, _, err = run(capsys, "transform", gold, gold, "--ops", "reduce-head")
         assert code == 2
@@ -732,9 +760,21 @@ class TestBaselineCommand:
         assert misc == ["Entity=(x1)|SpaceAfter=No", "Entity=(x1)|A=1|B=2", "SpaceAfter=No"]
 
     def test_requires_rules_or_pipeline(self, gold, capsys):
-        code, _, err = run(capsys, "baseline", gold)
-        assert code == 2
-        assert "--rules or --pipeline" in err
+        with pytest.raises(SystemExit) as exit_:
+            main(["baseline", str(gold)])
+        assert exit_.value.code == 2
+        assert "one of the arguments --rules --pipeline is required" \
+            in capsys.readouterr().err
+
+    def test_rules_and_pipeline_conflict(self, gold, tmp_path, capsys):
+        out = tmp_path / "out.conllu"
+        with pytest.raises(SystemExit) as exit_:
+            main(["baseline", str(gold), "--rules", "propn-lemma",
+                  "--pipeline", "berulasek", "-o", str(out)])
+        assert exit_.value.code == 2
+        assert "argument --pipeline: not allowed with argument --rules" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNoNumpy:
