@@ -5,40 +5,40 @@ Subcommands: ``score`` (evaluate response files against key files),
 ``transform`` (span rewrites) and ``baseline`` (rule-based predictors).
 
 Exit codes: 0 success, 2 malformed or unreadable input, 3 pairing mismatch.
+
+At module level this imports only what building the parser needs, so
+``--version``, ``--help`` and usage errors load no scoring code; each
+command and worker function imports the modules it runs where it runs them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import logging
 import os
 import sys
-import traceback
-from functools import partial
-from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from . import baselines  # registers baseline rules as transforms
 from . import __version__
-from .conllu import doc_to_text, iter_documents, numbered_spans, read_document
 from .errors import ConlluParseError, DocumentPairError, SerializationError
-from .metrics import (
-    ALL_METRICS,
-    EvalOptions,
-    ScoreReport,
-    build_report,
-    pair_documents,
-    score_document_pair,
-)
-from .model import build_coref_layer
-from .transforms import LAYER_TRANSFORMS, apply_ops, strip_entities
-from . import stats as stats_mod
+
+if TYPE_CHECKING:
+    import logging
+
+    from .metrics import ScoreReport
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_PAIRING = 3
+
+# The names that the parser's help and defaults show, written out so that
+# building it imports no registry: `metrics.ALL_METRICS`,
+# `baselines.BASELINE_RULES` and `transforms.LAYER_TRANSFORMS` (which holds
+# the baseline rules too).  tests/test_cli.py pins them to the registries.
+_METRICS = ("muc", "bcub", "ceafe", "conll", "blanc", "lea", "mor", "zero")
+_RULES = ("berulasek", "pronoun-gender", "propn-lemma", "simple-rule-based")
+_TRANSFORMS = tuple(sorted(("conservative-head-reduce", "merge-same-span", "reduce-head",
+                            "remove-singletons", *_RULES)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--match", choices=("partial", "exact", "head"), default="partial")
     score.add_argument("--keep-singletons", action="store_true",
                        help="keep single-mention entities (excluded by default)")
-    score.add_argument("--metrics", default=",".join(ALL_METRICS),
-                       help="comma-separated subset of: " + ",".join(ALL_METRICS))
+    score.add_argument("--metrics", default=",".join(_METRICS),
+                       help="comma-separated subset of: " + ",".join(_METRICS))
     score.add_argument("--upos-filter", metavar="TAG",
                        help="score only entities with a mention head of this UPOS")
     score.add_argument("--format", choices=("text", "json", "tsv"), default="text")
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="rewrite coreference annotation")
     transform.add_argument("paths", nargs="+")
     transform.add_argument("--ops", required=True,
-                           help="comma-separated: " + ",".join(sorted(LAYER_TRANSFORMS)))
+                           help="comma-separated: " + ",".join(_TRANSFORMS))
     _add_outputs(transform)
     transform.set_defaults(func=cmd_transform)
 
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     baseline.add_argument("paths", nargs="+")
     rules = baseline.add_mutually_exclusive_group(required=True)
     rules.add_argument("--rules",
-                       help="comma-separated: " + ",".join(sorted(baselines.BASELINE_RULES)))
+                       help="comma-separated: " + ",".join(_RULES))
     rules.add_argument("--pipeline", choices=("berulasek", "simple-rule-based"),
                        help="published rule pipelines (shorthand for --rules)")
     baseline.add_argument("--strip", action="store_true",
@@ -136,6 +136,8 @@ def _job_count(text: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    import logging  # here, as --version, --help and usage errors exit above
+
     level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
     logging.basicConfig(level=level, format="%(levelname)s: %(message)s")
     try:
@@ -170,6 +172,9 @@ def _map_documents(fn: Callable, tasks: list, jobs: int) -> Iterator:
     if jobs == 1 or len(tasks) < 2:
         yield from map(fn, tasks)
         return
+    import logging
+    from functools import partial
+
     pool = _start_pool(min(jobs, len(tasks)))
     try:
         for result, exc, records in pool.map(partial(_run_captured, fn), tasks,
@@ -186,6 +191,7 @@ def _map_documents(fn: Callable, tasks: list, jobs: int) -> Iterator:
 
 def _start_pool(workers: int):
     # here, as most commands start no pool
+    import logging
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(workers, initializer=_keep_log_records,
@@ -195,16 +201,17 @@ def _start_pool(workers: int):
 _records: list[logging.LogRecord] = []  # of the current task, in a pool worker
 
 
-class _KeepRecords(logging.Handler):
-    def emit(self, record: logging.LogRecord) -> None:
-        record.msg, record.args = record.getMessage(), None  # so that it pickles
-        _records.append(record)
-
-
 def _keep_log_records(level: int) -> None:
     """Pool worker set-up: log at `level` into `_records`, not to stderr."""
+    import logging
+
+    class KeepRecords(logging.Handler):
+        def emit(self, record: logging.LogRecord) -> None:
+            record.msg, record.args = record.getMessage(), None  # so that it pickles
+            _records.append(record)
+
     root = logging.getLogger()
-    root.handlers = [_KeepRecords()]
+    root.handlers = [KeepRecords()]
     root.setLevel(level)
 
 
@@ -214,6 +221,8 @@ def _run_captured(fn: Callable, task):
     try:
         result, exc = fn(task), None
     except Exception as caught:  # raised again in the main process
+        import traceback
+
         result, exc = traceback.format_exc(), caught
     records = _records[:]
     _records.clear()
@@ -224,6 +233,9 @@ def _run_captured(fn: Callable, task):
 # score
 
 def cmd_score(args) -> int:
+    from .conllu import numbered_spans
+    from .metrics import EvalOptions, build_report, pair_documents
+
     key_paths = args.key.split(",")
     resp_paths = args.response.split(",")
     if len(key_paths) != len(resp_paths):
@@ -275,6 +287,10 @@ def _dataset_names(paths: list[str]) -> list[str]:
 
 
 def _score_worker(task) -> dict[str, tuple]:
+    from .conllu import read_document
+    from .metrics import score_document_pair
+    from .transforms import strip_entities
+
     key_src, resp_src, opts = task
     key_doc = read_document(*key_src)
     resp_doc = strip_entities(key_doc) if resp_src is None else read_document(*resp_src)
@@ -329,6 +345,8 @@ def _render_text(report: ScoreReport, per_doc: bool) -> str:
 
 
 def _render_json(report: ScoreReport, per_doc: bool) -> str:
+    import json
+
     def scores_obj(scores: dict) -> dict:
         return {m: {"r": _pct(s.recall), "p": _pct(s.precision), "f1": _pct(s.f1)}
                 for m, s in scores.items()}
@@ -392,6 +410,9 @@ def cmd_validate(args) -> int:
 def validate_path(path: str, strict: bool = False) -> list[str]:
     """One file's problems as output lines naming the file: its parse error
     alone, or with `strict` its cross-sentence mentions."""
+    from .conllu import iter_documents
+    from .model import build_coref_layer
+
     problems: list[str] = []
     try:
         for doc in iter_documents(path):
@@ -414,14 +435,11 @@ def validate_path(path: str, strict: bool = False) -> list[str]:
 # ---------------------------------------------------------------------------
 # stats
 
-_STAT_TABLES = {
-    "entities": stats_mod.ENTITY_COLUMNS,
-    "mentions": stats_mod.MENTION_COLUMNS,
-    "details": stats_mod.DETAIL_COLUMNS,
-}
-
-
 def cmd_stats(args) -> int:
+    from . import stats
+    from .conllu import iter_documents
+    from .model import build_coref_layer
+
     layers_by_file = {name: [build_coref_layer(d) for d in iter_documents(path)]
                       for name, path in zip(_dataset_names(args.paths), args.paths)}
 
@@ -434,7 +452,8 @@ def cmd_stats(args) -> int:
         if len(layers_by_file) > 1:
             all_layers = [l for layers in layers_by_file.values() for l in layers]
             rows.append(("ALL", _stat_row(table, all_layers, args.keep_singletons)))
-        columns = _STAT_TABLES[table]
+        columns = {"entities": stats.ENTITY_COLUMNS, "mentions": stats.MENTION_COLUMNS,
+                   "details": stats.DETAIL_COLUMNS}[table]
         if args.format == "tsv":
             out.append(_stats_tsv(table, columns, rows))
         else:
@@ -444,11 +463,13 @@ def cmd_stats(args) -> int:
 
 
 def _stat_row(table: str, layers: list, keep_singletons: bool) -> dict:
+    from . import stats
+
     if table == "entities":
-        return stats_mod.entity_stats(layers)
+        return stats.entity_stats(layers)
     if table == "mentions":
-        return stats_mod.mention_stats(layers, include_singletons=keep_singletons)
-    return stats_mod.mention_detail_stats(layers)
+        return stats.mention_stats(layers, include_singletons=keep_singletons)
+    return stats.mention_detail_stats(layers)
 
 
 def _stat_cell(column: str, value) -> str:
@@ -497,6 +518,10 @@ def _resolve_outputs(args) -> list[tuple[str, str | None]]:
 def _rewrite_files(args, ops) -> int:
     """Rewrite each document where it is read (`_map_documents`); write each
     output once all of its documents succeed, in input order."""
+    from itertools import islice
+
+    from .conllu import numbered_spans
+
     strip = getattr(args, "strip", False)  # only `baseline` has --strip
     outputs, failure = [], None
     for in_path, out_path in _resolve_outputs(args):
@@ -521,12 +546,18 @@ def _rewrite_files(args, ops) -> int:
 
 
 def _rewrite_worker(task) -> str:
+    from .conllu import doc_to_text, read_document
+    from .transforms import apply_ops
+
     span, ops, strip = task
     doc = read_document(*span)
     return doc_to_text(apply_ops(doc, *ops, strip=strip))
 
 
 def cmd_transform(args) -> int:
+    from . import baselines  # registers baseline rules as transforms
+    from .transforms import LAYER_TRANSFORMS
+
     ops = []
     for name in (n.strip() for n in args.ops.split(",") if n.strip()):
         if name not in LAYER_TRANSFORMS:
@@ -539,6 +570,8 @@ def cmd_transform(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    from .baselines import BASELINE_RULES
+
     if args.pipeline:
         rule_names = [args.pipeline]
     else:
@@ -547,10 +580,10 @@ def cmd_baseline(args) -> int:
             raise ValueError("no rules given")
     ops = []
     for name in rule_names:
-        if name not in baselines.BASELINE_RULES:
+        if name not in BASELINE_RULES:
             raise ValueError(f"unknown rule {name!r}; available: "
-                             + ", ".join(sorted(baselines.BASELINE_RULES)))
-        ops.append(baselines.BASELINE_RULES[name])
+                             + ", ".join(sorted(BASELINE_RULES)))
+        ops.append(BASELINE_RULES[name])
     return _rewrite_files(args, ops)
 
 

@@ -101,6 +101,8 @@ class EvalOptions:
         twice = sorted(m for m, n in Counter(self.metrics).items() if n > 1)
         if twice:
             raise ValueError(f"metrics given more than once: {', '.join(twice)}")
+        if self.upos_filter is not None and not self.upos_filter.strip():
+            raise ValueError(f"UPOS filter {self.upos_filter!r} names no tag")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import argparse
+import ast
+import importlib
 import json
 import os
 import random
@@ -31,6 +34,15 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_python(*args: str, timeout: int = 120) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this copy of corefeval."""
+    src = str(Path(corefeval.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
 
 
 class TestScoreCommand:
@@ -170,6 +182,12 @@ class TestScoreCommand:
         assert code == 0
         assert json.loads(out)["datasets"]["gold"]["conll"]["f1"] == 100.0
 
+    @pytest.mark.parametrize("tag", ["", " "])
+    def test_blank_upos_filter_exits_two(self, gold, capsys, tag):
+        code, out, err = run(capsys, "score", gold, gold, "--upos-filter", tag)
+        assert (code, out) == (2, "")
+        assert err == f"error: UPOS filter {tag!r} names no tag\n"
+
     def test_match_and_singleton_flags(self, gold, capsys):
         for flags in (["--match", "exact"], ["--match", "head"],
                       ["--keep-singletons"]):
@@ -256,11 +274,7 @@ class TestSharedEngine:
                   "multiprocessing.set_start_method('spawn')\n"
                   "from corefeval.cli import main\n"
                   f"sys.exit(main({argv + ['--jobs', '2']!r}))\n")
-        src = str(Path(corefeval.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == single
         assert (f"WARNING: {key}: mention of e1 crosses a sentence boundary"
@@ -286,12 +300,8 @@ print(json.dumps(results))
 
 
 def run_mains(start_method: str, argvs: list[list[str]]) -> list[list]:
-    src = str(Path(corefeval.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", RUN_MAINS, start_method,
-                           json.dumps([[str(a) for a in argv] for argv in argvs])],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = run_python("-c", RUN_MAINS, start_method,
+                      json.dumps([[str(a) for a in argv] for argv in argvs]), timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -373,12 +383,8 @@ class TestWorkers:
         key = tmp_path / "k.conllu"
         key.write_text("".join(CROSS.format(f"d{d}") + random_docs(d, [f"r{d}"])
                                for d in range(12)))
-        src = str(Path(corefeval.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        runs = [subprocess.run([sys.executable, "-m", "corefeval.cli", "score", str(key),
-                                str(key), "--format", "json", "--jobs", jobs],
-                               env=env, capture_output=True, text=True, timeout=120)
+        runs = [run_python("-m", "corefeval.cli", "score", str(key), str(key),
+                           "--format", "json", "--jobs", jobs)
                 for jobs in ("1", "2")]
         assert [r.returncode for r in runs] == [0, 0]
         assert runs[0].stdout == runs[1].stdout
@@ -450,11 +456,7 @@ class TestWorkers:
                   "    loaded = 'multiprocessing' in sys.modules\n"
                   f"    main({['transform', animals, '--ops', 'reduce-head', '--jobs', '2']!r})\n"
                   "print(codes, loaded, 'multiprocessing' in sys.modules)\n")
-        src = str(Path(corefeval.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[0, 0, 0, 0, 0, 0] False True\n"
 
@@ -810,10 +812,130 @@ class TestNoNumpy:
                   "assert max_total_overlap([{0, 1, 2}], [{0, 1}, {2}]) == 2\n"
                   "loaded = [m for m in ('numpy', 'scipy') if m in sys.modules]\n"
                   "print(codes, by_commands > 0, len(solves) > by_commands, loaded)\n")
-        src = str(Path(corefeval.__file__).parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=120)
+        proc = run_python("-c", script)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[0, 0, 0, 0, 0, 0] True True []\n"
+
+
+class TestParserNames:
+    """The parser writes out the registries' names, so that building it
+    imports none of them; they must stay the registries' names."""
+
+    @staticmethod
+    def options(command: str) -> dict[str, argparse.Action]:
+        commands = next(a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        return {a.dest: a for a in commands.choices[command]._actions}
+
+    def test_names_are_the_registries(self):
+        from corefeval.align import POLICIES
+        from corefeval.baselines import BASELINE_RULES  # also makes them transforms
+        from corefeval.metrics import ALL_METRICS
+        from corefeval.transforms import LAYER_TRANSFORMS
+
+        def listed(action: argparse.Action) -> list[str]:
+            return action.help.split(": ", 1)[1].split(",")
+
+        score, transform, baseline = map(self.options, ("score", "transform", "baseline"))
+        assert listed(transform["ops"]) == sorted(LAYER_TRANSFORMS)
+        assert listed(baseline["rules"]) == sorted(BASELINE_RULES)
+        assert set(baseline["pipeline"].choices) <= set(BASELINE_RULES)
+        assert score["metrics"].default.split(",") == listed(score["metrics"]) \
+            == list(ALL_METRICS)
+        assert sorted(score["match"].choices) == sorted(POLICIES)
+
+    def test_rule_as_transform_in_a_fresh_process(self, gold, tmp_path, capsys):
+        # the rules join the transforms only once `baselines` is imported
+        out = tmp_path / "transform.conllu"
+        proc = run_python("-m", "corefeval.cli", "transform", str(gold),
+                          "--ops", "propn-lemma", "-o", str(out))
+        assert proc.returncode == 0, proc.stderr
+        code, _, _ = run(capsys, "baseline", gold, "--rules", "propn-lemma",
+                         "-o", tmp_path / "baseline.conllu")
+        assert code == 0
+        assert out.read_text() == (tmp_path / "baseline.conllu").read_text()
+
+
+class TestImportFootprint:
+    """A command imports only the modules it runs."""
+
+    @staticmethod
+    def footprint(argv: list[str]) -> tuple:
+        """Exit code, the corefeval modules loaded, and which of logging, json
+        and dataclasses `main(argv)` loaded, in a fresh process."""
+        script = ("import contextlib, io, sys\n"
+                  "before = set(sys.modules)\n"
+                  "from corefeval.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+                  "        contextlib.redirect_stderr(io.StringIO()):\n"
+                  "    try:\n"
+                  f"        code = main({argv!r})\n"
+                  "    except SystemExit as exit_:\n"
+                  "        code = exit_.code\n"
+                  "loaded = set(sys.modules) - before\n"
+                  "print((code, sorted(m for m in sys.modules if m.startswith('corefeval')),\n"
+                  "       sorted(loaded & {'logging', 'json', 'dataclasses'})))\n")
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        return ast.literal_eval(proc.stdout)
+
+    @pytest.mark.parametrize("argv, code", [(["--version"], 0), (["--help"], 0),
+                                            (["score", "a"], 2)])
+    def test_no_command_run_loads_no_scoring_code(self, argv, code):
+        assert self.footprint(argv) == (
+            code, ["corefeval", "corefeval.cli", "corefeval.errors"], [])
+
+    @pytest.mark.parametrize("command, unused", [
+        (["validate", "--strict"], ("metrics", "align", "transforms", "baselines", "stats")),
+        (["score", "{animals}", "--jobs", "1"], ("baselines", "stats"))])
+    def test_command_loads_only_what_it_runs(self, fixtures_dir, command, unused):
+        animals = str(fixtures_dir / "animals.conllu")
+        argv = [command[0], animals] + [a.format(animals=animals) for a in command[1:]]
+        code, loaded, _ = self.footprint(argv)
+        assert code == 0 and "corefeval.conllu" in loaded
+        assert not {f"corefeval.{m}" for m in unused} & set(loaded)
+
+
+# the names `import corefeval` offers, by submodule
+EXPORTS = {
+    "align": ("EXACT", "HEAD", "PARTIAL", "MentionAlignment", "align_mentions", "matches"),
+    "conllu": ("Document", "EntityBracket", "doc_to_text", "docs_to_text", "parse_file",
+               "parse_text", "write_file"),
+    "errors": ("ConlluParseError", "CorefEvalError", "DocumentPairError",
+               "SerializationError"),
+    "heads": ("HeadChoice", "find_head", "head_upos_set", "mention_head"),
+    "metrics": ("ALL_METRICS", "EvalOptions", "PRF", "ScoreReport", "ZeroScoreCounts",
+                "evaluate", "score_document_pair"),
+    "model": ("CorefLayer", "Entity", "Mention", "Node", "build_coref_layer"),
+    "transforms": ("apply_ops", "strip_entities"),
+}
+
+
+class TestLazyNamespace:
+    def test_names_are_their_submodules_objects(self):
+        star: dict = {}
+        exec("from corefeval import *", star)
+        listed = dir(corefeval)
+        for module, names in EXPORTS.items():
+            submodule = importlib.import_module(f"corefeval.{module}")
+            for name in names:
+                assert getattr(corefeval, name) is getattr(submodule, name), name
+                assert star[name] is getattr(submodule, name), name
+                assert name in listed, name
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError, match="module 'corefeval' has no attribute 'nope'"):
+            corefeval.nope
+
+    def test_import_loads_a_submodule_on_first_use(self):
+        proc = run_python("-c", "import sys, corefeval\n"
+                                "def loaded():\n"
+                                "    return sorted(m for m in sys.modules if m.startswith('corefeval'))\n"
+                                "before = loaded()\n"
+                                "corefeval.PRF\n"
+                                "print(before, loaded())\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("['corefeval'] ['corefeval', 'corefeval.align', "
+                               "'corefeval.conllu', 'corefeval.errors', 'corefeval.heads', "
+                               "'corefeval.metrics', 'corefeval.model', "
+                               "'corefeval.transforms']\n")

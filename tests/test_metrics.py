@@ -421,6 +421,12 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=message):
             evaluate({"a": animals}, {"a": animals}, EvalOptions(metrics=metrics))
 
+    @pytest.mark.parametrize("tag", ["", " ", "\t"])
+    def test_blank_upos_filter_is_rejected(self, tag):
+        # a falsy filter would otherwise score unfiltered
+        with pytest.raises(ValueError, match="names no tag"):
+            EvalOptions(upos_filter=tag)
+
     def test_no_datasets_give_an_empty_report(self):
         report = evaluate({}, {}, EvalOptions())
         assert report.per_dataset == {} and report.macro == {}
