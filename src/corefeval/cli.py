@@ -256,8 +256,8 @@ def cmd_score(args) -> int:
         for doc_key, i, j in pair_documents([s[0] for s in key_spans],
                                             [s[0] for s in resp_spans], name):
             doc_keys.append((name, doc_key))
-            work.append(((key_path, *key_spans[i][1:]),
-                         None if j is None else (resp_path, *resp_spans[j][1:]), opts))
+            work.append(((key_path, *key_spans[i]),
+                         None if j is None else (resp_path, *resp_spans[j]), opts))
 
     counts = list(_map_documents(_score_worker, work, args.jobs))
     report = build_report(names, [(name, doc_key, c) for (name, doc_key), c
@@ -287,13 +287,14 @@ def _dataset_names(paths: list[str]) -> list[str]:
 
 
 def _score_worker(task) -> dict[str, tuple]:
-    from .conllu import read_document
+    from .conllu import Document, read_document
     from .metrics import score_document_pair
-    from .transforms import strip_entities
 
     key_src, resp_src, opts = task
     key_doc = read_document(*key_src)
-    resp_doc = strip_entities(key_doc) if resp_src is None else read_document(*resp_src)
+    # a key document missing from the response scores against no mentions
+    resp_doc = (Document(key_doc.doc_id, key_doc.lines, key_doc.nodes, [])
+                if resp_src is None else read_document(*resp_src))
     return score_document_pair(key_doc, resp_doc, opts)
 
 
@@ -312,31 +313,33 @@ def _render_report(report: ScoreReport, fmt: str, per_doc: bool) -> str:
     return _render_text(report, per_doc)
 
 
+def _report_rows(report: ScoreReport, per_doc: bool) -> Iterator[tuple[str, str | None, dict]]:
+    """The rows of the text and TSV reports as (dataset, doc_key or None,
+    scores): each dataset, then its documents with `per_doc`, then MACRO
+    when there are several datasets."""
+    for name, scores in report.per_dataset.items():
+        yield name, None, scores
+        if per_doc:
+            for doc_key, doc_scores in report.per_doc.get(name, {}).items():
+                yield name, doc_key, doc_scores
+    if len(report.per_dataset) > 1:
+        yield "MACRO", None, report.macro
+
+
 def _render_text(report: ScoreReport, per_doc: bool) -> str:
     match, singletons = report.variant
     lines = [f"match: {match}   singletons: {'kept' if singletons else 'excluded'}"]
-    labels = list(report.per_dataset)
-    if per_doc:
-        labels += [f"  [{d}]" for docs in report.per_doc.values() for d in docs]
-    width = max((len(n) for n in labels), default=8)
-    width = max(width, len("dataset"), 5)
-
-    def block(name: str, scores: dict) -> None:
+    rows = [(name if doc_key is None else f"  [{doc_key}]", scores)
+            for name, doc_key, scores in _report_rows(report, per_doc)]
+    width = max([len("dataset")] + [len(label) for label, _ in rows])
+    lines.append(f"{'dataset':<{width}}  {'metric':<6} {'R':>7} {'P':>7} {'F1':>7}")
+    for label, scores in rows:
         for metric in report.metrics:
             if metric in scores:
                 s = scores[metric]
-                lines.append(f"{name:<{width}}  {metric:<6} "
+                lines.append(f"{label:<{width}}  {metric:<6} "
                              f"{_pct(s.recall):>7.2f} {_pct(s.precision):>7.2f} "
                              f"{_pct(s.f1):>7.2f}")
-
-    lines.append(f"{'dataset':<{width}}  {'metric':<6} {'R':>7} {'P':>7} {'F1':>7}")
-    for name, scores in report.per_dataset.items():
-        block(name, scores)
-        if per_doc and name in report.per_doc:
-            for doc_key, doc_scores in report.per_doc[name].items():
-                block(f"  [{doc_key}]", doc_scores)
-    if len(report.per_dataset) > 1:
-        block("MACRO", report.macro)
     if (match, singletons) == ("partial", False) and "conll" in report.macro:
         lines.append("")
         lines.append(f"CoNLL F1 (partial, no singletons): "
@@ -372,22 +375,13 @@ def _render_tsv(report: ScoreReport, per_doc: bool) -> str:
     for m in metrics:
         header += [f"{m}.r", f"{m}.p", f"{m}.f1"]
     rows = ["\t".join(header)]
-
-    def row(name: str, scores: dict) -> str:
-        cells = [name]
+    for name, doc_key, scores in _report_rows(report, per_doc):
+        cells = [name if doc_key is None else f"{name} [{doc_key}]"]
         for m in metrics:
             s = scores.get(m)
             cells += ([f"{_pct(s.recall):.2f}", f"{_pct(s.precision):.2f}",
                        f"{_pct(s.f1):.2f}"] if s else ["", "", ""])
-        return "\t".join(cells)
-
-    for name, scores in report.per_dataset.items():
-        rows.append(row(name, scores))
-        if per_doc:
-            rows += [row(f"{name} [{d}]", s)
-                     for d, s in report.per_doc.get(name, {}).items()]
-    if len(report.per_dataset) > 1:
-        rows.append(row("MACRO", report.macro))
+        rows.append("\t".join(cells))
     return "\n".join(rows) + "\n"
 
 
@@ -526,7 +520,7 @@ def _rewrite_files(args, ops) -> int:
     outputs, failure = [], None
     for in_path, out_path in _resolve_outputs(args):
         try:
-            spans = [(in_path, *s[1:]) for s in
+            spans = [(in_path, *s) for s in
                      numbered_spans(Path(in_path).read_bytes(), in_path)]
         except (OSError, ConlluParseError) as exc:
             failure = exc  # raised once the inputs before it are written
@@ -554,37 +548,30 @@ def _rewrite_worker(task) -> str:
     return doc_to_text(apply_ops(doc, *ops, strip=strip))
 
 
+def _ops(text: str, registry: dict[str, Callable], kind: str) -> list[Callable]:
+    """The `registry` entries that comma-separated `text` names, in order;
+    `kind` ("transform" or "rule") names them in errors."""
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    if not names:
+        raise ValueError(f"no {kind}s given")
+    for name in names:
+        if name not in registry:
+            raise ValueError(f"unknown {kind} {name!r}; available: "
+                             + ", ".join(sorted(registry)))
+    return [registry[name] for name in names]
+
+
 def cmd_transform(args) -> int:
     from . import baselines  # registers baseline rules as transforms
     from .transforms import LAYER_TRANSFORMS
 
-    ops = []
-    for name in (n.strip() for n in args.ops.split(",") if n.strip()):
-        if name not in LAYER_TRANSFORMS:
-            raise ValueError(f"unknown transform {name!r}; available: "
-                             + ", ".join(sorted(LAYER_TRANSFORMS)))
-        ops.append(LAYER_TRANSFORMS[name])
-    if not ops:
-        raise ValueError("no transforms given")
-    return _rewrite_files(args, ops)
+    return _rewrite_files(args, _ops(args.ops, LAYER_TRANSFORMS, "transform"))
 
 
 def cmd_baseline(args) -> int:
     from .baselines import BASELINE_RULES
 
-    if args.pipeline:
-        rule_names = [args.pipeline]
-    else:
-        rule_names = [n.strip() for n in args.rules.split(",") if n.strip()]
-        if not rule_names:
-            raise ValueError("no rules given")
-    ops = []
-    for name in rule_names:
-        if name not in BASELINE_RULES:
-            raise ValueError(f"unknown rule {name!r}; available: "
-                             + ", ".join(sorted(BASELINE_RULES)))
-        ops.append(BASELINE_RULES[name])
-    return _rewrite_files(args, ops)
+    return _rewrite_files(args, _ops(args.pipeline or args.rules, BASELINE_RULES, "rule"))
 
 
 if __name__ == "__main__":

@@ -8,13 +8,16 @@ document reproduces the input byte for byte.  This module owns the
 it writes over the old values, had one; even then all other columns and
 MISC attributes stay untouched.
 
-The parse is the only pass over the token lines: it checks every line
-and feeds its `Entity` value to the one bracket reader, so a `Document` is
-its lines, nodes and mentions.  Of each node the parse keeps the line
-index, sentence and id.  `Nodes` owns the dependency tree as positions
-(`Nodes.parent`, `Nodes.depth`), read from the HEAD and DEPS columns on
-first use; it builds a `Node`, which holds only its line's columns, when
-one is asked for.  No other module reads HEAD or DEPS.
+A document's handle is its span, as `numbered_spans` yields it: (doc_id,
+first_line, byte_start, byte_end).  The byte scan is the one reader of the
+`# newdoc` marker, so the id of a parsed document is the one its span
+carries.  The parse is the only pass over the token lines: it checks
+every line and feeds its `Entity` value to the one bracket reader, so a
+`Document` is its lines, nodes and mentions.  Of each node the parse
+keeps the line index, sentence and id.  `Nodes` owns the dependency tree
+as positions (`Nodes.parent`, `Nodes.depth`), read from the HEAD and DEPS
+columns on first use; it builds a `Node`, which holds only its line's
+columns, when one is asked for.  No other module reads HEAD or DEPS.
 
 Entity values are sequences of brackets over entity ids, e.g.
 ``(e5-person-1-`` opens mention of entity e5 (extra fields: type, head
@@ -30,7 +33,7 @@ from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 from sys import intern
-from typing import BinaryIO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConlluParseError, SerializationError
 
@@ -464,27 +467,16 @@ def set_mentions(doc: Document, mentions: list[ReadMention], strip: bool = False
 # ---------------------------------------------------------------------------
 # Parsing
 
-_NEWDOC = "# newdoc"
+def parse_file(path: str | Path) -> list[Document]:
+    """Parse the CoNLL-U file at `path` into documents.  The bytes are
+    decoded as UTF-8 without newline translation."""
+    return list(iter_documents(path))
 
 
-def parse_file(source: str | Path | BinaryIO) -> list[Document]:
-    """Parse a CoNLL-U file (path or binary stream) into documents.  The
-    bytes are decoded as UTF-8 without newline translation."""
-    return list(iter_documents(source))
-
-
-def iter_documents(source: str | Path | BinaryIO) -> Iterator[Document]:
+def iter_documents(path: str | Path) -> Iterator[Document]:
     """`parse_file` one document at a time: the file is read at once and
     each document is parsed when it is asked for."""
-    if hasattr(source, "read"):
-        data = source.read()
-        path = getattr(source, "name", "<stream>")
-    else:
-        path = str(source)
-        data = Path(source).read_bytes()
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    return _parse_bytes(data, path)
+    return _parse_bytes(Path(path).read_bytes(), str(path))
 
 
 def parse_text(text: str, path: str = "<string>") -> list[Document]:
@@ -492,18 +484,20 @@ def parse_text(text: str, path: str = "<string>") -> list[Document]:
 
 
 def _parse_bytes(data: bytes, path: str) -> Iterator[Document]:
-    for _doc_id, first_line, start, end in numbered_spans(data, path):
+    for doc_id, first_line, start, end in numbered_spans(data, path):
         yield _parse_document(_decode(data[start:end], path, first_line), path,
-                              first_line)
+                              first_line, doc_id)
 
 
-def read_document(path: str, first_line: int, start: int, end: int) -> Document:
-    """Parse the document at bytes [start, end) of the file at `path`, one
-    span of `numbered_spans`, whose first line is line `first_line`."""
+def read_document(path: str, doc_id: str | None, first_line: int, start: int,
+                  end: int) -> Document:
+    """Parse the document of the file at `path` whose span, as
+    `numbered_spans` yields it, is (doc_id, first_line, start, end): its
+    id, its first line's number and its bytes [start, end)."""
     with open(path, "rb") as f:
         f.seek(start)
         text = _decode(f.read(end - start), path, first_line)
-    return _parse_document(text, path, first_line)
+    return _parse_document(text, path, first_line, doc_id)
 
 
 def _decode(data: bytes, path: str, first_line: int) -> str:
@@ -528,11 +522,12 @@ _WORD_IDS = [str(n) for n in range(1, 257)]
 _WORD_PREFIXES = [tid + "\t" for tid in _WORD_IDS]
 
 
-def _parse_document(text: str, path: str, first_line: int) -> Document:
-    """Parse one document chunk (a span of `scan_document_spans`); its
-    `# newdoc` comment, if any, is in the first sentence block.  The parse
-    checks every line and reads the `Entity` values; of each node it keeps
-    the line index, sentence and id, from which `Nodes` builds the node."""
+def _parse_document(text: str, path: str, first_line: int,
+                    doc_id: str | None) -> Document:
+    """Parse one document chunk (a span of `scan_document_spans`, which
+    read its id).  The parse checks every line and reads the `Entity`
+    values; of each node it keeps the line index, sentence and id, from
+    which `Nodes` builds the node."""
     if text.startswith("\ufeff"):
         raise ConlluParseError("byte order mark (U+FEFF); save the file as UTF-8"
                                " without BOM", path=path, line=first_line)
@@ -544,7 +539,6 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
     if not text.endswith("\n"):
         log.warning("%s: file does not end with a newline", path)
     lines = text.rstrip("\n").split("\n")
-    doc_id: str | None = None
     reader = EntityReader()
     # the node columns of `Nodes`
     line_index: list[int] = []
@@ -587,8 +581,6 @@ def _parse_document(text: str, path: str, first_line: int) -> Document:
         if line[0] == "#":
             if has_tokens:
                 raise err("comment after token lines within a sentence", i)
-            if line.startswith(_NEWDOC):
-                doc_id = _newdoc_id(line)
             continue
 
         has_tokens = True
@@ -675,29 +667,22 @@ def doc_to_text(doc: Document) -> str:
     return docs_to_text([doc])
 
 
-def write_file(docs: Iterable[Document], target: str | Path | BinaryIO) -> None:
-    """Serialize documents; inverse of parse_file on valid input."""
-    text = docs_to_text(docs)
-    if hasattr(target, "write"):
-        target.write(text.encode("utf-8"))
-    else:
-        Path(target).write_bytes(text.encode("utf-8"))
-
-
 # ---------------------------------------------------------------------------
 # Document splitting
 
-def _newdoc_id(line: str) -> str | None:
-    return line.split("=", 1)[1].strip() if "=" in line else None
+# what may follow `# newdoc` on a marker line: the line's end, a space or a tab
+_MARKER_ENDS = (b"", b"\n", b"\r", b" ", b"\t")
 
 
 def _marker_lines(data: bytes) -> Iterator[int]:
-    """The offset of each line that starts with the `# newdoc` marker."""
-    if data.startswith(b"# newdoc"):
+    """The offset of each `# newdoc` line: the marker as a whole word, so
+    that `# newdocument_note = x` is a comment like any other."""
+    if data.startswith(b"# newdoc") and data[8:9] in _MARKER_ENDS:
         yield 0
     at = data.find(b"\n# newdoc")
     while at != -1:
-        yield at + 1
+        if data[at + 9:at + 10] in _MARKER_ENDS:
+            yield at + 1
         at = data.find(b"\n# newdoc", at + 1)
 
 
@@ -707,8 +692,10 @@ def scan_document_spans(data: bytes) -> list[tuple[str | None, int, int]]:
 
     A document starts at the beginning of the sentence block whose comments
     contain the `# newdoc` marker (the later one wins if a block has two);
-    anything before the first marker forms an id-less document.  Invalid
-    UTF-8 in a `# newdoc` line is a `ConlluParseError` with no path.
+    its id is what follows the line's first "=", stripped, or None.
+    Anything before the first marker forms an id-less document.  This is
+    the one reader of the marker.  Invalid UTF-8 in a `# newdoc` line is a
+    `ConlluParseError` with no path.
     """
     starts: list[tuple[int, str | None]] = []
     for marker in _marker_lines(data):
@@ -716,11 +703,11 @@ def scan_document_spans(data: bytes) -> list[tuple[str | None, int, int]]:
         # a single blank line opening the file separates nothing
         start = at + 2 if at != -1 else int(data.startswith(b"\n"))
         line_end = data.find(b"\n", marker)
-        line = data[marker:line_end if line_end != -1 else len(data)]
         try:
-            doc_id = _newdoc_id(line.decode("utf-8"))
+            line = data[marker:line_end if line_end != -1 else len(data)].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise _utf8_error(exc, None, data.count(b"\n", 0, marker) + 1) from None
+        doc_id = line.split("=", 1)[1].strip() if "=" in line else None
         if starts and starts[-1][0] == start:
             starts[-1] = (start, doc_id)
             continue

@@ -38,7 +38,6 @@ from .transforms import (
     conservative_head_reduce_layer,
     filter_by_head_upos_layer,
     remove_singletons_layer,
-    strip_entities,
 )
 
 log = logging.getLogger("corefeval")
@@ -501,6 +500,8 @@ def evaluate(
         resp_docs = resp_datasets[name]
         for doc_key, i, j in pair_documents([d.doc_id for d in key_docs],
                                             [d.doc_id for d in resp_docs], name):
-            resp_doc = strip_entities(key_docs[i]) if j is None else resp_docs[j]
-            results.append((name, doc_key, score_document_pair(key_docs[i], resp_doc, opts)))
+            key = key_docs[i]
+            # a key document missing from the response scores against no mentions
+            resp = Document(key.doc_id, key.lines, key.nodes, []) if j is None else resp_docs[j]
+            results.append((name, doc_key, score_document_pair(key, resp, opts)))
     return build_report(list(key_datasets), results, opts, per_doc)

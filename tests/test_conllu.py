@@ -104,6 +104,11 @@ class TestParsing:
         # non-ASCII digits, which str.isdigit accepts
         (make_doc([tok("1"), tok("1.²")]), "<string>:3: unknown token id syntax"),
         (make_doc([tok("1-²", head="_"), tok("1")]), "<string>:2: unknown token id syntax"),
+        # a range past the sentence's last word, and ranges that overlap
+        (make_doc([tok("1-3", head="_"), tok("1"), tok("2")]),
+         "<string>:5: token range 1-3 exceeds sentence"),
+        (make_doc([tok("1-3", head="_"), tok("1"), tok("2-3", head="_")]),
+         "<string>:4: overlapping token ranges at 2-3"),
     ])
     def test_structural_errors(self, bad, message):
         with pytest.raises(ConlluParseError, match=message):
@@ -138,6 +143,14 @@ class TestParsing:
             tok("4", "Entity=e1[2/2])", head="1"),
         ])
         parse_text(text)
+
+    def test_missing_final_newline_warns_once(self, caplog):
+        text = make_doc([tok("1")]) + make_doc([tok("1")], doc_id="d2").rstrip("\n")
+        with caplog.at_level("WARNING", logger="corefeval"):
+            docs = parse_text(text, path="f.conllu")
+        assert [d.doc_id for d in docs] == ["d1", "d2"]
+        assert [r.getMessage() for r in caplog.records] == [
+            "f.conllu: file does not end with a newline"]
 
     def test_cross_sentence_mention_warns_not_fails(self, caplog):
         text = make_doc([tok("1", "Entity=(e1")], [tok("1", "Entity=e1)")])
@@ -250,6 +263,26 @@ class TestDocumentSplitting:
         with pytest.raises(ConlluParseError, match="f.conllu:7: expected 10"):
             parse_text(text, path="f.conllu")
 
+    def test_comment_that_only_starts_with_the_marker(self):
+        # `# newdocument_note` is an ordinary comment: it neither starts a
+        # document nor names one
+        text = make_doc([tok("1")], ["# newdocument_note = foo", tok("1")])
+        assert [c[0] for c in scan_chunks(text)] == ["d1"]
+        docs = parse_text(text)
+        assert [d.doc_id for d in docs] == ["d1"]
+        assert docs[0].lines.count("") == 2
+        # one opening the file leaves it an id-less document
+        text = "# newdocument_note = foo\n" + tok("1") + "\n\n"
+        assert [c[0] for c in scan_chunks(text)] == [None]
+        assert [d.doc_id for d in parse_text(text)] == [None]
+
+    def test_bare_marker_starts_a_document_without_id(self):
+        text = make_doc([tok("1")]) + "# newdoc\n" + tok("1") + "\n\n"
+        assert [c[0] for c in scan_chunks(text)] == ["d1", None]
+        docs = parse_text(text)
+        assert [d.doc_id for d in docs] == ["d1", None]
+        assert docs[1].lines == ["# newdoc", tok("1"), ""]
+
     def test_invalid_utf8_in_newdoc_line_names_its_line(self, tmp_path):
         text = make_doc([tok("1")]) + "\n" + make_doc([tok("1")], doc_id="d2")
         data = text.encode().replace(b"id = d2", b"id = d\xff2")
@@ -263,10 +296,11 @@ class TestDocumentSplitting:
 
 
 def regex_spans(data: bytes) -> list[tuple[str | None, int, int]]:
-    """`scan_document_spans` as written with a multiline `^# newdoc`
-    regex: the reference the byte search must agree with."""
+    """`scan_document_spans` as written with a multiline regex for a
+    `# newdoc` line (the marker as a whole word): the reference the byte
+    search must agree with."""
     starts: list[tuple[int, str | None]] = []
-    for match in re.finditer(rb"^# newdoc", data, re.MULTILINE):
+    for match in re.finditer(rb"^# newdoc(?=[ \t\r\n]|$)", data, re.MULTILINE):
         at = data.rfind(b"\n\n", 0, match.start())
         start = at + 2 if at != -1 else int(data.startswith(b"\n"))
         line_end = data.find(b"\n", match.start())
@@ -320,9 +354,13 @@ class TestScanMatchesRegex:
                    + "# x\n# newdoc id = d\n# newdoc\n" + tok("1") + "\n\n")
 
     def test_markers_that_are_not_whole_words(self):
-        self.check("# newdocument id = a\n" + tok("1") + "\n\n"
-                   + make_doc([tok("1")]) + "# newdocs\n" + tok("1") + "\n\n"
-                   + " # newdoc id = not at a line start\n" + tok("1") + "\n")
+        text = ("# newdocument id = a\n" + tok("1") + "\n\n"
+                + make_doc([tok("1")]) + "# newdocs\n" + tok("1") + "\n\n"
+                + " # newdoc id = not at a line start\n" + tok("1") + "\n")
+        self.check(text)
+        assert [s[0] for s in scan_document_spans(text.encode())] == [None, "d1"]
+        for end in ("", "\n", " id = x\n", "\tid = x\n"):
+            self.check("# newdoc" + end)
 
     def test_invalid_utf8_in_a_marker_line(self):
         text = make_doc([tok("1")]) + "\n" + make_doc([tok("1")], doc_id="d2")

@@ -29,7 +29,7 @@ from corefeval.metrics import (
     zero_link_counts,
 )
 from corefeval.model import build_coref_layer
-from corefeval.transforms import merge_same_span_layer, remove_singletons_layer
+from corefeval.transforms import merge_same_span_layer, remove_singletons_layer, strip_entities
 
 APPROX = 1e-9
 
@@ -446,6 +446,11 @@ class TestEvaluate:
         assert any("missing from the response" in r.message for r in caplog.records)
         full = evaluate({"a": animals}, {"a": animals}, EvalOptions())
         assert report.per_dataset["a"]["conll"].f1 < full.per_dataset["a"]["conll"].f1
+        # as if the response held the key document without annotation
+        stripped = evaluate({"a": animals}, {"a": [animals[0], strip_entities(animals[1])]},
+                            EvalOptions(), per_doc=True)
+        assert evaluate({"a": animals}, {"a": animals[:1]}, EvalOptions(),
+                        per_doc=True) == stripped
 
     def test_generated_document_keys_avoid_real_ids(self):
         # "a" repeats, so documents pair by position; the key generated for
@@ -460,6 +465,16 @@ class TestEvaluate:
         animals = parse_text((fixtures_dir / "animals.conllu").read_text())
         with pytest.raises(DocumentPairError):
             evaluate({"a": animals[:1]}, {"a": animals}, EvalOptions())
+        # a dataset that one side lacks
+        with pytest.raises(DocumentPairError, match="^dataset b missing from the response$"):
+            evaluate({"a": animals, "b": animals}, {"a": animals}, EvalOptions())
+        with pytest.raises(DocumentPairError,
+                           match="^response datasets not present in the key: b$"):
+            evaluate({"a": animals}, {"a": animals, "b": animals}, EvalOptions())
+        # without ids documents pair by position, so their counts must agree
+        with pytest.raises(DocumentPairError, match="^dataset x: 1 key vs 2 response documents"
+                                                    " and no document ids to pair by$"):
+            pair_documents([None], [None, None], "x")
 
     def test_upos_filter_keeps_relevant_entities(self, fixtures_dir):
         animals = parse_text((fixtures_dir / "animals.conllu").read_text())
