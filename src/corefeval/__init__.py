@@ -16,7 +16,7 @@ _EXPORTS = {
                "parse_text"),
     "errors": ("ConlluParseError", "CorefEvalError", "DocumentPairError",
                "SerializationError"),
-    "heads": ("HeadChoice", "find_head", "head_upos_set", "mention_head"),
+    "heads": ("head_upos_set", "mention_head"),
     "metrics": ("ALL_METRICS", "EvalOptions", "PRF", "ScoreReport", "ZeroScoreCounts",
                 "evaluate", "score_document_pair"),
     "model": ("CorefLayer", "Entity", "Mention", "Node", "build_coref_layer"),

@@ -274,14 +274,18 @@ def cmd_score(args) -> int:
 
 
 def _dataset_names(paths: list[str]) -> list[str]:
+    """Each input's file stem, numbered (`x`, `x#2`) where an earlier input
+    or a total row (`ALL` of `stats`, `MACRO` of `score`) has it."""
+    taken = {"ALL", "MACRO"}
     names: list[str] = []
     for path in paths:
         base = Path(path).stem or path
         name = base
         n = 2
-        while name in names:
+        while name in taken:
             name = f"{base}#{n}"
             n += 1
+        taken.add(name)
         names.append(name)
     return names
 
@@ -430,40 +434,32 @@ def validate_path(path: str, strict: bool = False) -> list[str]:
 # stats
 
 def cmd_stats(args) -> int:
+    """Tally each document as it is read and drop its layer; print once
+    every input has been read."""
+    from collections import Counter
+
     from . import stats
     from .conllu import iter_documents
     from .model import build_coref_layer
 
-    layers_by_file = {name: [build_coref_layer(d) for d in iter_documents(path)]
-                      for name, path in zip(_dataset_names(args.paths), args.paths)}
-
-    tables = ("entities", "mentions", "details") if args.table == "all" else (args.table,)
+    tables = stats.TABLES if args.table == "all" else (args.table,)
+    totals: list[tuple[str, Counter]] = []
+    for name, path in zip(_dataset_names(args.paths), args.paths):
+        total: Counter = Counter()
+        for doc in iter_documents(path):
+            total.update(stats.tally(build_coref_layer(doc), tables, args.keep_singletons))
+        totals.append((name, total))
+    if len(totals) > 1:
+        totals.append(("ALL", sum((total for _, total in totals), Counter())))
+    render = _stats_tsv if args.format == "tsv" else _stats_text
     out: list[str] = []
     for table in tables:
-        rows: list[tuple[str, dict]] = []
-        for name, layers in layers_by_file.items():
-            rows.append((name, _stat_row(table, layers, args.keep_singletons)))
-        if len(layers_by_file) > 1:
-            all_layers = [l for layers in layers_by_file.values() for l in layers]
-            rows.append(("ALL", _stat_row(table, all_layers, args.keep_singletons)))
+        rows = [(name, stats.row(total, table)) for name, total in totals]
         columns = {"entities": stats.ENTITY_COLUMNS, "mentions": stats.MENTION_COLUMNS,
                    "details": stats.DETAIL_COLUMNS}[table]
-        if args.format == "tsv":
-            out.append(_stats_tsv(table, columns, rows))
-        else:
-            out.append(_stats_text(table, columns, rows))
+        out.append(render(table, columns, rows))
     print("\n".join(out), end="")
     return EXIT_OK
-
-
-def _stat_row(table: str, layers: list, keep_singletons: bool) -> dict:
-    from . import stats
-
-    if table == "entities":
-        return stats.entity_stats(layers)
-    if table == "mentions":
-        return stats.mention_stats(layers, include_singletons=keep_singletons)
-    return stats.mention_detail_stats(layers)
 
 
 def _stat_cell(column: str, value) -> str:

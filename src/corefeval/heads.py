@@ -13,21 +13,10 @@ and builds only the `Node`s it returns.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 
 from .model import Mention, Node
 
 log = logging.getLogger("corefeval")
-
-PROVIDED = "provided"
-HIGHEST_NODE = "highest_node"
-
-
-@dataclass(frozen=True)
-class HeadChoice:
-    head: Node
-    candidates: tuple[int, ...]  # the treelet roots' positions
-    rule_used: str
 
 
 def treelet_roots(mention: Mention) -> list[int]:
@@ -37,52 +26,46 @@ def treelet_roots(mention: Mention) -> list[int]:
     return [i for i in mention.positions if parent(i) not in inside]
 
 
-def _choose(mention: Mention) -> tuple[int, tuple[int, ...], str]:
-    """`find_head`'s choice, with the head as a position."""
+def _choose(mention: Mention) -> int:
+    """The head's position: the annotated head word when its index is in
+    range, else the highest node."""
     provided = mention.provided_head_index
     if provided is not None:
         if 1 <= provided <= len(mention.positions):
             head = mention.positions[provided - 1]
             if log.isEnabledFor(logging.DEBUG):
-                computed = _highest_node(mention)[0]
+                computed = _highest_node(mention)
                 if computed != head:
                     ids = mention.doc_nodes.ids
                     log.debug("annotated head %s differs from computed %s in %r",
                               ids[head], ids[computed], mention)
-            return head, (), PROVIDED
+            return head
         log.warning("head index %d out of range in %r; computing instead",
                     provided, mention)
     return _highest_node(mention)
 
 
-def find_head(mention: Mention) -> HeadChoice:
-    head, candidates, rule_used = _choose(mention)
-    return HeadChoice(mention.doc_nodes[head], candidates, rule_used)
-
-
-def _highest_node(mention: Mention) -> tuple[int, tuple[int, ...], str]:
+def _highest_node(mention: Mention) -> int:
     candidates = treelet_roots(mention)
     if not candidates:
         log.warning("no treelet root in %r (cyclic dependencies); "
                     "falling back to the first node", mention)
-        return mention.start, (mention.start,), HIGHEST_NODE
+        return mention.start
     nodes = mention.doc_nodes
     depths = [nodes.depth(i) for i in candidates]
     if None in depths:
         log.warning("dependency cycle under %r; falling back to the first "
                     "candidate", mention)
-        head = candidates[0]
-    else:
-        ids = nodes.ids
-        head = min(zip(depths, ("." in ids[i] for i in candidates), candidates))[2]
-    return head, tuple(candidates), HIGHEST_NODE
+        return candidates[0]
+    ids = nodes.ids
+    return min(zip(depths, ("." in ids[i] for i in candidates), candidates))[2]
 
 
 def head_position(mention: Mention) -> int:
     """The position of the mention's head node, cached on the mention."""
     head = mention._head
     if head is None:
-        head = mention._head = _choose(mention)[0]
+        head = mention._head = _choose(mention)
     return head
 
 

@@ -5,6 +5,11 @@ length distribution (mention length = number of nonempty nodes, so zeros
 have length 0), and mention detail flags (with empty node, with gap,
 non-treelet) plus the head UPOS distribution.  Per-1000-words rates use
 surface words only.
+
+Every table is a function of a tally: the counts of one document
+(`tally`), which add up over documents.  A corpus's row is the `row` of
+the sum of its documents' tallies, so no document's layer is kept once
+it is counted.
 """
 
 from __future__ import annotations
@@ -23,72 +28,79 @@ MENTION_COLUMNS = ("count", "per_1k", "max_len", "avg_len",
 DETAIL_COLUMNS = ("w_empty", "w_gap", "non_tree") + tuple(
     t.lower() for t in HEAD_UPOS_COLUMNS) + ("other",)
 
+TABLES = ("entities", "mentions", "details")
+WORDS = ("words", None)  # the tally key of the surface word count
 
-def _surface_words(layers: list[CorefLayer]) -> int:
-    return sum(1 for layer in layers for tid in layer.nodes.ids if "." not in tid)
+
+def tally(layer: CorefLayer, tables: tuple[str, ...], keep_singletons: bool) -> Counter:
+    """The counts of one document that the rows of `tables` are made of,
+    keyed (table, bucket), plus its surface words under `WORDS`: entities
+    by mention count; mentions by surface length, singletons only with
+    `keep_singletons`; and for "details" the mentions (under "total") and
+    those with each flag or head UPOS column.  Heads are found only for
+    "details"."""
+    counts = Counter({WORDS: sum("." not in tid for tid in layer.nodes.ids)})
+    for entity in layer.entities:
+        if "entities" in tables:
+            counts["entities", len(entity.mentions)] += 1
+        for mention in entity.mentions:
+            if "mentions" in tables and (keep_singletons or not entity.is_singleton):
+                counts["mentions", mention.surface_length] += 1
+            if "details" in tables:
+                counts["details", "total"] += 1
+                counts["details", "w_empty"] += mention.contains_empty
+                counts["details", "w_gap"] += mention.is_discontinuous
+                counts["details", "non_tree"] += len(treelet_roots(mention)) > 1
+                tag = mention_head(mention).upos
+                counts["details", tag.lower() if tag in HEAD_UPOS_COLUMNS else "other"] += 1
+    return counts
 
 
-def _length_row(lengths: list[int], words: int, first_bucket: int) -> dict[str, float]:
-    """Count, rate per 1000 words, maximum and mean of `lengths`, and the
-    percentage of each length from `first_bucket` to 4 and of 5 or more."""
-    total = len(lengths)
-    counts = Counter(lengths)
-
-    def pct(n: int) -> float:
-        return 100.0 * n / total if total else 0.0
-
-    row = {
-        "count": total,
-        "per_1k": 1000.0 * total / words if words else 0.0,
+def row(total: Counter, table: str) -> dict[str, float]:
+    """The row of `table` for the summed tallies `total`."""
+    if table == "details":
+        mentions = total["details", "total"]
+        return {c: _pct(total["details", c], mentions) for c in DETAIL_COLUMNS}
+    lengths = {key[1]: n for key, n in total.items() if key[0] == table}
+    count, words = sum(lengths.values()), total[WORDS]
+    out = {
+        "count": count,
+        "per_1k": 1000.0 * count / words if words else 0.0,
         "max_len": max(lengths, default=0),
-        "avg_len": sum(lengths) / total if total else 0.0,
+        "avg_len": sum(length * n for length, n in lengths.items()) / count if count else 0.0,
     }
-    for bucket in range(first_bucket, 5):
-        row[f"len_{bucket}"] = pct(counts[bucket])
-    row["len_5plus"] = pct(sum(n for length, n in counts.items() if length >= 5))
-    return row
+    for bucket in range(1 if table == "entities" else 0, 5):
+        out[f"len_{bucket}"] = _pct(lengths.get(bucket, 0), count)
+    out["len_5plus"] = _pct(sum(n for length, n in lengths.items() if length >= 5), count)
+    return out
+
+
+def _pct(n: int, total: int) -> float:
+    return 100.0 * n / total if total else 0.0
+
+
+def _summed_row(layers: list[CorefLayer], table: str,
+                keep_singletons: bool = True) -> dict[str, float]:
+    total: Counter = Counter()
+    for layer in layers:
+        total.update(tally(layer, (table,), keep_singletons))
+    return row(total, table)
 
 
 def entity_stats(layers: list[CorefLayer]) -> dict[str, float]:
     """Entity totals, rate per 1000 words and length distribution
     (length = number of mentions; singletons have length 1)."""
-    lengths = [len(e.mentions) for layer in layers for e in layer.entities]
-    return _length_row(lengths, _surface_words(layers), 1)
+    return _summed_row(layers, "entities")
 
 
 def mention_stats(layers: list[CorefLayer], include_singletons: bool = True) -> dict[str, float]:
     """Mention totals, rate per 1000 words and length distribution
     (length counts surface words only; zeros have length 0)."""
-    lengths = [m.surface_length for layer in layers for e in layer.entities
-               if include_singletons or not e.is_singleton for m in e.mentions]
-    return _length_row(lengths, _surface_words(layers), 0)
+    return _summed_row(layers, "mentions", include_singletons)
 
 
 def mention_detail_stats(layers: list[CorefLayer]) -> dict[str, float]:
     """Percentages of mentions with an empty node, with a gap and not
     forming a connected subtree, plus the head UPOS distribution.  The
     three flags are independent; a mention may carry several."""
-    total = 0
-    w_empty = w_gap = non_tree = 0
-    upos: dict[str, int] = {}
-    for layer in layers:
-        for entity in layer.entities:
-            for mention in entity.mentions:
-                total += 1
-                if mention.contains_empty:
-                    w_empty += 1
-                if mention.is_discontinuous:
-                    w_gap += 1
-                if len(treelet_roots(mention)) > 1:
-                    non_tree += 1
-                tag = mention_head(mention).upos
-                upos[tag if tag in HEAD_UPOS_COLUMNS else "other"] = (
-                    upos.get(tag if tag in HEAD_UPOS_COLUMNS else "other", 0) + 1)
-    def pct(n: int) -> float:
-        return 100.0 * n / total if total else 0.0
-
-    row = {"w_empty": pct(w_empty), "w_gap": pct(w_gap), "non_tree": pct(non_tree)}
-    for tag in HEAD_UPOS_COLUMNS:
-        row[tag.lower()] = pct(upos.get(tag, 0))
-    row["other"] = pct(upos.get("other", 0))
-    return row
+    return _summed_row(layers, "details")

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -138,6 +139,19 @@ class TestScoreCommand:
         rows = [line.split("\t") for line in out.strip().split("\n")]
         assert rows[0][0] == "dataset"
         assert [r[0] for r in rows[1:]] == ["gold", "zeros", "MACRO"]
+
+    def test_input_named_macro_gets_a_numbered_row(self, gold, tmp_path, capsys):
+        macro = tmp_path / "MACRO.conllu"
+        macro.write_text(gold.read_text())
+        pair = f"{macro},{gold}"
+        _, out, _ = run(capsys, "score", pair, pair, "--format", "tsv")
+        assert [line.split("\t")[0] for line in out.strip().split("\n")[1:]] == [
+            "MACRO#2", "gold", "MACRO"]
+        _, out, _ = run(capsys, "score", pair, pair)
+        assert [line.split()[0] for line in out.splitlines() if " muc " in line] == [
+            "MACRO#2", "gold", "MACRO"]
+        _, out, _ = run(capsys, "score", pair, pair, "--format", "json")
+        assert list(json.loads(out)["datasets"]) == ["MACRO#2", "gold"]
 
     def test_macro_line_absent_for_single_dataset(self, gold, capsys):
         _, out, _ = run(capsys, "score", gold, gold)
@@ -651,6 +665,81 @@ class TestStatsCommand:
         assert int(rows[3][1]) == int(rows[1][1]) + int(rows[2][1])
 
 
+    def test_inputs_named_like_the_total_row_get_numbered_rows(self, gold, tmp_path,
+                                                               capsys):
+        paths = [tmp_path / "ALL.conllu", tmp_path / "MACRO.conllu"]
+        for path in paths:
+            path.write_text(gold.read_text())
+        _, out, _ = run(capsys, "stats", *paths, "--table", "entities", "--format", "tsv")
+        assert [line.split("\t")[0] for line in out.strip().split("\n")[1:]] == [
+            "ALL#2", "MACRO#2", "ALL"]
+        _, out, _ = run(capsys, "stats", *paths, "--table", "entities")
+        assert [line.split()[0] for line in out.strip().split("\n")[2:]] == [
+            "ALL#2", "MACRO#2", "ALL"]
+
+    @pytest.mark.parametrize("keep", [[], ["--keep-singletons"]])
+    def test_all_row_is_the_row_of_one_file_of_all_documents(self, tmp_path, capsys,
+                                                             keep):
+        texts = [gen.random_document(random.Random(seed), f"d{seed}",
+                                     p_discontinuous=0.3)[2] for seed in range(7)]
+        parts = [tmp_path / "a.conllu", tmp_path / "b.conllu"]
+        parts[0].write_text("".join(texts[:3]))
+        parts[1].write_text("".join(texts[3:]))
+        joined = tmp_path / "joined.conllu"
+        joined.write_text("".join(texts))
+
+        def rows(out, name):
+            return [line.split("\t")[1:] for line in out.splitlines()
+                    if line.startswith(name + "\t")]
+
+        _, split, _ = run(capsys, "stats", *parts, "--format", "tsv", *keep)
+        _, whole, _ = run(capsys, "stats", joined, "--format", "tsv", *keep)
+        assert len(rows(split, "ALL")) == 3
+        assert rows(split, "ALL") == rows(whole, "joined")
+
+    def test_holds_one_document_layer_at_a_time(self, tmp_path, monkeypatch, capsys):
+        from corefeval import model
+
+        class Tracked(model.CorefLayer):
+            __slots__ = ("__weakref__",)
+
+        built, alive = [], []
+        build = model.build_coref_layer
+
+        def tracked(doc):
+            alive.append(sum(ref() is not None for ref in built))
+            layer = build(doc)
+            layer = Tracked(layer.doc, layer.nodes, layer.entities)
+            built.append(weakref.ref(layer))
+            return layer
+
+        monkeypatch.setattr(model, "build_coref_layer", tracked)
+        paths = [tmp_path / "a.conllu", tmp_path / "b.conllu"]
+        for n, path in enumerate(paths):
+            path.write_text("".join(gen.random_document(random.Random(n * 3 + k),
+                                                        f"d{k}")[2] for k in range(3)))
+        code, _, _ = run(capsys, "stats", *paths)
+        assert code == 0 and len(alive) == 6
+        assert max(alive) <= 1, alive
+
+    def test_warnings_come_in_document_order(self, tmp_path, caplog, capsys):
+        # each document's head index is out of range; the second document
+        # also has a mention that crosses a sentence boundary
+        path = tmp_path / "warn.conllu"
+        path.write_text(
+            "# newdoc id = d1\n1\tw\tw\tNOUN\t_\t_\t0\troot\t_\tEntity=(e1-x-5-)\n\n"
+            "# newdoc id = d2\n1\tv\tv\tNOUN\t_\t_\t0\troot\t_\tEntity=(e2-x-5-\n\n"
+            "1\tu\tu\tNOUN\t_\t_\t0\troot\t_\tEntity=e2)\n\n")
+        with caplog.at_level("WARNING", logger="corefeval"):
+            code, _, _ = run(capsys, "stats", path)
+        assert code == 0
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 3
+        assert "head index 5 out of range in Mention(e1:" in messages[0]
+        assert messages[1].endswith("crosses a sentence boundary in document d2")
+        assert "head index 5 out of range in Mention(e2:" in messages[2]
+
+
 class TestTransformCommand:
     def test_reduce_head_then_score_head_match(self, gold, tmp_path, capsys):
         reduced = tmp_path / "reduced.conllu"
@@ -903,7 +992,7 @@ EXPORTS = {
                "parse_text"),
     "errors": ("ConlluParseError", "CorefEvalError", "DocumentPairError",
                "SerializationError"),
-    "heads": ("HeadChoice", "find_head", "head_upos_set", "mention_head"),
+    "heads": ("head_upos_set", "mention_head"),
     "metrics": ("ALL_METRICS", "EvalOptions", "PRF", "ScoreReport", "ZeroScoreCounts",
                 "evaluate", "score_document_pair"),
     "model": ("CorefLayer", "Entity", "Mention", "Node", "build_coref_layer"),

@@ -6,14 +6,7 @@ import gen
 import oracles
 from corefeval import conllu
 from corefeval.conllu import parse_text
-from corefeval.heads import (
-    HIGHEST_NODE,
-    PROVIDED,
-    find_head,
-    head_upos_set,
-    mention_head,
-    treelet_roots,
-)
+from corefeval.heads import head_position, head_upos_set, mention_head, treelet_roots
 from corefeval.model import build_coref_layer
 
 
@@ -33,19 +26,20 @@ def mention_of(layer, eid):
     return next(e for e in layer.entities if e.eid == eid).mentions[0]
 
 
-class TestFindHead:
+class TestMentionHead:
     def test_det_noun_pair(self):
         layer = layer_of([line("1", head="0", upos="VERB"),
                           line("2", "Entity=(e1", "3", "DET"),
                           line("3", "Entity=e1)", "1", "NOUN")])
-        choice = find_head(mention_of(layer, "e1"))
-        assert choice.head.id == "3"
-        assert choice.rule_used == HIGHEST_NODE
+        mention = mention_of(layer, "e1")
+        assert mention.provided_head_index is None
+        assert mention_head(mention).id == "3"
+        assert mention_head(mention) is layer.nodes[head_position(mention)]
 
     def test_full_subtree_returns_root(self):
         layer = layer_of([line("1", "Entity=(e1", "0"), line("2", head="1"),
                           line("3", "Entity=e1)", "2")])
-        assert find_head(mention_of(layer, "e1")).head.id == "1"
+        assert mention_head(mention_of(layer, "e1")).id == "1"
 
     def test_two_roots_minimal_depth_wins(self):
         # tree: 1 <- 2 <- 3 <- 4; 1 <- 5 <- 6; mention {4, 6}:
@@ -54,9 +48,8 @@ class TestFindHead:
                           line("3", head="2"), line("4", "Entity=(e1[1/2])", "3"),
                           line("5", head="1"), line("6", "Entity=(e1[2/2])", "5")])
         mention = mention_of(layer, "e1")
-        choice = find_head(mention)
-        assert choice.head.id == "6"
-        assert {layer.nodes.ids[i] for i in choice.candidates} == {"4", "6"}
+        assert mention_head(mention).id == "6"
+        assert {layer.nodes.ids[i] for i in treelet_roots(mention)} == {"4", "6"}
         assert _exhaustive_depth(layer, "4") == 3
         assert _exhaustive_depth(layer, "6") == 2
 
@@ -64,27 +57,34 @@ class TestFindHead:
         layer = layer_of([line("1"),
                           line("1.1", "Entity=(e1[1/2])", deps="1:nsubj"),
                           line("2", "Entity=(e1[2/2])", "1")])
-        assert find_head(mention_of(layer, "e1")).head.id == "2"
+        assert mention_head(mention_of(layer, "e1")).id == "2"
 
     def test_depth_tie_then_smallest_position(self):
         layer = layer_of([line("1"), line("2", "Entity=(e1[1/2])", "1"),
                           line("3", head="1"), line("4", "Entity=(e1[2/2])", "1")])
-        assert find_head(mention_of(layer, "e1")).head.id == "2"
+        assert mention_head(mention_of(layer, "e1")).id == "2"
 
-    def test_provided_head_preferred(self):
+    def test_provided_head_preferred(self, caplog):
         layer = layer_of([line("1", "Entity=(e1-person-1-", "2", "DET"),
                           line("2", "Entity=e1)", "0", "NOUN")])
-        choice = find_head(mention_of(layer, "e1"))
-        assert choice.rule_used == PROVIDED
-        assert choice.head.id == "1"  # index says first word, tree says second
+        mention = mention_of(layer, "e1")
+        # the index says the first word, the tree says the second
+        assert [layer.nodes.ids[i] for i in treelet_roots(mention)] == ["2"]
+        with caplog.at_level("DEBUG", logger="corefeval"):
+            assert head_position(mention) == mention.positions[mention.provided_head_index - 1]
+        assert mention_head(mention).id == "1"
+        assert any("annotated head 1 differs from computed 2" in r.message
+                   for r in caplog.records)
 
     def test_provided_head_out_of_range_recomputes(self, caplog):
         layer = layer_of([line("1", "Entity=(e1-person-9-", "2", "DET"),
                           line("2", "Entity=e1)", "0", "NOUN")])
+        mention = mention_of(layer, "e1")
         with caplog.at_level("WARNING", logger="corefeval"):
-            choice = find_head(mention_of(layer, "e1"))
-        assert choice.rule_used == HIGHEST_NODE
-        assert choice.head.id == "2"
+            head = mention_head(mention)
+        assert mention.provided_head_index == 9
+        assert head.id == "2"  # the highest node, not an annotated word
+        assert any("head index 9 out of range" in r.message for r in caplog.records)
 
     def test_cycle_on_ancestor_path_falls_back(self, caplog):
         # 1.1 and 1.2 point at each other; the mention node 1.1 is a
@@ -94,17 +94,17 @@ class TestFindHead:
                           line("1.2", deps="1.1:dep"),
                           line("2", "Entity=(e1[2/2])", "1")])
         with caplog.at_level("WARNING", logger="corefeval"):
-            choice = find_head(mention_of(layer, "e1"))
-        assert choice.head.id == "1.1"
+            assert mention_head(mention_of(layer, "e1")).id == "1.1"
         assert any("cycle" in r.message for r in caplog.records)
 
     def test_all_parents_inside_falls_back_to_first(self, caplog):
         layer = layer_of([line("1"),
                           line("1.1", "Entity=(e1", deps="1.2:dep"),
                           line("1.2", "Entity=e1)", deps="1.1:dep")])
+        mention = mention_of(layer, "e1")
+        assert treelet_roots(mention) == []
         with caplog.at_level("WARNING", logger="corefeval"):
-            choice = find_head(mention_of(layer, "e1"))
-        assert choice.head.id == "1.1"
+            assert mention_head(mention).id == "1.1"
         assert any("no treelet root" in r.message for r in caplog.records)
 
     def test_head_always_inside_mention(self, rng):
@@ -123,10 +123,10 @@ class TestFindHead:
             layer = build_coref_layer(parse_text(text)[0])
             for entity in layer.entities:
                 for mention in entity.mentions:
-                    head = find_head(mention).head
+                    head = mention_head(mention)
                     mention.set_positions((head.index,))
                     mention.provided_head_index = None
-                    assert find_head(mention).head is head
+                    assert mention_head(mention) is head
 
     def test_subtree_root_stable_under_leaf_removal(self, rng):
         for seed in range(30):
@@ -139,12 +139,12 @@ class TestFindHead:
             layer = build_coref_layer(parse_text(gen.conllu_text(skel, mentions))[0])
             for entity in layer.entities:
                 for mention in entity.mentions:
-                    root = find_head(mention).head
+                    root = mention_head(mention)
                     while len(mention.positions) > 1:
                         leaves = [i for i in mention.positions if i != root.index]
                         mention.set_positions(tuple(i for i in mention.positions
                                                     if i != leaves[-1]))
-                        assert find_head(mention).head is root
+                        assert mention_head(mention) is root
 
 
 class TestHeadUposSet:

@@ -404,6 +404,60 @@ class TestZeroSingletonInvariance:
             assert kept["zero"] == dropped["zero"], f"seed {seed}"
 
 
+def _key_response_pair(seed):
+    """The skeleton, key and response mentions of one fixed seed."""
+    rng = random.Random(seed)
+    skel = gen.random_skeleton(rng, f"d{seed}", n_sentences=(1, 3))
+    key_specs = gen.random_mentions(rng, skel, n_entities=(1, 4), n_mentions=(1, 4))
+    return skel, key_specs, gen.perturb_mentions(rng, key_specs, skel)
+
+
+# each count tuple with its key side and response side exchanged
+_SWAPPED = {
+    "muc": lambda c: (c[2], c[3], c[0], c[1]),
+    "bcub": lambda c: (c[2], c[3], c[0], c[1]),
+    "lea": lambda c: (c[2], c[3], c[0], c[1]),
+    "ceafe": lambda c: (c[0], c[2], c[1]),
+    "blanc": lambda c: (c[0], c[2], c[1], c[3], c[5], c[4]),
+    "mor": lambda c: (c[0], c[2], c[1]),
+}
+
+
+class TestMetamorphicRelations:
+    SEEDS = range(300)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    def test_swapping_key_and_response_swaps_recall_and_precision(self, keep):
+        opts = EvalOptions(match="exact", keep_singletons=keep, metrics=tuple(_SWAPPED))
+        for seed in self.SEEDS:
+            skel, key_specs, resp_specs = _key_response_pair(seed)
+            key = parse_text(gen.conllu_text(skel, key_specs))[0]
+            resp = parse_text(gen.conllu_text(skel, resp_specs))[0]
+            forward = score_document_pair(key, resp, opts)
+            backward = score_document_pair(resp, key, opts)
+            for name, swap in _SWAPPED.items():
+                assert backward[name] == swap(forward[name]), f"seed {seed} {name}"
+
+    @pytest.mark.parametrize("match", ["partial", "head", "exact"])
+    def test_response_singletons_on_uncovered_nodes_leave_muc_unchanged(self, match):
+        # Moosavi & Strube (ACL 2016): MUC does not see singletons, so
+        # response entities that resolve nothing cannot move it
+        opts = EvalOptions(match=match, keep_singletons=True, metrics=("muc",))
+        added = 0
+        for seed in self.SEEDS:
+            skel, key_specs, resp_specs = _key_response_pair(seed)
+            covered = {i for m in key_specs + resp_specs for i in m.positions}
+            extra = [gen.MentionSpec(f"x{i}", (i,)) for i in range(len(skel.nodes))
+                     if i not in covered]
+            added += len(extra)
+            key = parse_text(gen.conllu_text(skel, key_specs))[0]
+            resp = parse_text(gen.conllu_text(skel, resp_specs))[0]
+            padded = parse_text(gen.conllu_text(skel, resp_specs + extra))[0]
+            assert (score_document_pair(key, padded, opts)["muc"]
+                    == score_document_pair(key, resp, opts)["muc"]), f"seed {seed}"
+        assert added > len(self.SEEDS)
+
+
 class TestEvaluate:
     def test_macro_is_unweighted_mean(self, fixtures_dir):
         animals = parse_text((fixtures_dir / "animals.conllu").read_text())
