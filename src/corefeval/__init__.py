@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "align": ("EXACT", "HEAD", "PARTIAL", "MentionAlignment", "align_mentions", "matches"),
-    "conllu": ("Document", "EntityBracket", "doc_to_text", "docs_to_text", "parse_file",
+    "conllu": ("Document", "EntityReader", "doc_to_text", "docs_to_text", "parse_file",
                "parse_text"),
     "errors": ("ConlluParseError", "CorefEvalError", "DocumentPairError",
                "SerializationError"),

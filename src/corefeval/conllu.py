@@ -23,6 +23,9 @@ Entity values are sequences of brackets over entity ids, e.g.
 ``(e5-person-1-`` opens mention of entity e5 (extra fields: type, head
 index, ...), ``e5)`` closes it, ``(e9)`` is a single-node mention and
 ``(e7[1/2]`` opens the first of two parts of a discontinuous mention.
+`EntityReader.feed` reads a value in one pass, pairing each bracket as it
+meets it, so of a value with two faults the first in reading order is
+reported.
 """
 
 from __future__ import annotations
@@ -33,73 +36,16 @@ from collections import Counter
 from collections.abc import Sequence
 from pathlib import Path
 from sys import intern
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .errors import ConlluParseError, SerializationError
 
 log = logging.getLogger("corefeval")
 
-# Bracket kinds
-OPEN = "open"
-CLOSE = "close"
-OPEN_CLOSE = "open_close"
-
+# what ends an opening bracket's id or field, and a closing bracket's id
 _EID_STOP = frozenset("-([)]")
 _FIELD_STOP = frozenset("-()]")
 _CLOSE_STOP = frozenset("[()]")
-
-
-class EntityBracket(NamedTuple):
-    """One bracket token of an `Entity` value; a tuple, since the parse
-    builds one per bracket."""
-
-    kind: str  # OPEN | CLOSE | OPEN_CLOSE
-    eid: str
-    part: tuple[int, int] | None = None  # (i, n) from "[i/n]"
-    extra_fields: tuple[str, ...] = ()  # opening fields after the eid, verbatim
-
-
-def tokenize_entity(value: str) -> list[EntityBracket]:
-    """Split an `Entity` attribute value into its bracket sequence."""
-    brackets: list[EntityBracket] = []
-    i, n = 0, len(value)
-    if not value:
-        raise ConlluParseError("empty Entity value")
-    while i < n:
-        if value[i] == "(":
-            i += 1
-            start = i
-            while i < n and value[i] not in _EID_STOP:
-                i += 1
-            eid = value[start:i]
-            if not eid:
-                raise ConlluParseError(f"missing entity id in Entity value {value!r}")
-            part, i = _parse_part(value, i)
-            fields: list[str] = []
-            while i < n and value[i] == "-":
-                i += 1
-                start = i
-                while i < n and value[i] not in _FIELD_STOP:
-                    i += 1
-                fields.append(value[start:i])
-            if i < n and value[i] == ")":
-                brackets.append(EntityBracket(OPEN_CLOSE, eid, part, tuple(fields)))
-                i += 1
-            elif i == n or value[i] == "(":
-                brackets.append(EntityBracket(OPEN, eid, part, tuple(fields)))
-            else:
-                raise ConlluParseError(f"cannot parse Entity value {value!r} at offset {i}")
-        else:
-            start = i
-            while i < n and value[i] not in _CLOSE_STOP:
-                i += 1
-            eid = value[start:i]
-            part, i = _parse_part(value, i)
-            if not eid or i >= n or value[i] != ")":
-                raise ConlluParseError(f"cannot parse Entity value {value!r} at offset {i}")
-            brackets.append(EntityBracket(CLOSE, eid, part))
-            i += 1
-    return brackets
 
 
 def _parse_part(value: str, i: int) -> tuple[tuple[int, int] | None, int]:
@@ -130,12 +76,13 @@ class EntityReader:
 
     Feed the values of one document in node order; `end` returns its
     mentions as (eid, runs, extra_fields) in the order they complete.
-    Brackets pair by (eid, part); the parts ``[1/n]..[n/n]`` of one entity
-    id merge greedily in document order, each part attaching to the
-    earliest mention still waiting for it.  A mention's runs are its
-    parts' spans in part order (one run without parts); its fields are
-    those of its first part.  Errors are `ConlluParseError`s without a
-    location, which the caller adds.
+    `feed` reads each value once, opening, closing or completing a mention
+    at each bracket it meets.  Brackets pair by (eid, part); the parts
+    ``[1/n]..[n/n]`` of one entity id merge greedily in document order,
+    each part attaching to the earliest mention still waiting for it.  A
+    mention's runs are its parts' spans in part order (one run without
+    parts); its fields are those of its first part.  Errors are
+    `ConlluParseError`s without a location, which the caller adds.
     """
 
     def __init__(self) -> None:
@@ -146,21 +93,53 @@ class EntityReader:
         self._mentions: list[ReadMention] = []
 
     def feed(self, position: int, value: str) -> None:
-        for b in tokenize_entity(value):
-            key = (b.eid, b.part)
-            if b.kind == OPEN:
-                if key in self.open:
-                    raise ConlluParseError(
-                        f"entity {b.eid!r} opened twice without distinct part indices")
-                self.open[key] = (position, b.extra_fields)
-            elif b.kind == CLOSE:
-                opened = self.open.pop(key, None)
+        """Read the value of the node at `position` left to right, pairing
+        each bracket as it is read, so the first fault in reading order is
+        the one raised."""
+        if not value:
+            raise ConlluParseError("empty Entity value")
+        i, n = 0, len(value)
+        while i < n:
+            if value[i] == "(":
+                i += 1
+                start = i
+                while i < n and value[i] not in _EID_STOP:
+                    i += 1
+                eid = value[start:i]
+                if not eid:
+                    raise ConlluParseError(f"missing entity id in Entity value {value!r}")
+                part, i = _parse_part(value, i)
+                fields: list[str] = []
+                while i < n and value[i] == "-":
+                    i += 1
+                    start = i
+                    while i < n and value[i] not in _FIELD_STOP:
+                        i += 1
+                    fields.append(value[start:i])
+                if i < n and value[i] == ")":  # a one-node span
+                    self._complete(eid, part, (position, position), tuple(fields))
+                    i += 1
+                elif i == n or value[i] == "(":
+                    if (eid, part) in self.open:
+                        raise ConlluParseError(
+                            f"entity {eid!r} opened twice without distinct part indices")
+                    self.open[eid, part] = (position, tuple(fields))
+                else:
+                    raise ConlluParseError(f"cannot parse Entity value {value!r} at offset {i}")
+            else:
+                start = i
+                while i < n and value[i] not in _CLOSE_STOP:
+                    i += 1
+                eid = value[start:i]
+                part, i = _parse_part(value, i)
+                if not eid or i >= n or value[i] != ")":
+                    raise ConlluParseError(f"cannot parse Entity value {value!r} at offset {i}")
+                opened = self.open.pop((eid, part), None)
                 if opened is None:
                     raise ConlluParseError(
-                        f"unbalanced Entity bracket: close of {b.eid!r} without open")
-                self._complete(b.eid, b.part, (opened[0], position), opened[1])
-            else:
-                self._complete(b.eid, b.part, (position, position), b.extra_fields)
+                        f"unbalanced Entity bracket: close of {eid!r} without open")
+                self._complete(eid, part, (opened[0], position), opened[1])
+                i += 1
 
     def _complete(self, eid: str, part: tuple[int, int] | None, run: Run,
                   fields: tuple[str, ...]) -> None:
@@ -378,8 +357,8 @@ def with_entity(line: str, entity: str | None, first: bool = False) -> str:
     one goes first, and so does every one with `first`, as on a line whose
     value was removed before.  All other columns and attributes stay as
     they are."""
-    cols = line.split("\t")
-    attrs = [] if cols[9] == "_" else cols[9].split("|")
+    before, _, misc = line.rpartition("\t")  # MISC is the last column
+    attrs = [] if misc == "_" else misc.split("|")
     out = []
     placed = entity is None  # nothing to place
     for attr in attrs:
@@ -390,8 +369,7 @@ def with_entity(line: str, entity: str | None, first: bool = False) -> str:
             placed = True
     if not placed:
         out.insert(0, "Entity=" + entity)
-    cols[9] = "|".join(out) if out else "_"
-    return "\t".join(cols)
+    return f"{before}\t{'|'.join(out) if out else '_'}"
 
 
 # ---------------------------------------------------------------------------

@@ -75,8 +75,10 @@ class Mention:
         self._pos_set = None
 
     def __repr__(self) -> str:
-        ids = self.doc_nodes.ids
-        return f"Mention({self.eid}: {','.join(ids[i] for i in self.positions)})"
+        """The mention's nodes as sentence:id, sentences numbered from 1."""
+        nodes = self.doc_nodes
+        where = ",".join(f"{nodes.sent_index[i] + 1}:{nodes.ids[i]}" for i in self.positions)
+        return f"Mention({self.eid}: {where})"
 
 
 def _head_index(fields: tuple[str, ...]) -> int | None:

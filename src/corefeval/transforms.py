@@ -129,10 +129,9 @@ def apply_ops(doc: Document, *ops: Callable[[CorefLayer], None],
 
 
 def strip_entities(doc: Document) -> Document:
-    """A copy of `doc` without coreference annotation (used to key-strip inputs)."""
-    out = doc.copy()
-    set_mentions(out, [])
-    return out
+    """A copy of `doc` without coreference annotation (used to key-strip
+    inputs): `apply_ops` with `strip` and no operation."""
+    return apply_ops(doc, strip=True)
 
 
 # Layer transforms by CLI name, applied in the order given on the command

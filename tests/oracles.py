@@ -7,6 +7,7 @@ Clusterings are lists of frozensets of mention ids.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, permutations
 
 
@@ -249,6 +250,41 @@ def naive_zero_counts(key_entities, resp_entities):
             if twin is None or twin[1] == 0:
                 fp += 1
     return tp, wl, fp, fn
+
+
+# ---------------------------------------------------------------------------
+# Entity brackets
+
+# one bracket of a well-formed `Entity` value: an opening bracket (its id,
+# optional part "[i/n]" and "-"-separated fields), closed on the spot by ")"
+# or followed by the next opening bracket or the end; or a closing bracket
+_BRACKET = re.compile(r"""
+    \( (?P<open>[^-()\[\]]+) (?:\[(?P<oi>[0-9]+)/(?P<on>[0-9]+)\])?
+        (?P<fields>(?:-[^-()\]]*)*) (?: (?P<single>\)) | (?=\(|$) )
+  | (?P<close>[^()\[\]]+) (?:\[(?P<ci>[0-9]+)/(?P<cn>[0-9]+)\])? \)
+""", re.VERBOSE)
+
+
+def entity_brackets(value):
+    """The brackets of a well-formed `Entity` value as (kind, eid, part,
+    fields), kind "open", "single" or "close", part (i, n) or None; a
+    ValueError for a value the pattern does not cover."""
+    brackets, at = [], 0
+    while at < len(value):
+        m = _BRACKET.match(value, at)
+        if m is None:
+            raise ValueError(f"not a bracket at offset {at} of {value!r}")
+        if m["close"] is not None:
+            part = (int(m["ci"]), int(m["cn"])) if m["ci"] else None
+            brackets.append(("close", m["close"], part, ()))
+        else:
+            part = (int(m["oi"]), int(m["on"])) if m["oi"] else None
+            fields = tuple(m["fields"].split("-")[1:])
+            brackets.append(("single" if m["single"] else "open", m["open"], part, fields))
+        at = m.end()
+    if not brackets:
+        raise ValueError("empty Entity value")
+    return brackets
 
 
 # ---------------------------------------------------------------------------

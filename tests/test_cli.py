@@ -475,7 +475,8 @@ class TestWorkers:
         assert proc.stdout == "[0, 0, 0, 0, 0, 0] False True\n"
 
 class TestInputPolicy:
-    @pytest.mark.parametrize("kind", ["crlf", "bom", "badutf", "sup", "badpart"])
+    @pytest.mark.parametrize("kind", ["crlf", "bom", "badutf", "sup", "badpart",
+                                      "partrange", "reopen"])
     def test_crlf_and_bom_rejected_by_every_command(self, kind, gold, tmp_path, capsys):
         bad = tmp_path / "bad.conllu"
         data = gold.read_bytes()
@@ -497,11 +498,23 @@ class TestInputPolicy:
             lines[4] = "²".encode() + lines[4][1:]
             bad.write_bytes(b"\n".join(lines))
             message = f"{bad}:5: unknown token id syntax '²'"
-        else:
+        elif kind == "badpart":
             # the first part of e3 becomes a second part with no first
             lines[22] = lines[22].replace(b"(e3[1/2])", b"(e3[2/2])")
             bad.write_bytes(b"\n".join(lines))
             message = f"{bad}:23: part 2/2 of entity 'e3' has no preceding part 1"
+        elif kind == "partrange":
+            lines[22] = lines[22].replace(b"(e3[1/2])", b"(e3[0/2])")
+            bad.write_bytes(b"\n".join(lines))
+            message = (f"{bad}:23: part index out of range in Entity value"
+                       " '(e3[0/2])'")
+        else:
+            # e1, open from line 4 to 6, opens again on line 5
+            assert lines[4].endswith(b"\t_")
+            lines[4] = lines[4][:-1] + b"Entity=(e1"
+            bad.write_bytes(b"\n".join(lines))
+            message = (f"{bad}:5: entity 'e1' opened twice without distinct part"
+                       " indices")
         code, out, _ = run(capsys, "validate", bad, gold)
         # the parse error names the file once
         assert code == 2 and out.splitlines() == [message, f"{gold}: OK"]
@@ -735,9 +748,11 @@ class TestStatsCommand:
         assert code == 0
         messages = [r.getMessage() for r in caplog.records]
         assert len(messages) == 3
-        assert "head index 5 out of range in Mention(e1:" in messages[0]
+        assert messages[0] == "head index 5 out of range in Mention(e1: 1:1); computing instead"
         assert messages[1].endswith("crosses a sentence boundary in document d2")
-        assert "head index 5 out of range in Mention(e2:" in messages[2]
+        # each node as sentence:id, sentences numbered from 1
+        assert messages[2] == ("head index 5 out of range in Mention(e2: 1:1,2:1);"
+                               " computing instead")
 
 
 class TestTransformCommand:
@@ -988,7 +1003,7 @@ class TestImportFootprint:
 # the names `import corefeval` offers, by submodule
 EXPORTS = {
     "align": ("EXACT", "HEAD", "PARTIAL", "MentionAlignment", "align_mentions", "matches"),
-    "conllu": ("Document", "EntityBracket", "doc_to_text", "docs_to_text", "parse_file",
+    "conllu": ("Document", "EntityReader", "doc_to_text", "docs_to_text", "parse_file",
                "parse_text"),
     "errors": ("ConlluParseError", "CorefEvalError", "DocumentPairError",
                "SerializationError"),

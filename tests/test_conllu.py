@@ -7,14 +7,10 @@ import pytest
 import gen
 from corefeval import conllu
 from corefeval.conllu import (
-    CLOSE,
-    OPEN,
-    OPEN_CLOSE,
-    EntityBracket,
+    EntityReader,
     parse_text,
     docs_to_text,
     scan_document_spans,
-    tokenize_entity,
 )
 from corefeval.errors import ConlluParseError
 
@@ -31,31 +27,47 @@ def tok(tid: str, misc: str = "_", head: str = "0", form: str = "w") -> str:
     return "\t".join([tid, form, form, "NOUN", "_", "_", head, "dep", "_", misc])
 
 
-class TestEntityTokenizer:
+def read(*values: tuple[int, str]) -> list:
+    """The mentions `EntityReader` reads from (position, value) pairs."""
+    reader = EntityReader()
+    for position, value in values:
+        reader.feed(position, value)
+    return reader.end()
+
+
+class TestEntityReader:
     def test_open_with_fields(self):
-        brackets = tokenize_entity("(e5-person-1-")
-        assert brackets == [EntityBracket(OPEN, "e5", None, ("person", "1", ""))]
+        assert read((0, "(e5-person-1-"), (2, "e5)")) == [
+            ("e5", ((0, 2),), ("person", "1", ""))]
 
     def test_self_closing(self):
-        assert tokenize_entity("(e9)") == [EntityBracket(OPEN_CLOSE, "e9")]
-
-    def test_close(self):
-        assert tokenize_entity("e5)") == [EntityBracket(CLOSE, "e5")]
+        assert read((3, "(e9)")) == [("e9", ((3, 3),), ())]
 
     def test_part_markers(self):
-        brackets = tokenize_entity("(e7[1/2]-org-1-")
-        assert brackets == [EntityBracket(OPEN, "e7", (1, 2), ("org", "1", ""))]
-        assert tokenize_entity("e7[2/2])") == [EntityBracket(CLOSE, "e7", (2, 2))]
+        assert read((0, "(e7[1/2]-org-1-"), (1, "e7[1/2])"), (3, "(e7[2/2]"),
+                    (4, "e7[2/2])")) == [("e7", ((0, 1), (3, 4)), ("org", "1", ""))]
 
     def test_multiple_brackets(self):
-        kinds = [b.kind for b in tokenize_entity("e1)(e2-x-1)(e3")]
-        assert kinds == [CLOSE, OPEN_CLOSE, OPEN]
+        # a close, a one-node mention and an open in one value
+        assert read((0, "(e1"), (1, "e1)(e2-x-1)(e3"), (2, "e3)")) == [
+            ("e1", ((0, 1),), ()), ("e2", ((1, 1),), ("x", "1")), ("e3", ((1, 2),), ())]
 
-    @pytest.mark.parametrize("value", ["", "(", "e1", "(e1[1/1]", "(e1[0/2]", "(e1]",
-                                       "(e1[1/²])"])
-    def test_malformed(self, value):
-        with pytest.raises(ConlluParseError):
-            tokenize_entity(value)
+    @pytest.mark.parametrize("value, message", [
+        ("", "empty Entity value"),
+        ("(", "missing entity id in Entity value '('"),
+        ("e1", "cannot parse Entity value 'e1' at offset 2"),
+        ("(e1[1/1]", "part index out of range in Entity value '(e1[1/1]'"),
+        ("(e1[0/2]", "part index out of range in Entity value '(e1[0/2]'"),
+        ("(e1]", "cannot parse Entity value '(e1]' at offset 3"),
+        ("(e1[1/²])", "malformed part index in Entity value '(e1[1/²])'"),
+        # of two faults, the first in reading order
+        ("e9)(e1[0/2]", "unbalanced Entity bracket: close of 'e9' without open"),
+        ("(e1(e1(e2]", "entity 'e1' opened twice without distinct part indices"),
+    ])
+    def test_malformed(self, value, message):
+        with pytest.raises(ConlluParseError) as exc:
+            parse_text(make_doc([tok("1", f"Entity={value}")]))
+        assert str(exc.value) == f"<string>:2: {message}"
 
 
 class TestParsing:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -456,6 +457,32 @@ class TestMetamorphicRelations:
             assert (score_document_pair(key, padded, opts)["muc"]
                     == score_document_pair(key, resp, opts)["muc"]), f"seed {seed}"
         assert added > len(self.SEEDS)
+
+    @pytest.mark.parametrize("keep", [False, True])
+    @pytest.mark.parametrize("match", ["partial", "exact"])
+    def test_renaming_entity_ids_leaves_counts_unchanged(self, match, keep):
+        # Ids break ties (the order of `sorted_mentions`, which feeds the
+        # alignment's tie-break), so the relation holds only where no side
+        # has two mentions on one node set
+        opts = EvalOptions(match=match, keep_singletons=keep)
+        checked = 0
+        for seed in self.SEEDS:
+            skel, key_specs, resp_specs = _key_response_pair(seed)
+            if any(len({m.positions for m in specs}) < len(specs)
+                   for specs in (key_specs, resp_specs)):
+                continue
+            key = parse_text(gen.conllu_text(skel, key_specs))[0]
+            resp = parse_text(gen.conllu_text(skel, resp_specs))[0]
+            # one renaming of both sides that reverses the order of the ids
+            eids = sorted({m.eid for m in key_specs + resp_specs})
+            names = {eid: f"r{len(eids) - k:03d}" for k, eid in enumerate(eids)}
+            renamed = [parse_text(gen.conllu_text(
+                skel, [dataclasses.replace(m, eid=names[m.eid]) for m in specs]))[0]
+                for specs in (key_specs, resp_specs)]
+            assert (score_document_pair(*renamed, opts)
+                    == score_document_pair(key, resp, opts)), f"seed {seed}"
+            checked += 1
+        assert checked >= 150
 
 
 class TestEvaluate:

@@ -4,10 +4,9 @@ from collections import Counter
 
 import pytest
 
-import corefeval.conllu
 import gen
-from corefeval.conllu import (CLOSE, OPEN, entity_value, parse_file, parse_text,
-                              tokenize_entity)
+import oracles
+from corefeval.conllu import EntityReader, entity_value, parse_file, parse_text
 from corefeval.errors import ConlluParseError
 from corefeval.metrics import EvalOptions, score_document_pair
 from corefeval.model import Entity, Mention, Node, build_coref_layer
@@ -126,13 +125,13 @@ class TestLayerBuilding:
 
 
 class TestSinglePass:
-    def test_layer_build_tokenizes_no_entity_value(self, fixtures_dir, monkeypatch):
+    def test_layer_build_reads_no_entity_value(self, fixtures_dir, monkeypatch):
         docs = parse_file(fixtures_dir / "discontinuous.conllu")
 
-        def tokenize_again(value):
-            raise AssertionError(f"Entity value {value!r} tokenized after the parse")
+        def read_again(self, position, value):
+            raise AssertionError(f"Entity value {value!r} read after the parse")
 
-        monkeypatch.setattr(corefeval.conllu, "tokenize_entity", tokenize_again)
+        monkeypatch.setattr(EntityReader, "feed", read_again)
         layers = [build_coref_layer(doc) for doc in docs]
         assert sum(len(e.mentions) for layer in layers for e in layer.entities) > 0
 
@@ -214,21 +213,21 @@ def _naive_mentions(doc):
             continue  # blank, comment or multiword range line: not a node
         position += 1
         value = entity_value(line)
-        for bracket in tokenize_entity(value) if value else []:
+        for bracket in oracles.entity_brackets(value) if value else []:
             events.append((position, bracket))
     spans = []  # (eid, part, start, end)
     open_list = []
-    for position, bracket in events:
-        if bracket.kind == OPEN:
-            open_list.append((bracket.eid, bracket.part, position))
-        elif bracket.kind == CLOSE:
+    for position, (kind, eid, part, _fields) in events:
+        if kind == "open":
+            open_list.append((eid, part, position))
+        elif kind == "close":
             for at in range(len(open_list) - 1, -1, -1):
-                if open_list[at][:2] == (bracket.eid, bracket.part):
-                    spans.append((bracket.eid, bracket.part, open_list[at][2], position))
+                if open_list[at][:2] == (eid, part):
+                    spans.append((eid, part, open_list[at][2], position))
                     del open_list[at]
                     break
         else:
-            spans.append((bracket.eid, bracket.part, position, position))
+            spans.append((eid, part, position, position))
     spans.sort(key=lambda s: (s[3], s[2]))  # completion order
     mentions = []
     waiting = {}

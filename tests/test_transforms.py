@@ -6,7 +6,7 @@ import corefeval.baselines  # registers the baseline rules as transforms
 import gen
 import oracles
 from corefeval.conllu import (doc_to_text, entity_value, parse_file, parse_text,
-                              set_mentions, tokenize_entity)
+                              set_mentions)
 from corefeval.errors import SerializationError
 from corefeval.metrics import EvalOptions, evaluate
 from corefeval.model import build_coref_layer
@@ -67,8 +67,8 @@ class TestReduceToHead:
             for node in reduced.nodes:
                 value = entity_value(reduced.lines[node.line])
                 if value:
-                    for bracket in tokenize_entity(value):
-                        assert bracket.kind == "open_close"
+                    for kind, *_ in oracles.entity_brackets(value):
+                        assert kind == "single"
 
     def test_idempotent(self, rng):
         _, _, text = gen.random_document(rng, "dx")
