@@ -119,14 +119,12 @@ class _Matrix(list):
     """Rows of a matrix, with numpy's `size` (cells) for the benchmark's tracer."""
 
 
-def linear_sum_assignment(cost: _Matrix, maximize: bool = False):
+def linear_sum_assignment(cost: _Matrix):
     """Assign each row of `cost` (no more rows than columns) its own column
-    with the least total cost, or the largest with `maximize`; returns the
-    row and column indices, as `scipy.optimize.linear_sum_assignment` does.
+    with the largest total; returns the row and column indices in the form
+    of `scipy.optimize.linear_sum_assignment`.
     Shortest augmenting paths with row and column potentials (Kuhn 1955;
-    Jonker & Volgenant 1987), one new row at a time."""
-    if maximize:
-        cost = [[-c for c in row] for row in cost]
+    Jonker & Volgenant 1987) over the negated cells, one new row at a time."""
     n_rows, n_cols = len(cost), len(cost[0]) if cost else 0
     u, col_of = [0] * n_rows, [-1] * n_rows  # row potentials and columns
     v, row_of = [0] * n_cols, [-1] * n_cols  # column potentials and rows
@@ -136,7 +134,7 @@ def linear_sum_assignment(cost: _Matrix, maximize: bool = False):
         while True:  # Dijkstra over reduced costs until a free column
             row, shift, best, at = cost[i], reach - u[i], math.inf, -1
             for k, j in enumerate(todo):
-                d = row[j] - v[j] + shift
+                d = -row[j] - v[j] + shift
                 if d < dist[j]:
                     dist[j], via[j] = d, i
                 if dist[j] < best or (dist[j] == best and row_of[j] < 0):
@@ -197,7 +195,7 @@ def _solve(w: list[list]) -> list[tuple[int, int]]:
     matrix = _Matrix([list(col) for col in zip(*w)] if flip else w)
     matrix.size = len(w) * len(w[0])
     # looked up at call time, so the module attribute can be wrapped
-    ri, ci = linear_sum_assignment(matrix, maximize=True)
+    ri, ci = linear_sum_assignment(matrix)
     return [(a, b) for a, b in (zip(ci, ri) if flip else zip(ri, ci)) if w[a][b]]
 
 
@@ -236,17 +234,6 @@ def optimal_edges(adj: Adjacency, n_cols: int) -> list[tuple[int, int, float]]:
     """The one-to-one set of edges (row, col, weight) with the largest total
     weight, where adj[i] lists the (col, weight > 0) edges of row i."""
     return _assign(adj, n_cols, {}, lambda i: -adj[i][0][1])
-
-
-def solve_alignment(overlap: dict[tuple[int, int], int],
-                    key_sizes: list[int]) -> list[tuple[int, int]]:
-    """Pick the alignment over the given candidate edges that maximizes
-    (pair count, total overlap, -total matched key size) and is
-    lexicographically smallest."""
-    adj: Adjacency = [[] for _ in key_sizes]
-    for (i, j), ov in overlap.items():
-        adj[i].append((j, ov))
-    return _align(adj, max((j for _, j in overlap), default=-1) + 1, {}, key_sizes)
 
 
 def _align(adj: Adjacency, n_resps: int, later: Twins,

@@ -13,41 +13,56 @@ published pipelines compose them with span transforms:
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import count
 
 from .model import CorefLayer, Entity, Mention
 from .transforms import LAYER_TRANSFORMS, merge_same_span_layer, reduce_layer_to_heads
 
 
-def _node_owners(layer: CorefLayer) -> dict[int, list[Mention]]:
-    owners: dict[int, list[Mention]] = {}
-    for entity in layer.entities:
-        for mention in entity.mentions:
+class _Index:
+    """One rule call's view of a layer: its entities by id, the mentions on
+    each node, and new ids "x<n>", the smallest n no entity has first (ids
+    are not freed within a call, so the next free n only grows).  `finish`
+    sorts each entity given mentions and drops the emptied ones, once."""
+
+    def __init__(self, layer: CorefLayer):
+        self.layer, self.grown = layer, set()  # the entities given mentions
+        self.by_eid = {entity.eid: entity for entity in layer.entities}
+        self.owners: dict[int, list[Mention]] = {}
+        for mention in (m for entity in layer.entities for m in entity.mentions):
             for i in mention.positions:
-                owners.setdefault(i, []).append(mention)
-    return owners
+                self.owners.setdefault(i, []).append(mention)
+        self._ids = (eid for n in count(1) if (eid := f"x{n}") not in self.by_eid)
 
+    def new_entity(self) -> Entity:
+        entity = Entity(next(self._ids))
+        self.layer.entities.append(entity)
+        self.by_eid[entity.eid] = entity
+        return entity
 
-def _new_entity(layer: CorefLayer, by_eid: dict[str, Entity]) -> Entity:
-    """A new entity of `layer`, with the first id "x<n>" not in `by_eid`."""
-    n = 1
-    while f"x{n}" in by_eid:
-        n += 1
-    entity = by_eid[f"x{n}"] = Entity(f"x{n}")
-    layer.entities.append(entity)
-    return entity
+    def add(self, entity: Entity, i: int) -> None:
+        mention = Mention(entity.eid, (i,), self.layer.nodes)
+        entity.mentions.append(mention)
+        self.owners.setdefault(i, []).append(mention)
+        self.grown.add(entity)
 
+    def merge(self, eids: dict[str, None]) -> Entity:
+        """Move the mentions of the entities `eids`, in order, to the one
+        with the lowest id."""
+        target = self.by_eid[min(eids)]
+        self.grown.add(target)
+        for entity in map(self.by_eid.get, eids):
+            if entity is not target:
+                target.mentions.extend(entity.mentions)
+                for mention in entity.mentions:
+                    mention.eid = target.eid
+                entity.mentions = []
+        return target
 
-def _merge_entities(layer: CorefLayer, involved: list[Entity]) -> Entity:
-    target = min(involved, key=lambda e: e.eid)
-    for entity in involved:
-        if entity is target:
-            continue
-        target.mentions.extend(entity.mentions)
-        for mention in entity.mentions:
-            mention.eid = target.eid
-        entity.mentions = []
-    layer.entities = [e for e in layer.entities if e.mentions]
-    return target
+    def finish(self) -> None:
+        for entity in self.grown:
+            entity.sort_mentions()
+        self.layer.entities = [e for e in self.layer.entities if e.mentions]
 
 
 def propn_lemma_merge_layer(layer: CorefLayer) -> None:
@@ -56,65 +71,49 @@ def propn_lemma_merge_layer(layer: CorefLayer) -> None:
     Tokens already covered by a mention pull their whole entity into the
     merge (lowest id wins); uncovered tokens get new single-node mentions.
     """
-    groups: dict[str, list[int]] = {}
+    groups: dict[str, list[int]] = {}  # in order of first position
     for i, _upos, lemma, _gender in layer.nodes.words("PROPN"):
         groups.setdefault(lemma, []).append(i)
 
-    owners = _node_owners(layer)
-    by_eid = {entity.eid: entity for entity in layer.entities}
-    for _lemma, positions in sorted(groups.items(), key=lambda kv: kv[1][0]):
+    index = _Index(layer)
+    for positions in groups.values():
         if len(positions) < 2:
             continue
         # a merge retargets the eids of its mentions, so these are current
-        involved = {mention.eid: by_eid[mention.eid]
-                    for i in positions for mention in owners.get(i, ())}
-        if involved:
-            target = _merge_entities(layer, list(involved.values()))
-        else:
-            target = _new_entity(layer, by_eid)
+        eids = dict.fromkeys(m.eid for i in positions for m in index.owners.get(i, ()))
+        target = index.merge(eids) if eids else index.new_entity()
         for i in positions:
-            if not owners.get(i):
-                mention = Mention(target.eid, (i,), layer.nodes)
-                target.mentions.append(mention)
-                owners.setdefault(i, []).append(mention)
-        target.sort_mentions()
+            if not index.owners.get(i):
+                index.add(target, i)
+    index.finish()
 
 
 def pronoun_gender_link_layer(layer: CorefLayer) -> None:
     """Link each PRON surface token to the nearest preceding NOUN surface
     token with the same `Gender` feature; skip pronouns without gender,
     without a matching noun, or already inside a mention."""
+    index = _Index(layer)
     nouns_by_gender: dict[str, list[int]] = {}
-    pronouns: list[tuple[int, str]] = []
+    pronouns: list[tuple[int, str]] = []  # outside every mention until linked
     for i, upos, _lemma, gender in layer.nodes.words("NOUN", "PRON"):
-        if gender:
-            if upos == "NOUN":
-                nouns_by_gender.setdefault(gender, []).append(i)
-            else:
-                pronouns.append((i, gender))
+        if gender and upos == "NOUN":
+            nouns_by_gender.setdefault(gender, []).append(i)
+        elif gender and i not in index.owners:
+            pronouns.append((i, gender))
 
-    owners = _node_owners(layer)
-    by_eid = {entity.eid: entity for entity in layer.entities}
     for i, gender in pronouns:
-        if owners.get(i):
-            continue
         candidates = nouns_by_gender.get(gender, ())
         at = bisect_left(candidates, i)
         if at == 0:
             continue
         noun = candidates[at - 1]
-        noun_owners = owners.get(noun)
+        noun_owners = index.owners.get(noun)
         if noun_owners:
-            target = by_eid[min(m.eid for m in noun_owners)]
+            target = index.by_eid[min(m.eid for m in noun_owners)]
         else:
-            target = _new_entity(layer, by_eid)
-            noun_mention = Mention(target.eid, (noun,), layer.nodes)
-            target.mentions.append(noun_mention)
-            owners.setdefault(noun, []).append(noun_mention)
-        mention = Mention(target.eid, (i,), layer.nodes)
-        target.mentions.append(mention)
-        owners.setdefault(i, []).append(mention)
-        target.sort_mentions()
+            index.add(target := index.new_entity(), noun)
+        index.add(target, i)
+    index.finish()
 
 
 def berulasek_layer(layer: CorefLayer) -> None:

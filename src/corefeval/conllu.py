@@ -245,9 +245,7 @@ class Nodes(Sequence[Node]):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self.ids)))]
+    def __getitem__(self, i: int) -> Node:
         i = range(len(self.ids))[i]  # (an IndexError past either end)
         node = self._built.get(i)
         if node is None:

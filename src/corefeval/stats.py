@@ -78,29 +78,3 @@ def row(total: Counter, table: str) -> dict[str, float]:
 def _pct(n: int, total: int) -> float:
     return 100.0 * n / total if total else 0.0
 
-
-def _summed_row(layers: list[CorefLayer], table: str,
-                keep_singletons: bool = True) -> dict[str, float]:
-    total: Counter = Counter()
-    for layer in layers:
-        total.update(tally(layer, (table,), keep_singletons))
-    return row(total, table)
-
-
-def entity_stats(layers: list[CorefLayer]) -> dict[str, float]:
-    """Entity totals, rate per 1000 words and length distribution
-    (length = number of mentions; singletons have length 1)."""
-    return _summed_row(layers, "entities")
-
-
-def mention_stats(layers: list[CorefLayer], include_singletons: bool = True) -> dict[str, float]:
-    """Mention totals, rate per 1000 words and length distribution
-    (length counts surface words only; zeros have length 0)."""
-    return _summed_row(layers, "mentions", include_singletons)
-
-
-def mention_detail_stats(layers: list[CorefLayer]) -> dict[str, float]:
-    """Percentages of mentions with an empty node, with a gap and not
-    forming a connected subtree, plus the head UPOS distribution.  The
-    three flags are independent; a mention may carry several."""
-    return _summed_row(layers, "details")

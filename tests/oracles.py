@@ -343,3 +343,136 @@ def transitive_span_groups(entity_spans):
     for eid in eids:
         groups.setdefault(find(eid), set()).add(eid)
     return sorted(frozenset(g) for g in groups.values())
+
+
+# ---------------------------------------------------------------------------
+# Baseline rules, step by step: each new id is found by scanning from "x1",
+# and the entity list is rebuilt after every merge.  A layer here is its
+# entities and the surface words of its document, nothing else.
+
+def surface_words(lines):
+    """(position, UPOS, lemma, `Gender` or None) of each surface word of a
+    document's `lines`; positions count surface words and empty nodes."""
+    words, position = [], 0
+    for line in lines:
+        cols = line.split("\t")
+        if line.startswith("#") or len(cols) != 10 or "-" in cols[0]:
+            continue
+        if "." not in cols[0]:
+            gender = next((f[len("Gender="):] for f in cols[5].split("|")
+                           if f.startswith("Gender=")), None)
+            words.append((position, cols[3], cols[2], gender))
+        position += 1
+    return words
+
+
+class RuleMention:
+    def __init__(self, eid, positions, extra_fields=()):
+        self.eid, self.positions, self.extra_fields = eid, positions, extra_fields
+
+
+class RuleEntity:
+    def __init__(self, eid, mentions=()):
+        self.eid, self.mentions = eid, list(mentions)
+
+    def sort_mentions(self):
+        self.mentions.sort(key=lambda m: (m.positions[0], m.positions[-1]))
+
+
+class RuleLayer:
+    """`entities` from (eid, [(positions, extra_fields), ...]) pairs, and
+    `words`, the `surface_words` of the document."""
+
+    def __init__(self, entities, words):
+        self.entities = [RuleEntity(eid, [RuleMention(eid, ps, fields) for ps, fields in ms])
+                         for eid, ms in entities]
+        self.words = words
+
+    def value(self):
+        """Each entity's id and its mentions' (eid, positions, extra_fields)."""
+        return [(e.eid, [(m.eid, m.positions, m.extra_fields) for m in e.mentions])
+                for e in self.entities]
+
+
+def _node_owners(layer):
+    owners = {}
+    for entity in layer.entities:
+        for mention in entity.mentions:
+            for i in mention.positions:
+                owners.setdefault(i, []).append(mention)
+    return owners
+
+
+def _new_entity(layer, by_eid):
+    n = 1
+    while f"x{n}" in by_eid:
+        n += 1
+    entity = by_eid[f"x{n}"] = RuleEntity(f"x{n}")
+    layer.entities.append(entity)
+    return entity
+
+
+def _merge_entities(layer, involved):
+    target = min(involved, key=lambda e: e.eid)
+    for entity in involved:
+        if entity is target:
+            continue
+        target.mentions.extend(entity.mentions)
+        for mention in entity.mentions:
+            mention.eid = target.eid
+        entity.mentions = []
+    layer.entities = [e for e in layer.entities if e.mentions]
+    return target
+
+
+def propn_lemma_merge(layer):
+    """Every PROPN lemma of several words becomes one entity: the entities
+    on its words merge into the lowest id, or a new entity starts, and each
+    word outside a mention gets one."""
+    groups = {}
+    for i, upos, lemma, _gender in layer.words:
+        if upos == "PROPN":
+            groups.setdefault(lemma, []).append(i)
+    owners = _node_owners(layer)
+    by_eid = {entity.eid: entity for entity in layer.entities}
+    for _lemma, positions in sorted(groups.items(), key=lambda kv: kv[1][0]):
+        if len(positions) < 2:
+            continue
+        involved = {mention.eid: by_eid[mention.eid]
+                    for i in positions for mention in owners.get(i, ())}
+        if involved:
+            target = _merge_entities(layer, list(involved.values()))
+        else:
+            target = _new_entity(layer, by_eid)
+        for i in positions:
+            if not owners.get(i):
+                mention = RuleMention(target.eid, (i,))
+                target.mentions.append(mention)
+                owners.setdefault(i, []).append(mention)
+        target.sort_mentions()
+
+
+def pronoun_gender_link(layer):
+    """Each PRON word with a gender and outside every mention joins the
+    lowest-id entity on the nearest earlier NOUN word of its gender, or a
+    new entity with that noun."""
+    owners = _node_owners(layer)
+    by_eid = {entity.eid: entity for entity in layer.entities}
+    for i, upos, _lemma, gender in layer.words:
+        if upos != "PRON" or not gender or owners.get(i):
+            continue
+        nouns = [n for n, u, _l, g in layer.words if u == "NOUN" and g == gender and n < i]
+        if not nouns:
+            continue
+        noun = nouns[-1]
+        if owners.get(noun):
+            target = by_eid[min(m.eid for m in owners[noun])]
+        else:
+            target = _new_entity(layer, by_eid)
+            noun_mention = RuleMention(target.eid, (noun,))
+            target.mentions.append(noun_mention)
+            owners.setdefault(noun, []).append(noun_mention)
+        mention = RuleMention(target.eid, (i,))
+        target.mentions.append(mention)
+        owners.setdefault(i, []).append(mention)
+        target.sort_mentions()

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
@@ -483,6 +484,42 @@ class TestMetamorphicRelations:
                     == score_document_pair(key, resp, opts)), f"seed {seed}"
             checked += 1
         assert checked >= 150
+
+    def test_reordering_response_documents_changes_no_row(self, tmp_path, capsys):
+        # documents pair by id, and the ids of each file are unique
+        rng = random.Random(8)
+        key_parts, resp_parts = [], []
+        for d in range(8):
+            skel = gen.random_skeleton(rng, f"doc{d}", n_sentences=(2, 4))
+            specs = gen.random_mentions(rng, skel, n_entities=(2, 5))
+            key_parts.append(gen.conllu_text(skel, specs))
+            resp_parts.append(gen.conllu_text(skel, gen.perturb_mentions(rng, specs, skel)))
+        shuffled = resp_parts[:]
+        rng.shuffle(shuffled)
+        assert shuffled != resp_parts
+        key, resp, moved = (tmp_path / f"{name}.conllu" for name in ("k", "r", "moved"))
+        key.write_text("".join(key_parts))
+        resp.write_text("".join(resp_parts))
+        moved.write_text("".join(shuffled))
+        reports = []
+        for path in (resp, moved):
+            for jobs in ("1", "2"):
+                assert main(["score", str(key), str(path), "--per-doc", "--format", "json",
+                             "--jobs", jobs]) == 0
+                reports.append(json.loads(capsys.readouterr().out))
+        first = reports[0]
+        for report in reports[1:]:
+            assert report["documents"] == first["documents"]
+            for dataset, rows in report["datasets"].items():
+                for metric, row in rows.items():
+                    expected = first["datasets"][dataset][metric]
+                    if metric in ("muc", "blanc", "mor", "zero"):
+                        assert row == expected, metric
+                    else:
+                        # B3, LEA and CEAF-e sum float numerators, so their
+                        # totals depend on the order of the documents until
+                        # those sums are exact; CoNLL averages two of them
+                        assert all(abs(row[k] - expected[k]) <= 0.01 for k in row), metric
 
 
 class TestEvaluate:
