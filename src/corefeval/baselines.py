@@ -8,61 +8,17 @@ published pipelines compose them with span transforms:
   cluster proper nouns by lemma.
 * ``simple-rule-based``: link pronouns by gender first, then apply the
   ``berulasek`` steps.
+
+Each rule call changes its layer through one `transforms._Index`, so
+entities unite as in ``merge-same-span``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import count
 
-from .model import CorefLayer, Entity, Mention
-from .transforms import LAYER_TRANSFORMS, merge_same_span_layer, reduce_layer_to_heads
-
-
-class _Index:
-    """One rule call's view of a layer: its entities by id, the mentions on
-    each node, and new ids "x<n>", the smallest n no entity has first (ids
-    are not freed within a call, so the next free n only grows).  `finish`
-    sorts each entity given mentions and drops the emptied ones, once."""
-
-    def __init__(self, layer: CorefLayer):
-        self.layer, self.grown = layer, set()  # the entities given mentions
-        self.by_eid = {entity.eid: entity for entity in layer.entities}
-        self.owners: dict[int, list[Mention]] = {}
-        for mention in (m for entity in layer.entities for m in entity.mentions):
-            for i in mention.positions:
-                self.owners.setdefault(i, []).append(mention)
-        self._ids = (eid for n in count(1) if (eid := f"x{n}") not in self.by_eid)
-
-    def new_entity(self) -> Entity:
-        entity = Entity(next(self._ids))
-        self.layer.entities.append(entity)
-        self.by_eid[entity.eid] = entity
-        return entity
-
-    def add(self, entity: Entity, i: int) -> None:
-        mention = Mention(entity.eid, (i,), self.layer.nodes)
-        entity.mentions.append(mention)
-        self.owners.setdefault(i, []).append(mention)
-        self.grown.add(entity)
-
-    def merge(self, eids: dict[str, None]) -> Entity:
-        """Move the mentions of the entities `eids`, in order, to the one
-        with the lowest id."""
-        target = self.by_eid[min(eids)]
-        self.grown.add(target)
-        for entity in map(self.by_eid.get, eids):
-            if entity is not target:
-                target.mentions.extend(entity.mentions)
-                for mention in entity.mentions:
-                    mention.eid = target.eid
-                entity.mentions = []
-        return target
-
-    def finish(self) -> None:
-        for entity in self.grown:
-            entity.sort_mentions()
-        self.layer.entities = [e for e in self.layer.entities if e.mentions]
+from .model import CorefLayer
+from .transforms import LAYER_TRANSFORMS, _Index, merge_same_span_layer, reduce_layer_to_heads
 
 
 def propn_lemma_merge_layer(layer: CorefLayer) -> None:

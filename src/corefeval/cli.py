@@ -136,10 +136,16 @@ def _job_count(text: str) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    import gc
     import logging  # here, as --version, --help and usage errors exit above
 
     level = (logging.WARNING, logging.INFO, logging.DEBUG)[min(args.verbose, 2)]
     logging.basicConfig(level=level, format="%(levelname)s: %(message)s")
+    # Documents hold no reference cycles (tests/test_model.py), so the cyclic
+    # collector would only walk a long document's live objects, again and
+    # again; the command runs without it, as do its pool workers.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except DocumentPairError as exc:
@@ -152,6 +158,9 @@ def main(argv: list[str] | None = None) -> int:
         where = "" if exc.filename is None else f"{exc.filename}: "
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +203,21 @@ def _start_pool(workers: int):
     import logging
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(workers, initializer=_keep_log_records,
+    return ProcessPoolExecutor(workers, initializer=_set_up_worker,
                                initargs=(logging.getLogger().level,))
 
 
 _records: list[logging.LogRecord] = []  # of the current task, in a pool worker
 
 
-def _keep_log_records(level: int) -> None:
-    """Pool worker set-up: log at `level` into `_records`, not to stderr."""
+def _set_up_worker(level: int) -> None:
+    """Pool worker set-up: no cyclic collector, as in `main` (a spawned
+    worker does not inherit that), and logging at `level` into `_records`,
+    not to stderr."""
+    import gc
     import logging
+
+    gc.disable()
 
     class KeepRecords(logging.Handler):
         def emit(self, record: logging.LogRecord) -> None:

@@ -5,16 +5,21 @@ and the scoring pipeline calls it directly.  `apply_ops` runs operations
 on the layer of a document copy and writes the result back through
 `rewrite_entity_annotations`.  All transforms are idempotent and never
 add or remove nodes.
+
+Entities unite only in `_Index.merge`, for `merge-same-span` and the
+baseline rules: the lowest id takes the others' mentions, in entity order.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import count
 from typing import Callable
 
 from .conllu import Document, set_mentions
 from .errors import SerializationError
 from .heads import head_position, head_upos_set
-from .model import CorefLayer, Mention, build_coref_layer
+from .model import CorefLayer, Entity, Mention, build_coref_layer
 
 
 def _reduce_mention(mention: Mention, head: int) -> None:
@@ -54,6 +59,57 @@ def conservative_head_reduce_layer(layer: CorefLayer) -> None:
         entity.sort_mentions()
 
 
+class _Index:
+    """A merge's or rule call's view of a layer: its entities by id, the
+    mentions on each node, and new ids "x<n>", the smallest n no entity has
+    first (ids are not freed within a call, so the next free n only grows).
+    `finish` sorts each entity given mentions and drops the emptied ones."""
+
+    def __init__(self, layer: CorefLayer):
+        self.layer, self.grown = layer, set()  # the entities given mentions
+        self.by_eid = {entity.eid: entity for entity in layer.entities}
+        self._ids = (eid for n in count(1) if (eid := f"x{n}") not in self.by_eid)
+
+    @cached_property
+    def owners(self) -> dict[int, list[Mention]]:
+        """The mentions on each node, found on first use."""
+        owners: dict[int, list[Mention]] = {}
+        for mention in (m for entity in self.layer.entities for m in entity.mentions):
+            for i in mention.positions:
+                owners.setdefault(i, []).append(mention)
+        return owners
+
+    def new_entity(self) -> Entity:
+        entity = Entity(next(self._ids))
+        self.layer.entities.append(entity)
+        self.by_eid[entity.eid] = entity
+        return entity
+
+    def add(self, entity: Entity, i: int) -> None:
+        mention = Mention(entity.eid, (i,), self.layer.nodes)
+        self.owners.setdefault(i, []).append(mention)  # first, as it may find the others
+        entity.mentions.append(mention)
+        self.grown.add(entity)
+
+    def merge(self, eids: dict[str, None]) -> Entity:
+        """Move the mentions of the entities `eids`, in order, to the one
+        with the lowest id."""
+        target = self.by_eid[min(eids)]
+        self.grown.add(target)
+        for entity in map(self.by_eid.get, eids):
+            if entity is not target:
+                target.mentions.extend(entity.mentions)
+                for mention in entity.mentions:
+                    mention.eid = target.eid
+                entity.mentions = []
+        return target
+
+    def finish(self) -> None:
+        for entity in self.grown:
+            entity.sort_mentions()
+        self.layer.entities = [e for e in self.layer.entities if e.mentions]
+
+
 def merge_same_span_layer(layer: CorefLayer) -> None:
     """Union entities that share a mention span; deduplicate mentions."""
     parent: dict[str, str] = {}  # union-find over entity ids
@@ -66,35 +122,22 @@ def merge_same_span_layer(layer: CorefLayer) -> None:
     by_span: dict[frozenset[int], str] = {}
     for mention in layer.sorted_mentions():
         root = find(mention.eid)
-        other = by_span.get(mention.position_set)
-        if other is None:
-            by_span[mention.position_set] = root
-        else:
-            other = find(other)
-            if other != root:
-                keep, drop = sorted((other, root))
-                parent[drop] = keep
+        other = find(by_span.setdefault(mention.position_set, root))
+        if other != root:
+            parent[max(other, root)] = min(other, root)
 
-    by_eid = {entity.eid: entity for entity in layer.entities}
-    merged = []
+    groups: dict[str, dict[str, None]] = {}  # entity ids by root, in entity order
     for entity in layer.entities:
-        root = find(entity.eid)
-        if root == entity.eid:
-            merged.append(entity)
-        else:
-            by_eid[root].mentions.extend(entity.mentions)
-            for mention in entity.mentions:
-                mention.eid = root
-    for entity in merged:
-        entity.sort_mentions()
-        seen: set[frozenset[int]] = set()
-        unique = []
+        groups.setdefault(find(entity.eid), {})[entity.eid] = None
+    index = _Index(layer)
+    for eids in groups.values():
+        index.merge(eids)  # every kept entity is a target, so `finish` sorts it
+    index.finish()
+    for entity in layer.entities:
+        unique: dict[frozenset[int], Mention] = {}  # the first of each span
         for mention in entity.mentions:
-            if mention.position_set not in seen:
-                seen.add(mention.position_set)
-                unique.append(mention)
-        entity.mentions = unique
-    layer.entities = merged
+            unique.setdefault(mention.position_set, mention)
+        entity.mentions = list(unique.values())
 
 
 def remove_singletons_layer(layer: CorefLayer) -> None:

@@ -345,6 +345,56 @@ def transitive_span_groups(entity_spans):
     return sorted(frozenset(g) for g in groups.values())
 
 
+def merge_same_span(layer):
+    """Same-span merging on a `RuleLayer`, with its own union-find and its
+    own loop that moves mentions: entities that share a span, transitively,
+    become the one with the lowest id, which takes its own mentions and
+    then those of the others in entity order, sorted by (start, end); each
+    kept entity then keeps the first mention of each span."""
+    parent = {}
+
+    def find(eid):
+        while parent.get(eid, eid) != eid:
+            eid = parent[eid]
+        return eid
+
+    by_span = {}
+    for mention in sorted((m for e in layer.entities for m in e.mentions),
+                          key=lambda m: (m.positions[0], m.positions[-1], m.eid)):
+        span = frozenset(mention.positions)
+        root = find(mention.eid)
+        other = by_span.get(span)
+        if other is None:
+            by_span[span] = root
+        else:
+            other = find(other)
+            if other != root:
+                keep, drop = sorted((other, root))
+                parent[drop] = keep
+
+    by_eid = {entity.eid: entity for entity in layer.entities}
+    merged = []
+    for entity in layer.entities:
+        root = find(entity.eid)
+        if root == entity.eid:
+            merged.append(entity)
+        else:
+            by_eid[root].mentions.extend(entity.mentions)
+            for mention in entity.mentions:
+                mention.eid = root
+    for entity in merged:
+        entity.sort_mentions()
+        seen = set()
+        unique = []
+        for mention in entity.mentions:
+            span = frozenset(mention.positions)
+            if span not in seen:
+                seen.add(span)
+                unique.append(mention)
+        entity.mentions = unique
+    layer.entities = merged
+
+
 # ---------------------------------------------------------------------------
 # Baseline rules, step by step: each new id is found by scanning from "x1",
 # and the entity list is rebuilt after every merge.  A layer here is its

@@ -1,7 +1,9 @@
 import argparse
 import ast
+import gc
 import importlib
 import json
+import logging
 import os
 import random
 import subprocess
@@ -614,6 +616,54 @@ class TestOneDocumentAtATime:
         assert code == 2
         assert out.splitlines() == [
             f"{late_error}: unclosed Entity bracket for 'e3' at end of document d3"]
+
+
+class TestCollectorPolicy:
+    """A command runs without the cyclic collector, which on a long document
+    would only walk its live objects again and again, and leaves the
+    collector as it found it; pool workers follow the same policy."""
+
+    def test_a_long_document_runs_no_full_collection(self, tmp_path, capsys):
+        path = tmp_path / "long.conllu"
+        path.write_text(gen.synthetic_corpus(random.Random(24), 1, 3000, 10))
+        full = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full.append(info)
+
+        before = gc.isenabled(), gc.get_threshold()
+        gc.callbacks.append(count)
+        try:
+            code, out, _ = run(capsys, "score", path, path, "--jobs", "1")
+        finally:
+            gc.callbacks.remove(count)
+        assert code == 0 and "CoNLL" in out
+        assert full == []
+        assert (gc.isenabled(), gc.get_threshold()) == before
+
+    def test_the_collector_state_is_restored(self, gold, capsys):
+        collecting = gc.isenabled()
+        try:
+            for state in (gc.disable, gc.enable):
+                state()
+                assert run(capsys, "stats", gold)[0] == 0
+                assert run(capsys, "validate", gold.parent / "missing.conllu")[0] == 2
+                assert gc.isenabled() == (state is gc.enable)
+        finally:
+            (gc.enable if collecting else gc.disable)()
+
+    def test_a_worker_runs_without_the_collector(self):
+        collecting, root = gc.isenabled(), logging.getLogger()
+        handlers, level = root.handlers[:], root.level
+        gc.enable()
+        try:
+            cli._set_up_worker(logging.INFO)
+            assert not gc.isenabled()
+        finally:
+            (gc.enable if collecting else gc.disable)()
+            root.handlers[:] = handlers
+            root.setLevel(level)
 
 
 class TestValidateCommand:

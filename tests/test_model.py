@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 from collections import Counter
 
@@ -6,11 +7,14 @@ import pytest
 
 import gen
 import oracles
+from corefeval import stats
+from corefeval.baselines import BASELINE_RULES
+from corefeval.cli import validate_path
 from corefeval.conllu import EntityReader, entity_value, parse_file, parse_text
 from corefeval.errors import ConlluParseError
 from corefeval.metrics import EvalOptions, score_document_pair
-from corefeval.model import Entity, Mention, Node, build_coref_layer
-from corefeval.transforms import apply_ops, merge_same_span_layer
+from corefeval.model import build_coref_layer
+from corefeval.transforms import LAYER_TRANSFORMS, apply_ops
 
 
 def line(tid, misc="_", head="0", upos="NOUN", deps="_", feats="_"):
@@ -137,31 +141,67 @@ class TestSinglePass:
 
 
 class TestNoCyclicGarbage:
-    @pytest.mark.parametrize("match", ["partial", "head"])
-    def test_scoring_and_merging_free_every_mention(self, fixtures_dir, match):
-        """Layers hold no reference cycle, so a document's mentions, entities
-        and nodes are freed when it is done, not by the cycle collector."""
-        pairs = [(parse_file(fixtures_dir / f"{name}.conllu"),) * 2
-                 for name in ("animals", "zeros", "discontinuous")]
-        pairs.append((parse_file(fixtures_dir / "nest_key.conllu"),
-                      parse_file(fixtures_dir / "nest_response.conllu")))
-        opts = EvalOptions(match=match, keep_singletons=True, upos_filter="NOUN")
+    """Documents and layers hold no reference cycle, so all that a
+    document's work makes is freed when it is done, not by the cycle
+    collector, which the commands run without (`cli.main`)."""
+
+    @staticmethod
+    def garbage(work) -> Counter:
+        """The types of the objects that only the cycle collector frees
+        after `work()`, with their counts."""
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
-            for key_docs, resp_docs in pairs:
-                for key_doc, resp_doc in zip(key_docs, resp_docs):
-                    assert score_document_pair(key_doc, resp_doc, opts)
-                    assert score_document_pair(key_doc, resp_doc, EvalOptions(match=match))
-                    assert apply_ops(key_doc, merge_same_span_layer).mentions
-            del key_doc, resp_doc, key_docs, resp_docs, pairs
+            work()
             gc.collect()
-            left = Counter(type(o).__name__ for o in gc.garbage
-                           if isinstance(o, (Mention, Entity, Node)))
+            return Counter(type(o).__name__ for o in gc.garbage)
         finally:
             gc.set_debug(0)
             gc.garbage.clear()
-        assert left == Counter()
+
+    @pytest.fixture
+    def documents(self, fixtures_dir):
+        """Each call parses every bundled fixture anew."""
+        paths = sorted(fixtures_dir.glob("*.conllu"))
+        return lambda: [doc for path in paths for doc in parse_file(path)]
+
+    def test_parsing_every_fixture(self, documents):
+        assert self.garbage(documents) == Counter()
+
+    @pytest.mark.parametrize("match", ["partial", "exact", "head"])
+    def test_scoring(self, fixtures_dir, match):
+        def work():
+            pairs = [(parse_file(fixtures_dir / f"{name}.conllu"),) * 2
+                     for name in ("animals", "zeros", "discontinuous")]
+            pairs.append((parse_file(fixtures_dir / "nest_key.conllu"),
+                          parse_file(fixtures_dir / "nest_response.conllu")))
+            for key_docs, resp_docs in pairs:
+                for key_doc, resp_doc in zip(key_docs, resp_docs):
+                    for keep, upos in itertools.product((False, True), (None, "NOUN")):
+                        opts = EvalOptions(match=match, keep_singletons=keep, upos_filter=upos)
+                        assert score_document_pair(key_doc, resp_doc, opts)
+
+        assert self.garbage(work) == Counter()
+
+    @pytest.mark.parametrize("strip", [False, True])
+    def test_every_transform_and_rule(self, documents, strip):
+        assert set(BASELINE_RULES) <= set(LAYER_TRANSFORMS)
+
+        def work():
+            for doc in documents():
+                for op in LAYER_TRANSFORMS.values():
+                    assert apply_ops(doc, op, strip=strip).lines
+
+        assert self.garbage(work) == Counter()
+
+    def test_stats_and_strict_validation(self, fixtures_dir, documents):
+        def work():
+            for doc in documents():
+                assert stats.tally(build_coref_layer(doc), stats.TABLES, True)
+            for path in sorted(fixtures_dir.glob("*.conllu")):
+                validate_path(str(path), strict=True)
+
+        assert self.garbage(work) == Counter()
 
 
 class TestLayerProperties:

@@ -9,7 +9,7 @@ from corefeval.conllu import (doc_to_text, entity_value, parse_file, parse_text,
                               set_mentions)
 from corefeval.errors import SerializationError
 from corefeval.metrics import EvalOptions, evaluate
-from corefeval.model import build_coref_layer
+from corefeval.model import CorefLayer, Entity, Mention, build_coref_layer
 from corefeval.transforms import (
     LAYER_TRANSFORMS,
     apply_ops,
@@ -77,6 +77,26 @@ class TestReduceToHead:
         assert doc_to_text(once) == doc_to_text(twice)
 
 
+def random_entities(rng):
+    """(eid, [(positions, opening fields), ...]) of up to eight entities in
+    random order, their mentions drawn from a few spans over ten nodes:
+    discontinuous ones share their first and last positions, and an entity
+    may hold a span twice."""
+    spans = set()
+    for _ in range(rng.randint(2, 5)):
+        start = rng.randrange(8)
+        end = rng.randrange(start, min(start + 4, 10))
+        spans.add(tuple(range(start, end + 1)))
+        if end - start > 1:
+            spans.add((start, end))
+            spans.add((start, rng.randrange(start + 1, end), end))
+    spans = sorted(spans)
+    fields = [(), ("person",), ("person", "1"), ("place", "2", "gstype:spec")]
+    eids = rng.sample(["e1", "e2", "e3", "e10", "x1", "a", "b7", "c"], rng.randint(1, 8))
+    return [(eid, [(rng.choice(spans), rng.choice(fields))
+                   for _ in range(rng.randint(1, 4))]) for eid in eids]
+
+
 class TestMergeSameSpan:
     def test_duplicate_spans_merge_and_dedupe(self):
         skel = simple_skeleton()
@@ -133,6 +153,37 @@ class TestMergeSameSpan:
             groups = oracles.transitive_span_groups(entity_spans)
             assert sorted(spans_by_eid(merged)) == sorted(min(g) for g in groups)
         assert checked >= 20
+
+    def test_random_layers_match_the_reference(self):
+        """Hand-built layers, compared with `oracles.merge_same_span`: ids,
+        entity order, mention order, positions and opening fields."""
+        rng = random.Random(24)
+        seen = dict.fromkeys(("three entities on a span", "twin in one entity",
+                              "same ends", "chain"), 0)  # layers with each shape
+        for _ in range(400):
+            entities = random_entities(rng)
+            layer = CorefLayer(None, None, [])
+            for eid, mentions in entities:
+                entity = Entity(eid)
+                entity.mentions = [Mention(eid, ps, None, fields) for ps, fields in mentions]
+                layer.entities.append(entity)
+            reference = oracles.RuleLayer(entities, [])
+            merge_same_span_layer(layer)
+            oracles.merge_same_span(reference)
+            assert [(e.eid, [(m.eid, m.positions, m.extra_fields) for m in e.mentions])
+                    for e in layer.entities] == reference.value()
+            owners = {}  # the entities on each span
+            for eid, mentions in entities:
+                for ps, _fields in mentions:
+                    owners.setdefault(ps, []).append(eid)
+            seen["three entities on a span"] += any(len(set(o)) > 2 for o in owners.values())
+            seen["twin in one entity"] += any(len(set(o)) < len(o) for o in owners.values())
+            seen["same ends"] += len({(ps[0], ps[-1]) for ps in owners}) < len(owners)
+            groups = oracles.transitive_span_groups(
+                {eid: [frozenset(ps) for ps, _fields in mentions] for eid, mentions in entities})
+            seen["chain"] += any(len(g) > 2 and not any(g <= set(o) for o in owners.values())
+                                 for g in groups)
+        assert min(seen.values()) > 50, seen
 
     def test_parts_that_would_read_back_differently_fail(self):
         # e1 = {1,6} and e2 = {3,5} merge through {8}; written as parts,
