@@ -19,7 +19,7 @@ _EXPORTS = {
     "heads": ("head_upos_set", "mention_head"),
     "metrics": ("ALL_METRICS", "EvalOptions", "PRF", "ScoreReport", "ZeroScoreCounts",
                 "evaluate", "score_document_pair"),
-    "model": ("CorefLayer", "Entity", "Mention", "Node", "build_coref_layer"),
+    "model": ("CorefLayer", "Entity", "Mention", "build_coref_layer"),
     "transforms": ("apply_ops", "strip_entities"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-from .heads import head_position
+from .heads import mention_head
 from .model import Mention
 
 EXACT = "exact"
@@ -49,7 +49,7 @@ def matches(key: Mention, resp: Mention, policy: str) -> bool:
         return key.position_set == resp.position_set
     if policy == PARTIAL:
         return (resp.position_set <= key.position_set
-                and head_position(key) in resp.position_set)
+                and mention_head(key) in resp.position_set)
     raise ValueError(f"unknown match policy {policy!r}")
 
 
@@ -98,7 +98,7 @@ def _candidate_edges(key_ms: list[Mention], resp_ms: list[Mention],
     key_sets = [k.position_set for k in key_ms]
     by_probe: dict = {}  # keys by node set (exact) or by head position (partial)
     for i, k in enumerate(key_ms):
-        by_probe.setdefault(key_sets[i] if exact else head_position(k), []).append(i)
+        by_probe.setdefault(key_sets[i] if exact else mention_head(k), []).append(i)
     adj: Adjacency = [[] for _ in key_ms]
     resp_sets = [r.position_set for r in resp_ms]
     firsts, later = _twins(resp_sets)

@@ -305,15 +305,12 @@ def _dataset_names(paths: list[str]) -> list[str]:
 
 
 def _score_worker(task) -> dict[str, tuple]:
-    from .conllu import Document, read_document
+    from .conllu import read_document
     from .metrics import score_document_pair
 
     key_src, resp_src, opts = task
-    key_doc = read_document(*key_src)
-    # a key document missing from the response scores against no mentions
-    resp_doc = (Document(key_doc.doc_id, key_doc.lines, key_doc.nodes, [])
-                if resp_src is None else read_document(*resp_src))
-    return score_document_pair(key_doc, resp_doc, opts)
+    resp_doc = None if resp_src is None else read_document(*resp_src)
+    return score_document_pair(read_document(*key_src), resp_doc, opts)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ first_line, byte_start, byte_end).  The byte scan is the one reader of the
 `# newdoc` marker, so the id of a parsed document is the one its span
 carries.  The parse is the only pass over the token lines: it checks
 every line and feeds its `Entity` value to the one bracket reader, so a
-`Document` is its lines, nodes and mentions.  Of each node the parse
-keeps the line index, sentence and id.  `Nodes` owns the dependency tree
-as positions (`Nodes.parent`, `Nodes.depth`), read from the HEAD and DEPS
-columns on first use; it builds a `Node`, which holds only its line's
-columns, when one is asked for.  No other module reads HEAD or DEPS.
+`Document` is its lines, nodes and mentions.  A node is its position:
+the parse keeps its line index, sentence and id, and `Nodes` reads any
+other column from its line when it is asked for.  `Nodes` owns the
+dependency tree as positions (`Nodes.parent`, `Nodes.depth`), read from
+the HEAD and DEPS columns on first use.  No other module reads HEAD or
+DEPS.
 
 Entity values are sequences of brackets over entity ids, e.g.
 ``(e5-person-1-`` opens mention of entity e5 (extra fields: type, head
@@ -33,9 +34,7 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Sequence
 from pathlib import Path
-from sys import intern
 from typing import Iterable, Iterator
 
 from .errors import ConlluParseError, SerializationError
@@ -177,57 +176,19 @@ class EntityReader:
         return self._mentions
 
 
-class Node:
-    """One syntactic word or empty node, positioned in the document order:
-    the columns of its line.
-
-    Surface words are ordered by sentence and word id; empty node ``n.k``
-    follows word ``n`` (and ``n.(k-1)``), ``0.k`` precede word 1.  Multiword
-    range lines are not nodes.  An empty node's `deprel` comes from its
-    first enhanced dependency.  The tree is not here but in `Nodes.parent`.
-    """
-
-    __slots__ = (
-        "index", "sent_index", "line", "id", "is_empty", "form", "lemma", "upos",
-        "gender", "deprel",
-    )
-
-    def __init__(self, index: int, sent_index: int, line: int, tid: str, cols: list[str]):
-        """`cols` are the ten columns of the node's line."""
-        self.index = index  # document-wide position
-        self.sent_index = sent_index
-        self.line = line  # index in `Document.lines`
-        self.id = tid
-        self.is_empty = "." in tid
-        # built nodes are kept, so they share repeated column values
-        self.form, self.lemma, self.upos = intern(cols[1]), intern(cols[2]), intern(cols[3])
-        gender = _attr(cols[5], "Gender=") if "Gender=" in cols[5] else None
-        self.gender = gender and intern(gender)
-        self.deprel = (next((rel for _h, _s, rel in _deps(cols[8]) if rel), "")
-                       if self.is_empty else intern(cols[7]))
-
-    def __repr__(self) -> str:
-        return f"Node({self.sent_index}:{self.id} {self.form!r})"
-
-
-def _deps(column: str) -> list[tuple[str, str, str]]:
-    """The "head:relation" items of a DEPS column, partitioned at ":"."""
-    return [item.partition(":") for item in column.split("|")]
-
-
-class Nodes(Sequence[Node]):
+class Nodes:
     """The nodes of one document and their dependency tree, as positions.
 
     The parse keeps three columns per node: `line_index` (into `lines`),
-    `sent_index` and `ids`, the id as the line spells it.  `len`, the
-    columns, `words` and `first_difference` build nothing; indexing or
-    iterating builds a `Node` from its line and caches it, so each position
-    has one `Node`.  `parent` and `depth` read the tree from the lines, one
-    node at a time, and build no `Node` either.
+    `sent_index` and `ids`, the id as the line spells it.  Any other column
+    is read from the node's line (`column`, `words`) when it is asked for.
+    `parent` and `depth` read the tree from the lines, one node at a time,
+    and keep what they read.  Positions follow the lines: surface words
+    and empty nodes (``n.k`` after word ``n``) in document order; multiword
+    range lines are not nodes.
     """
 
-    __slots__ = ("lines", "line_index", "sent_index", "ids", "_built", "_by_id",
-                 "_parent", "_depth")
+    __slots__ = ("lines", "line_index", "sent_index", "ids", "_by_id", "_parent", "_depth")
 
     def __init__(self, lines: list[str], line_index: list[int],
                  sent_index: list[int], ids: list[str]):
@@ -236,7 +197,6 @@ class Nodes(Sequence[Node]):
         self.line_index = line_index
         self.sent_index = sent_index
         self.ids = ids
-        self._built: dict[int, Node] = {}
         self._by_id: dict[int, dict[str, int]] = {}  # per sentence: position by id
         # of the nodes read so far: parent positions, and depths (None: a cycle)
         self._parent: dict[int, int] = {}
@@ -245,14 +205,9 @@ class Nodes(Sequence[Node]):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, i: int) -> Node:
-        i = range(len(self.ids))[i]  # (an IndexError past either end)
-        node = self._built.get(i)
-        if node is None:
-            at = self.line_index[i]
-            node = self._built[i] = Node(i, self.sent_index[i], at, self.ids[i],
-                                         self.lines[at].split("\t"))
-        return node
+    def column(self, i: int, k: int) -> str:
+        """Column k (1 FORM, 2 LEMMA, 3 UPOS, ..., 7 DEPREL) of node i's line."""
+        return self.lines[self.line_index[i]].split("\t", k + 1)[k]
 
     def parent(self, i: int) -> int:
         """The position of node i's parent, or -1 for none: a surface word's
@@ -268,8 +223,8 @@ class Nodes(Sequence[Node]):
                 by_id = self._by_id[sent] = dict(zip(self.ids[first:end], range(first, end)))
             line = self.lines[self.line_index[i]]
             if "." in self.ids[i]:  # DEPS: "head:relation" items, head 0 the root
-                parent = next((by_id[h] for h, _s, _rel in _deps(line.split("\t", 9)[8])
-                               if h in by_id), -1)
+                heads = (item.partition(":")[0] for item in line.split("\t", 9)[8].split("|"))
+                parent = next((by_id[h] for h in heads if h in by_id), -1)
             else:
                 head = line.split("\t", 7)[6]
                 parent = by_id.get(head, -1)
@@ -295,7 +250,7 @@ class Nodes(Sequence[Node]):
 
     def words(self, *upos: str) -> Iterator[tuple[int, str, str, str | None]]:
         """(position, UPOS, lemma, `Gender`) of each surface word whose UPOS
-        is one of `upos`, read from its line; no `Node` is built."""
+        is one of `upos`, read from its line."""
         lines, line_index, ids = self.lines, self.line_index, self.ids
         found: set[int] = set()
         for tag in upos:  # a substring test first: most lines have none
@@ -324,7 +279,7 @@ class Document:
     """One `# newdoc` section: the lines the writer emits (the verbatim input
     lines, each sentence followed by one blank line), its `Nodes` and the
     mentions its `Entity` values read as (`EntityReader.end`).  Copies share
-    all three, and so the nodes built through any of them.  `set_mentions`
+    all three, and so the tree `Nodes` has read.  `set_mentions`
     is the one code that changes `lines`; it replaces `lines` and
     `mentions` together, so the two always agree."""
 
@@ -503,7 +458,7 @@ def _parse_document(text: str, path: str, first_line: int,
     """Parse one document chunk (a span of `scan_document_spans`, which
     read its id).  The parse checks every line and reads the `Entity`
     values; of each node it keeps the line index, sentence and id, from
-    which `Nodes` builds the node."""
+    which `Nodes` reads its other columns."""
     if text.startswith("\ufeff"):
         raise ConlluParseError("byte order mark (U+FEFF); save the file as UTF-8"
                                " without BOM", path=path, line=first_line)

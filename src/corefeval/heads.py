@@ -7,14 +7,14 @@ mention) the one with minimal depth, preferring surface words over empty
 nodes and then the earliest document position.  The tree is the
 document's `Nodes.parent` and `Nodes.depth`, where an empty node hangs
 off its first enhanced parent; everything here works on node positions
-and builds only the `Node`s it returns.
+and reads other columns (UPOS, DEPREL) through `Nodes.column`.
 """
 
 from __future__ import annotations
 
 import logging
 
-from .model import Mention, Node
+from .model import Mention
 
 log = logging.getLogger("corefeval")
 
@@ -61,7 +61,7 @@ def _highest_node(mention: Mention) -> int:
     return min(zip(depths, ("." in ids[i] for i in candidates), candidates))[2]
 
 
-def head_position(mention: Mention) -> int:
+def mention_head(mention: Mention) -> int:
     """The position of the mention's head node, cached on the mention."""
     head = mention._head
     if head is None:
@@ -69,18 +69,13 @@ def head_position(mention: Mention) -> int:
     return head
 
 
-def mention_head(mention: Mention) -> Node:
-    """The mention's head node (`head_position`)."""
-    return mention.doc_nodes[head_position(mention)]
-
-
 def head_upos_set(mention: Mention) -> set[str]:
     """UPOS of the head plus of its surface `flat` children inside the
     mention."""
-    nodes, head = mention.doc_nodes, head_position(mention)
-    tags = {nodes[head].upos}
+    nodes, head = mention.doc_nodes, mention_head(mention)
+    tags = {nodes.column(head, 3)}
     for i in mention.positions:
         if (nodes.parent(i) == head and "." not in nodes.ids[i]
-                and nodes[i].deprel.startswith("flat")):
-            tags.add(nodes[i].upos)
+                and nodes.column(i, 7).startswith("flat")):
+            tags.add(nodes.column(i, 3))
     return tags

@@ -306,13 +306,13 @@ def check_same_nodes(key_layer: CorefLayer, resp_layer: CorefLayer) -> None:
         raise DocumentPairError(
             f"document {doc}: node counts differ "
             f"({len(key_layer.nodes)} vs {len(resp_layer.nodes)})")
-    at = key_layer.nodes.first_difference(resp_layer.nodes)
+    key, resp = key_layer.nodes, resp_layer.nodes
+    at = key.first_difference(resp)
     if at is not None:
-        kn, rn = key_layer.nodes[at], resp_layer.nodes[at]
         raise DocumentPairError(
-            f"document {doc}: tokens differ at sentence {kn.sent_index + 1},"
-            f" node {kn.id} ({kn.form!r} vs sentence {rn.sent_index + 1},"
-            f" node {rn.id} {rn.form!r})")
+            f"document {doc}: tokens differ at sentence {key.sent_index[at] + 1},"
+            f" node {key.ids[at]} ({key.column(at, 1)!r} vs sentence"
+            f" {resp.sent_index[at] + 1}, node {resp.ids[at]} {resp.column(at, 1)!r})")
 
 
 def relabeled_clusters(
@@ -330,9 +330,13 @@ def relabeled_clusters(
             [frozenset(resp_number[id(m)] for m in e.mentions) for e in resp_layer.entities])
 
 
-def score_document_pair(key_doc: Document, resp_doc: Document, opts: EvalOptions) -> dict[str, tuple]:
+def score_document_pair(key_doc: Document, resp_doc: Document | None,
+                        opts: EvalOptions) -> dict[str, tuple]:
+    """The metric counts of one document pair; a response document of None
+    (the key's is missing from the response) has no mentions."""
     key_layer = build_coref_layer(key_doc)
-    resp_layer = build_coref_layer(resp_doc)
+    resp_layer = (CorefLayer(key_doc, key_doc.nodes, []) if resp_doc is None
+                  else build_coref_layer(resp_doc))
     check_same_nodes(key_layer, resp_layer)
 
     if opts.upos_filter:
@@ -500,8 +504,6 @@ def evaluate(
         resp_docs = resp_datasets[name]
         for doc_key, i, j in pair_documents([d.doc_id for d in key_docs],
                                             [d.doc_id for d in resp_docs], name):
-            key = key_docs[i]
-            # a key document missing from the response scores against no mentions
-            resp = Document(key.doc_id, key.lines, key.nodes, []) if j is None else resp_docs[j]
-            results.append((name, doc_key, score_document_pair(key, resp, opts)))
+            resp = None if j is None else resp_docs[j]
+            results.append((name, doc_key, score_document_pair(key_docs[i], resp, opts)))
     return build_report(list(key_datasets), results, opts, per_doc)

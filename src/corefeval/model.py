@@ -6,12 +6,13 @@ as; the layer turns those mentions into sorted node positions (possibly
 discontinuous) and groups them into entities by their id.  A mention
 names its entity by id, so no object refers back to what holds it.
 Everything here is a plain in-memory value of one process: reading it
-from several threads is unsafe, as `Nodes` reads its columns on first use.
+from several threads is unsafe, as reads fill caches: of `Nodes` only the
+`parent` and `depth` memos, of a `Mention` its head and position set.
 """
 
 from __future__ import annotations
 
-from .conllu import Document, Node, Nodes
+from .conllu import Document, Nodes
 
 
 class Mention:
@@ -28,13 +29,8 @@ class Mention:
         self.doc_nodes = doc_nodes
         self.extra_fields = extra_fields
         self.provided_head_index = _head_index(extra_fields)
-        self._head: int | None = None  # the head's position (`heads.head_position`)
+        self._head: int | None = None  # the head's position (`heads.mention_head`)
         self._pos_set: frozenset[int] | None = None
-
-    @property
-    def nodes(self) -> list[Node]:
-        """The mention's nodes, built on demand."""
-        return [self.doc_nodes[i] for i in self.positions]
 
     @property
     def position_set(self) -> frozenset[int]:

@@ -51,7 +51,7 @@ def tally(layer: CorefLayer, tables: tuple[str, ...], keep_singletons: bool) -> 
                 counts["details", "w_empty"] += mention.contains_empty
                 counts["details", "w_gap"] += mention.is_discontinuous
                 counts["details", "non_tree"] += len(treelet_roots(mention)) > 1
-                tag = mention_head(mention).upos
+                tag = layer.nodes.column(mention_head(mention), 3)
                 counts["details", tag.lower() if tag in HEAD_UPOS_COLUMNS else "other"] += 1
     return counts
 

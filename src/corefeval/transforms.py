@@ -18,7 +18,7 @@ from typing import Callable
 
 from .conllu import Document, set_mentions
 from .errors import SerializationError
-from .heads import head_position, head_upos_set
+from .heads import head_upos_set, mention_head
 from .model import CorefLayer, Entity, Mention, build_coref_layer
 
 
@@ -38,7 +38,7 @@ def reduce_layer_to_heads(layer: CorefLayer) -> None:
     """Shrink every mention to its head node (spans may duplicate)."""
     for entity in layer.entities:
         for mention in entity.mentions:
-            _reduce_mention(mention, head_position(mention))
+            _reduce_mention(mention, mention_head(mention))
         entity.sort_mentions()
 
 
@@ -47,14 +47,14 @@ def conservative_head_reduce_layer(layer: CorefLayer) -> None:
     keep the largest of them (ties: earliest start) intact."""
     groups: dict[int, list[Mention]] = {}
     for mention in layer.sorted_mentions():
-        groups.setdefault(head_position(mention), []).append(mention)
+        groups.setdefault(mention_head(mention), []).append(mention)
     for group in groups.values():
         keep: Mention | None = None
         if len(group) > 1:
             keep = min(group, key=lambda m: (-len(m.positions), m.start, m.end, m.eid))
         for mention in group:
             if mention is not keep:
-                _reduce_mention(mention, head_position(mention))
+                _reduce_mention(mention, mention_head(mention))
     for entity in layer.entities:
         entity.sort_mentions()
 

@@ -14,7 +14,7 @@ from corefeval.align import (
     max_total_overlap,
 )
 from corefeval.conllu import parse_file, parse_text
-from corefeval.heads import head_position, mention_head
+from corefeval.heads import mention_head
 from corefeval.metrics import ceafe_counts, mor_counts
 from corefeval.model import Mention, build_coref_layer
 from corefeval.transforms import conservative_head_reduce_layer
@@ -83,7 +83,7 @@ class TestMatchPredicate:
         # every nonempty subset of a 3-node key plus one outside node
         key_ms, _ = two_sided([("e1", (0, 2, 4), ("thing", "2"))], [])
         key = key_ms[0]
-        head = mention_head(key).index
+        head = mention_head(key)
         for mask in range(1, 16):
             positions = tuple(p for bit, p in enumerate((0, 2, 4, 6))
                               if mask & (1 << bit))
@@ -347,7 +347,7 @@ class TestSolverCalls:
                     resp_spans.append(sub.choice(resp_spans))
                 elif sub.random() < 0.7:  # a part of a key around its head
                     key = sub.choice(key_ms)
-                    head = head_position(key)
+                    head = mention_head(key)
                     resp_spans.append(tuple(p for p in key.positions
                                             if p == head or sub.random() < 0.3))
                 else:

@@ -27,7 +27,8 @@ def entity_map(doc):
     """eid -> set of mentions, a mention being ((sent, token id), ...)."""
     layer = build_coref_layer(doc)
     return {
-        e.eid: {tuple((n.sent_index, n.id) for n in m.nodes) for m in e.mentions}
+        e.eid: {tuple((layer.nodes.sent_index[i], layer.nodes.ids[i]) for i in m.positions)
+                for m in e.mentions}
         for e in layer.entities
     }
 

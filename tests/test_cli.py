@@ -852,7 +852,7 @@ class TestTransformCommand:
         assert code == 0
         docs = parse_text((out_dir / "gold.conllu").read_text())
         layer = build_coref_layer(docs[0])
-        assert all(len(m.nodes) == 1 for e in layer.entities for m in e.mentions)
+        assert all(len(m.positions) == 1 for e in layer.entities for m in e.mentions)
 
 
     @pytest.mark.parametrize("command", [["transform", "--ops", "reduce-head"],
@@ -1060,7 +1060,7 @@ EXPORTS = {
     "heads": ("head_upos_set", "mention_head"),
     "metrics": ("ALL_METRICS", "EvalOptions", "PRF", "ScoreReport", "ZeroScoreCounts",
                 "evaluate", "score_document_pair"),
-    "model": ("CorefLayer", "Entity", "Mention", "Node", "build_coref_layer"),
+    "model": ("CorefLayer", "Entity", "Mention", "build_coref_layer"),
     "transforms": ("apply_ops", "strip_entities"),
 }
 

@@ -78,14 +78,14 @@ class TestParsing:
         assert [d.doc_id for d in docs] == ["d1", "d2"]
         # each sentence ends in one blank line
         assert [d.lines.count("") for d in docs] == [2, 1]
-        assert [n.sent_index for n in docs[0].nodes] == [0, 1, 1]
+        assert docs[0].nodes.sent_index == [0, 1, 1]
 
     def test_comments_preserved(self):
         text = make_doc(["# sent_id = s1", "# text = w", tok("1")])
         doc = parse_text(text)[0]
         assert doc.lines == [
             "# newdoc id = d1", "# sent_id = s1", "# text = w", tok("1"), ""]
-        assert doc.nodes[0].line == 3
+        assert doc.nodes.line_index[0] == 3
 
     def test_file_without_newdoc_is_one_document(self):
         docs = parse_text(tok("1") + "\n\n")
@@ -94,14 +94,14 @@ class TestParsing:
     def test_header_only_document(self):
         text = "# newdoc id = d1\n# note = empty\n\n"
         docs = parse_text(text)
-        assert list(docs[0].nodes) == []
+        assert len(docs[0].nodes) == 0 and docs[0].nodes.ids == []
         assert docs[0].lines == ["# newdoc id = d1", "# note = empty", ""]
         assert docs_to_text(docs) == text
 
     def test_entity_extraction(self):
         text = make_doc([tok("1", "SpaceAfter=No|Entity=(e1)")])
         doc = parse_text(text)[0]
-        assert conllu.entity_value(doc.lines[doc.nodes[0].line]) == "(e1)"
+        assert conllu.entity_value(doc.lines[doc.nodes.line_index[0]]) == "(e1)"
         assert doc.mentions == [("e1", ((0, 0),), ())]
 
     @pytest.mark.parametrize("bad,message", [
@@ -201,7 +201,7 @@ class TestRoundTrip:
         doc = parse_text(text)[0]
         again = parse_text(docs_to_text([doc]))[0]
         assert again.lines == doc.lines
-        assert [n.line for n in again.nodes] == [n.line for n in doc.nodes]
+        assert again.nodes.line_index == doc.nodes.line_index
 
 
 def scan_chunks(text: str) -> list[tuple[str | None, str]]:

@@ -6,7 +6,7 @@ import gen
 import oracles
 from corefeval import conllu
 from corefeval.conllu import parse_text
-from corefeval.heads import head_position, head_upos_set, mention_head, treelet_roots
+from corefeval.heads import head_upos_set, mention_head, treelet_roots
 from corefeval.model import build_coref_layer
 
 
@@ -26,6 +26,11 @@ def mention_of(layer, eid):
     return next(e for e in layer.entities if e.eid == eid).mentions[0]
 
 
+def head_id(mention):
+    """The id of the mention's head node."""
+    return mention.doc_nodes.ids[mention_head(mention)]
+
+
 class TestMentionHead:
     def test_det_noun_pair(self):
         layer = layer_of([line("1", head="0", upos="VERB"),
@@ -33,13 +38,13 @@ class TestMentionHead:
                           line("3", "Entity=e1)", "1", "NOUN")])
         mention = mention_of(layer, "e1")
         assert mention.provided_head_index is None
-        assert mention_head(mention).id == "3"
-        assert mention_head(mention) is layer.nodes[head_position(mention)]
+        assert head_id(mention) == "3"
+        assert mention_head(mention) == mention.positions[1] == 2  # a position
 
     def test_full_subtree_returns_root(self):
         layer = layer_of([line("1", "Entity=(e1", "0"), line("2", head="1"),
                           line("3", "Entity=e1)", "2")])
-        assert mention_head(mention_of(layer, "e1")).id == "1"
+        assert head_id(mention_of(layer, "e1")) == "1"
 
     def test_two_roots_minimal_depth_wins(self):
         # tree: 1 <- 2 <- 3 <- 4; 1 <- 5 <- 6; mention {4, 6}:
@@ -48,7 +53,7 @@ class TestMentionHead:
                           line("3", head="2"), line("4", "Entity=(e1[1/2])", "3"),
                           line("5", head="1"), line("6", "Entity=(e1[2/2])", "5")])
         mention = mention_of(layer, "e1")
-        assert mention_head(mention).id == "6"
+        assert head_id(mention) == "6"
         assert {layer.nodes.ids[i] for i in treelet_roots(mention)} == {"4", "6"}
         assert _exhaustive_depth(layer, "4") == 3
         assert _exhaustive_depth(layer, "6") == 2
@@ -57,12 +62,12 @@ class TestMentionHead:
         layer = layer_of([line("1"),
                           line("1.1", "Entity=(e1[1/2])", deps="1:nsubj"),
                           line("2", "Entity=(e1[2/2])", "1")])
-        assert mention_head(mention_of(layer, "e1")).id == "2"
+        assert head_id(mention_of(layer, "e1")) == "2"
 
     def test_depth_tie_then_smallest_position(self):
         layer = layer_of([line("1"), line("2", "Entity=(e1[1/2])", "1"),
                           line("3", head="1"), line("4", "Entity=(e1[2/2])", "1")])
-        assert mention_head(mention_of(layer, "e1")).id == "2"
+        assert head_id(mention_of(layer, "e1")) == "2"
 
     def test_provided_head_preferred(self, caplog):
         layer = layer_of([line("1", "Entity=(e1-person-1-", "2", "DET"),
@@ -71,8 +76,8 @@ class TestMentionHead:
         # the index says the first word, the tree says the second
         assert [layer.nodes.ids[i] for i in treelet_roots(mention)] == ["2"]
         with caplog.at_level("DEBUG", logger="corefeval"):
-            assert head_position(mention) == mention.positions[mention.provided_head_index - 1]
-        assert mention_head(mention).id == "1"
+            assert mention_head(mention) == mention.positions[mention.provided_head_index - 1]
+        assert head_id(mention) == "1"
         assert any("annotated head 1 differs from computed 2" in r.message
                    for r in caplog.records)
 
@@ -83,7 +88,7 @@ class TestMentionHead:
         with caplog.at_level("WARNING", logger="corefeval"):
             head = mention_head(mention)
         assert mention.provided_head_index == 9
-        assert head.id == "2"  # the highest node, not an annotated word
+        assert layer.nodes.ids[head] == "2"  # the highest node, not an annotated word
         assert any("head index 9 out of range" in r.message for r in caplog.records)
 
     def test_cycle_on_ancestor_path_falls_back(self, caplog):
@@ -94,7 +99,7 @@ class TestMentionHead:
                           line("1.2", deps="1.1:dep"),
                           line("2", "Entity=(e1[2/2])", "1")])
         with caplog.at_level("WARNING", logger="corefeval"):
-            assert mention_head(mention_of(layer, "e1")).id == "1.1"
+            assert head_id(mention_of(layer, "e1")) == "1.1"
         assert any("cycle" in r.message for r in caplog.records)
 
     def test_all_parents_inside_falls_back_to_first(self, caplog):
@@ -104,7 +109,7 @@ class TestMentionHead:
         mention = mention_of(layer, "e1")
         assert treelet_roots(mention) == []
         with caplog.at_level("WARNING", logger="corefeval"):
-            assert mention_head(mention).id == "1.1"
+            assert head_id(mention) == "1.1"
         assert any("no treelet root" in r.message for r in caplog.records)
 
     def test_head_always_inside_mention(self, rng):
@@ -114,7 +119,7 @@ class TestMentionHead:
             layer = build_coref_layer(parse_text(text)[0])
             for entity in layer.entities:
                 for mention in entity.mentions:
-                    assert mention_head(mention) in mention.nodes
+                    assert mention_head(mention) in mention.positions
 
     def test_idempotent_after_reduction(self, rng):
         for seed in range(20):
@@ -124,9 +129,9 @@ class TestMentionHead:
             for entity in layer.entities:
                 for mention in entity.mentions:
                     head = mention_head(mention)
-                    mention.set_positions((head.index,))
+                    mention.set_positions((head,))
                     mention.provided_head_index = None
-                    assert mention_head(mention) is head
+                    assert mention_head(mention) == head
 
     def test_subtree_root_stable_under_leaf_removal(self, rng):
         for seed in range(30):
@@ -141,10 +146,10 @@ class TestMentionHead:
                 for mention in entity.mentions:
                     root = mention_head(mention)
                     while len(mention.positions) > 1:
-                        leaves = [i for i in mention.positions if i != root.index]
+                        leaves = [i for i in mention.positions if i != root]
                         mention.set_positions(tuple(i for i in mention.positions
                                                     if i != leaves[-1]))
-                        assert mention_head(mention) is root
+                        assert mention_head(mention) == root
 
 
 class TestHeadUposSet:
@@ -179,8 +184,8 @@ class TestHeadUposSet:
                           line("1.1", head="_", upos="PROPN", deps="1:flat", deprel="_"),
                           line("2", "Entity=e1)", "1", "ADJ", deprel="amod")])
         mention = mention_of(layer, "e1")
-        assert mention_head(mention).id == "1"
-        assert layer.nodes[1].deprel == "flat"
+        assert head_id(mention) == "1"
+        assert layer.nodes.parent(1) == 0 and layer.nodes.column(1, 8) == "1:flat"
         assert head_upos_set(mention) == {"NOUN"}
 
 
@@ -229,6 +234,6 @@ class TestBoundedHeadFinding:
 
         monkeypatch.setattr(conllu.Nodes, "parent", counted)
         mentions = layer.entities[0].mentions
-        heads = [mention_head(m).id for m in mentions]
+        heads = [layer.nodes.ids[mention_head(m)] for m in mentions]
         assert heads == [str(k) for k in range(4, n + 1, 4)]
         assert len(mentions) == n // 4 and reads[0] <= 2 * n

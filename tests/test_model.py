@@ -33,23 +33,23 @@ class TestWordOrder:
     def test_empty_nodes_follow_their_word(self):
         doc = doc_of([line("1"), line("2", head="1"),
                       line("2.1", deps="1:nsubj"), line("3", head="1")])
-        assert [n.id for n in doc.nodes] == ["1", "2", "2.1", "3"]
+        assert doc.nodes.ids == ["1", "2", "2.1", "3"]
 
     def test_leading_empty_node(self):
         doc = doc_of([line("0.1", deps="1:exp"), line("1")])
-        assert [n.id for n in doc.nodes] == ["0.1", "1"]
+        assert doc.nodes.ids == ["0.1", "1"]
 
     def test_positions_concatenate_across_sentences(self):
         doc = doc_of([line("1"), line("2", head="1"), line("3", head="1")],
                      [line("1"), line("2", head="1")])
         nodes = doc.nodes
-        assert [n.index for n in nodes] == [0, 1, 2, 3, 4]
-        assert [n.sent_index for n in nodes] == [0, 0, 0, 1, 1]
+        assert len(nodes) == 5 and nodes.ids == ["1", "2", "3", "1", "2"]
+        assert nodes.sent_index == [0, 0, 0, 1, 1]
 
     def test_range_lines_are_not_nodes(self):
         doc = doc_of(["1-2\tdont\t_\t_\t_\t_\t_\t_\t_\t_",
                       line("1"), line("2", head="1")])
-        assert [n.id for n in doc.nodes] == ["1", "2"]
+        assert doc.nodes.ids == ["1", "2"]
 
 
 class TestLayerBuilding:
@@ -57,7 +57,7 @@ class TestLayerBuilding:
         doc = doc_of([line("1"), line("2", "Entity=(e1", "1"),
                       line("3", head="1"), line("4", "Entity=e1)", "1")])
         (entity,) = build_coref_layer(doc).entities
-        assert [n.id for n in entity.mentions[0].nodes] == ["2", "3", "4"]
+        assert [doc.nodes.ids[i] for i in entity.mentions[0].positions] == ["2", "3", "4"]
 
     def test_part_merging_is_discontinuous(self):
         doc = doc_of([line("1", "Entity=(e1[1/2]"), line("2", "Entity=e1[1/2])", "1"),
@@ -65,7 +65,7 @@ class TestLayerBuilding:
                       line("5", "Entity=(e1[2/2])", "1")])
         (entity,) = build_coref_layer(doc).entities
         (mention,) = entity.mentions
-        assert [n.id for n in mention.nodes] == ["1", "2", "5"]
+        assert [doc.nodes.ids[i] for i in mention.positions] == ["1", "2", "5"]
         assert mention.is_discontinuous
 
     def test_mid_span_empty_node_included(self):
@@ -73,7 +73,7 @@ class TestLayerBuilding:
                       line("2", "Entity=e1)", "1")])
         (entity,) = build_coref_layer(doc).entities
         mention = entity.mentions[0]
-        assert [n.id for n in mention.nodes] == ["1", "1.1", "2"]
+        assert [doc.nodes.ids[i] for i in mention.positions] == ["1", "1.1", "2"]
         assert mention.contains_empty and not mention.is_zero
         mention.set_positions(mention.positions[1:2])  # as the head reduction does
         assert mention.is_zero
@@ -82,7 +82,8 @@ class TestLayerBuilding:
         doc = doc_of([line("1", "Entity=(e1"), line("2", "Entity=(e2", "1"),
                       line("3", "Entity=e2)", "1"), line("4", "Entity=e1)", "1")])
         layer = build_coref_layer(doc)
-        spans = {e.eid: [n.id for n in e.mentions[0].nodes] for e in layer.entities}
+        spans = {e.eid: [doc.nodes.ids[i] for i in e.mentions[0].positions]
+                 for e in layer.entities}
         assert spans == {"e1": ["1", "2", "3", "4"], "e2": ["2", "3"]}
 
     def test_out_of_order_parts_fail(self):
@@ -99,7 +100,7 @@ class TestLayerBuilding:
         doc = doc_of([line("1", "Entity=(e1[1/2])"), line("2", "Entity=(e1[1/2])", "1"),
                       line("3", "Entity=(e1[2/2])", "1"), line("4", "Entity=(e1[2/2])", "1")])
         (entity,) = build_coref_layer(doc).entities
-        spans = sorted([n.id for n in m.nodes] for m in entity.mentions)
+        spans = sorted([doc.nodes.ids[i] for i in m.positions] for m in entity.mentions)
         assert spans == [["1", "3"], ["2", "4"]]
 
     def test_zero_mention_flags(self):

@@ -1,6 +1,6 @@
-"""`Nodes` builds each node on first use and reads the tree as positions:
-the built nodes, parents and depths against a reference read from the raw
-lines, and counts of the nodes built."""
+"""A node is its position: `Nodes` reads its columns from its line and its
+tree as positions.  The columns, parents and depths against a reference
+read from the raw lines, and counts of the columns read."""
 
 import random
 
@@ -13,8 +13,8 @@ from corefeval.conllu import iter_documents, parse_file, parse_text
 from corefeval.metrics import EvalOptions, check_same_nodes, score_document_pair
 from corefeval.model import build_coref_layer
 
-FIELDS = ("index", "sent_index", "line", "id", "is_empty", "form", "lemma",
-          "upos", "gender", "deprel")
+FIELDS = ("index", "sent_index", "line", "id", "form", "lemma", "upos", "deprel")
+COLUMNS = {"form": 1, "lemma": 2, "upos": 3, "deprel": 7}
 
 
 def _vary(text: str, rng: random.Random) -> str:
@@ -52,7 +52,7 @@ def _vary(text: str, rng: random.Random) -> str:
 
 def _reference(lines: list[str]) -> list[dict]:
     """Each node's fields read from `lines`, with `parent` and
-    `enhanced_parents` as positions."""
+    `enhanced_parents` as positions; `deprel` of surface words only."""
     sentences: list[list[tuple[int, list[str]]]] = [[]]
     for at, line in enumerate(lines):
         if line == "":
@@ -70,7 +70,7 @@ def _reference(lines: list[str]) -> list[dict]:
                 "is_empty": empty, "form": row[1], "lemma": row[2], "upos": row[3],
                 "gender": next((f[len("Gender="):] for f in row[5].split("|")
                                 if f.startswith("Gender=")), None),
-                "deprel": next((rel for _h, _s, rel in deps if rel), "") if empty else row[7],
+                "deprel": None if empty else row[7],
                 "parent": None if empty else position.get(row[6]),
                 "enhanced_parents": [position[h] for h, _s, _rel in deps
                                      if h != "0" and h in position] if empty else [],
@@ -88,8 +88,14 @@ def _documents(fixtures_dir) -> list[str]:
     return texts
 
 
-def _as_built(node) -> dict:
-    return {field: getattr(node, field) for field in FIELDS}
+def _read(nodes, i: int) -> dict:
+    """The `FIELDS` of node i as `Nodes` gives them: its position columns,
+    and the others through `Nodes.column`."""
+    empty = "." in nodes.ids[i]
+    return {"index": i, "sent_index": nodes.sent_index[i], "line": nodes.line_index[i],
+            "id": nodes.ids[i],
+            **{field: None if empty and field == "deprel" else nodes.column(i, k)
+               for field, k in COLUMNS.items()}}
 
 
 def _tree(rows: list[dict]) -> tuple[list[int], list[int | None]]:
@@ -108,7 +114,7 @@ def _tree(rows: list[dict]) -> tuple[list[int], list[int | None]]:
     return parents, depths
 
 
-class TestBuiltNodesEqualTheLines:
+class TestNodesEqualTheLines:
     @pytest.mark.parametrize("order", ["forward", "reverse", "shuffled"])
     def test_every_node(self, fixtures_dir, order):
         rng = random.Random(order)
@@ -119,32 +125,23 @@ class TestBuiltNodesEqualTheLines:
             doc = parse_text(text)[0]
             nodes = doc.nodes
             positions = list(range(len(nodes)))
-            if order == "forward":
-                built = list(nodes)
-            else:
-                if order == "reverse":
-                    positions.reverse()
-                else:
-                    rng.shuffle(positions)
-                built = [None] * len(nodes)
-                for i in positions:
-                    built[i] = nodes[i]
+            if order == "reverse":
+                positions.reverse()
+            elif order == "shuffled":
+                rng.shuffle(positions)
+            read = [None] * len(nodes)
+            for i in positions:
+                read[i] = _read(nodes, i)
             rows = _reference(doc.lines)
-            assert [_as_built(node) for node in built] == [
-                {field: row[field] for field in FIELDS} for row in rows], text
+            assert read == [{field: row[field] for field in FIELDS} for row in rows], text
             parents, depths = _tree(rows)
             got = [None] * len(nodes)
             for i in positions:
                 got[i] = (nodes.depth(i), nodes.parent(i))
             assert got == list(zip(depths, parents)), text
-            copy = doc.copy()
-            for i in positions:
-                assert nodes[i] is built[i] and copy.nodes[i] is built[i]
-            if built:
-                assert nodes[-1] is built[-1]
-                assert list(nodes) == built  # iteration yields the same nodes
+            assert doc.copy().nodes is nodes  # copies share the tree read so far
             with pytest.raises(IndexError):
-                nodes[len(nodes)]
+                nodes.column(len(nodes), 1)
 
     def test_the_documents_have_cycles_and_unresolved_heads(self, fixtures_dir):
         cycles = unresolved = several = 0
@@ -165,7 +162,7 @@ class TestBuiltNodesEqualTheLines:
 
 class TestWords:
     def test_words_are_the_nodes_with_those_tags(self, fixtures_dir):
-        """`Nodes.words` against the built nodes, on lines whose XPOS,
+        """`Nodes.words` against the `_reference` rows, on lines whose XPOS,
         lemma or form spell another UPOS tag."""
         rng = random.Random(9)
         tags = [*gen.UPOS_CHOICES, "X"]
@@ -178,20 +175,22 @@ class TestWords:
             doc = parse_text("\n".join("\t".join(row) for row in rows))[0]
             for upos in (("PROPN",), ("NOUN", "PRON")):
                 words = list(doc.nodes.words(*upos))
-                assert words == [(n.index, n.upos, n.lemma, n.gender) for n in doc.nodes
-                                 if n.upos in upos and not n.is_empty], text
+                assert words == [(row["index"], row["upos"], row["lemma"], row["gender"])
+                                 for row in _reference(doc.lines)
+                                 if row["upos"] in upos and not row["is_empty"]], text
+
 
 @pytest.fixture
-def built(monkeypatch) -> list[int]:
-    """A one-element list counting `Node` constructions."""
+def read(monkeypatch) -> list[int]:
+    """A one-element list counting `Nodes.column` calls."""
     count = [0]
-    init = conllu.Node.__init__
+    column = conllu.Nodes.column
 
-    def counting_init(self, *args):
+    def counting_column(self, i, k):
         count[0] += 1
-        init(self, *args)
+        return column(self, i, k)
 
-    monkeypatch.setattr(conllu.Node, "__init__", counting_init)
+    monkeypatch.setattr(conllu.Nodes, "column", counting_column)
     return count
 
 
@@ -219,14 +218,16 @@ def tagged(tmp_path):
     return path
 
 
-def _mention_nodes(doc) -> set[int]:
-    """The positions of the document's mention nodes."""
-    return {i for _eid, runs, _f in doc.mentions for first, last in runs
-            for i in range(first, last + 1)}
+def _filter_reads(doc) -> int:
+    """The most columns the UPOS filter may read for the document's
+    mentions: per mention the head's UPOS, then the DEPREL and UPOS of each
+    of its nodes.  Nested mentions read a node once each."""
+    return sum(1 + 2 * len(m.positions)
+               for e in build_coref_layer(doc).entities for m in e.mentions)
 
 
-class TestNodesBuilt:
-    def test_reading_builds_none(self, built, corpus, fixtures_dir):
+class TestColumnsRead:
+    def test_reading_reads_none(self, read, corpus, fixtures_dir):
         key, resp = corpus
         paths = [key, resp, *sorted(fixtures_dir.glob("*.conllu"))]
         for path in paths:
@@ -234,36 +235,37 @@ class TestNodesBuilt:
             assert list(iter_documents(path))
             assert validate_path(str(path)) == []
             validate_path(str(path), strict=True)
-        assert built[0] == 0
+        assert read[0] == 0
 
-    def test_checking_the_nodes_builds_none(self, built, corpus):
+    def test_checking_the_nodes_reads_none(self, read, corpus):
         key, resp = corpus
         for key_doc, resp_doc in zip(parse_file(key), parse_file(resp)):
             key_layer, resp_layer = build_coref_layer(key_doc), build_coref_layer(resp_doc)
-            before = built[0]
+            before = read[0]
             check_same_nodes(key_layer, resp_layer)
             check_same_nodes(key_layer, key_layer)
-            assert built[0] == before
+            assert read[0] == before
 
     @pytest.mark.parametrize("match", ["partial", "exact", "head"])
-    def test_scoring_builds_none(self, built, corpus, match):
+    def test_scoring_reads_none(self, read, corpus, match):
         key, resp = corpus
         for key_doc, resp_doc in zip(parse_file(key), parse_file(resp)):
             assert score_document_pair(key_doc, resp_doc, EvalOptions(match=match))
-        assert built[0] == 0
+        assert read[0] == 0
 
-    def test_upos_filter_builds_only_mention_nodes(self, built, corpus):
-        """The filter reads the UPOS of heads and of their flat children."""
+    def test_upos_filter_reads_only_mention_columns(self, read, corpus):
+        """The filter reads the UPOS of heads and the DEPREL and UPOS of
+        their children."""
         key, resp = corpus
         for key_doc, resp_doc in zip(parse_file(key), parse_file(resp)):
-            before = built[0]
+            before = read[0]
             score_document_pair(key_doc, resp_doc, EvalOptions(upos_filter="NOUN"))
-            bound = len(_mention_nodes(key_doc)) + len(_mention_nodes(resp_doc))
-            assert 0 < built[0] - before <= bound < len(key_doc.nodes)
+            bound = _filter_reads(key_doc) + _filter_reads(resp_doc)
+            assert 0 < read[0] - before <= bound < len(key_doc.nodes)
 
     @pytest.mark.parametrize("rules", [["--pipeline", "simple-rule-based", "--strip"],
                                        ["--rules", "pronoun-gender,propn-lemma"]])
-    def test_baseline_builds_none(self, built, tagged, tmp_path, rules):
+    def test_baseline_reads_none(self, read, tagged, tmp_path, rules):
         out = tmp_path / "out.conllu"
         assert main(["baseline", str(tagged), *rules, "-o", str(out), "--jobs", "1"]) == 0
-        assert out.read_text() != tagged.read_text() and built[0] == 0
+        assert out.read_text() != tagged.read_text() and read[0] == 0

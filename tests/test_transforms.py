@@ -64,8 +64,8 @@ class TestReduceToHead:
             sub = random.Random(seed)
             _, _, text = gen.random_document(sub, f"d{seed}", p_discontinuous=0.3)
             reduced = apply_ops(parse_text(text)[0], reduce_layer_to_heads)
-            for node in reduced.nodes:
-                value = entity_value(reduced.lines[node.line])
+            for at in reduced.nodes.line_index:
+                value = entity_value(reduced.lines[at])
                 if value:
                     for kind, *_ in oracles.entity_brackets(value):
                         assert kind == "single"
@@ -279,11 +279,11 @@ class TestTransformInvariants:
     def test_node_universe_preserved(self, rng):
         _, _, text = gen.random_document(rng, "dx", p_discontinuous=0.3)
         doc = parse_text(text)[0]
-        base = [n.id for n in build_coref_layer(doc).nodes]
+        base = build_coref_layer(doc).nodes.ids
         for op in (reduce_layer_to_heads, merge_same_span_layer,
                    conservative_head_reduce_layer, remove_singletons_layer):
-            assert [n.id for n in build_coref_layer(apply_ops(doc, op)).nodes] == base
-        assert [n.id for n in build_coref_layer(strip_entities(doc)).nodes] == base
+            assert build_coref_layer(apply_ops(doc, op)).nodes.ids == base
+        assert build_coref_layer(strip_entities(doc)).nodes.ids == base
 
     def test_head_match_equals_partial_after_reduction(self):
         # scoring removes singletons before the head reduction; with shared
@@ -326,9 +326,12 @@ class TestTransformInvariants:
 
 def layer_summary(doc):
     """Entity ids, with each mention's node ids and extra fields, in order."""
-    return [(e.eid, [([(n.sent_index, n.id) for n in m.nodes], m.extra_fields)
+    layer = build_coref_layer(doc)
+    nodes = layer.nodes
+    return [(e.eid, [([(nodes.sent_index[i], nodes.ids[i]) for i in m.positions],
+                      m.extra_fields)
                      for m in e.mentions])
-            for e in build_coref_layer(doc).entities]
+            for e in layer.entities]
 
 
 class TestMentionsInStep:
