@@ -48,8 +48,9 @@ def matches(key: Mention, resp: Mention, policy: str) -> bool:
     if policy == EXACT:
         return key.position_set == resp.position_set
     if policy == PARTIAL:
-        return (resp.position_set <= key.position_set
-                and mention_head(key) in resp.position_set)
+        # a key's head lies in the key: an identical response needs no lookup
+        inner, outer = resp.position_set, key.position_set
+        return inner == outer or inner < outer and mention_head(key) in inner
     raise ValueError(f"unknown match policy {policy!r}")
 
 
@@ -89,25 +90,22 @@ def _twins(resp_sets: list[frozenset[int]]) -> tuple[list[int], Twins]:
 def _candidate_edges(key_ms: list[Mention], resp_ms: list[Mention],
                      policy: str) -> tuple[Adjacency, Twins]:
     """For each key, the (column, overlap) edges of the responses it
-    matches, where only the first of identical responses has a column; and
-    the twins.  The predicate fixes the overlap, the response's size under
+    `matches`, where only the first of identical responses has a column;
+    and the twins.  The candidates of a key are the responses whose first
+    node it covers, so keys are matched, and their heads looked up, in
+    key order.  The predicate fixes the overlap, the response's size under
     both policies."""
     if policy not in (EXACT, PARTIAL):
         raise ValueError(f"unknown match policy {policy!r}")
-    exact = policy == EXACT
-    key_sets = [k.position_set for k in key_ms]
-    by_probe: dict = {}  # keys by node set (exact) or by head position (partial)
-    for i, k in enumerate(key_ms):
-        by_probe.setdefault(key_sets[i] if exact else mention_head(k), []).append(i)
-    adj: Adjacency = [[] for _ in key_ms]
     resp_sets = [r.position_set for r in resp_ms]
     firsts, later = _twins(resp_sets)
+    starting: dict[int, list[int]] = {}  # the first responses by their first node
     for j in firsts:
-        rset = resp_sets[j]
-        for probe in (rset,) if exact else rset:
-            for i in by_probe.get(probe, ()):
-                if rset <= key_sets[i]:
-                    adj[i].append((j, len(rset)))
+        starting.setdefault(resp_ms[j].start, []).append(j)
+    adj: Adjacency = []
+    for key in key_ms:
+        adj.append([(j, len(resp_sets[j])) for position in key.positions
+                    for j in starting.get(position, ()) if matches(key, resp_ms[j], policy)])
     return adj, later
 
 

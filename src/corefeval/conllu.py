@@ -11,9 +11,11 @@ MISC attributes stay untouched.
 A document's handle is its span, as `numbered_spans` yields it: (doc_id,
 first_line, byte_start, byte_end).  The byte scan is the one reader of the
 `# newdoc` marker, so the id of a parsed document is the one its span
-carries.  The parse is the only pass over the token lines: it checks
-every line and feeds its `Entity` value to the one bracket reader, so a
-`Document` is its lines, nodes and mentions.  A node is its position:
+carries.  The parse is the only pass over the token lines.  It reads a
+document one sentence at a time: comment lines, then token lines, up to
+one blank line (two in a row are an error).  It checks every line and
+feeds its `Entity` value to the one bracket reader, so a `Document` is
+its lines, nodes and mentions.  A node is its position:
 the parse keeps its line index, sentence and id, and `Nodes` reads any
 other column from its line when it is asked for.  `Nodes` owns the
 dependency tree as positions (`Nodes.parent`, `Nodes.depth`), read from
@@ -456,9 +458,10 @@ _WORD_PREFIXES = [tid + "\t" for tid in _WORD_IDS]
 def _parse_document(text: str, path: str, first_line: int,
                     doc_id: str | None) -> Document:
     """Parse one document chunk (a span of `scan_document_spans`, which
-    read its id).  The parse checks every line and reads the `Entity`
-    values; of each node it keeps the line index, sentence and id, from
-    which `Nodes` reads its other columns."""
+    read its id) one sentence at a time: comment lines, then token lines,
+    up to one blank line; consecutive blank lines are an error.  The parse
+    checks every line and reads the `Entity` values; of each node it keeps
+    the line index, sentence and id, from which `Nodes` reads the rest."""
     if text.startswith("\ufeff"):
         raise ConlluParseError("byte order mark (U+FEFF); save the file as UTF-8"
                                " without BOM", path=path, line=first_line)
@@ -470,105 +473,91 @@ def _parse_document(text: str, path: str, first_line: int,
     if not text.endswith("\n"):
         log.warning("%s: file does not end with a newline", path)
     lines = text.rstrip("\n").split("\n")
+    lines.append("")  # the blank line that ends the last sentence
     reader = EntityReader()
     # the node columns of `Nodes`
     line_index: list[int] = []
     sent_index: list[int] = []
     ids: list[str] = []
-    # the current sentence: its number, first line and whether a token line came
-    sent = 0
-    sent_start = 0
-    has_tokens = False
-    last_surface = 0
-    last_empty = 0.0
-    pending_range: tuple[int, int] | None = None
 
     def err(msg: str, i: int) -> ConlluParseError:
         return ConlluParseError(msg, path=path, line=first_line + i)
 
-    def close_sentence(i: int) -> None:
-        """End the sentence at the blank line (or end) at line index `i`."""
-        nonlocal sent, sent_start, has_tokens, last_surface, last_empty, pending_range
-        if i == sent_start:
-            raise err("empty sentence (consecutive blank lines)", i)
-        if pending_range is not None and pending_range[1] > last_surface:
-            raise err(f"token range {pending_range[0]}-{pending_range[1]} exceeds sentence", i)
-        # at the end of the document (i == len(lines)) an open bracket is
-        # `EntityReader.end`'s error, not a crossing
-        if reader.open and i < len(lines):
-            eids = sorted({eid for eid, _ in reader.open})
-            log.warning(
-                "%s: mention of %s crosses a sentence boundary in document %s",
-                path, ", ".join(eids), doc_id,
-            )
-        sent += 1
-        sent_start, has_tokens = i + 1, False
+    sent = start = 0
+    while start < len(lines):  # sentence `sent`: lines[start:end], then a blank line
+        end = lines.index("", start)
+        if end == start:
+            raise err("empty sentence (consecutive blank lines)", end)
+        first = start  # the first token line
+        while first < end and lines[first][0] == "#":
+            first += 1
         last_surface, last_empty, pending_range = 0, 0.0, None
-
-    for i, line in enumerate(lines):
-        if line == "":
-            close_sentence(i)
-            continue
-        if line[0] == "#":
-            if has_tokens:
+        for i in range(first, end):
+            line = lines[i]
+            if line[0] == "#":
                 raise err("comment after token lines within a sentence", i)
-            continue
-
-        has_tokens = True
-        if (last_surface < len(_WORD_PREFIXES) and line.startswith(_WORD_PREFIXES[last_surface])
-                and line.count("\t") == 9):
-            # the next surface word, as most lines are: no other check applies
-            tid = _WORD_IDS[last_surface]
-            last_surface += 1
-            last_empty = float(last_surface)
-            entity = _attr(line[line.rfind("\t") + 1:], "Entity=") if "Entity=" in line else None
-        else:
-            cols = line.split("\t")
-            if len(cols) != 10:
-                raise err(f"expected 10 tab-separated columns, got {len(cols)}", i)
-            tid = cols[0]
-            entity = _attr(cols[9], "Entity=")
-            if "." in tid:
-                word, _, sub = tid.partition(".")
-                if not _is_number(word) or not _is_number(sub) or int(sub) < 1:
-                    raise err(f"unknown token id syntax {tid!r}", i)
-                order = int(word) + int(sub) / 1e9
-                if int(word) != last_surface:
-                    raise err(f"empty node {tid} does not follow word {word}", i)
-                if order <= last_empty:
-                    raise err(f"empty node ids not strictly increasing at {tid}", i)
-                last_empty = order
-            elif "-" in tid:
-                lo, _, hi = tid.partition("-")
-                if not _is_number(lo) or not _is_number(hi) or int(hi) < int(lo):
-                    raise err(f"unknown token id syntax {tid!r}", i)
-                if entity is not None:
-                    raise err(f"Entity annotation on multiword range line {tid}", i)
-                if int(lo) != last_surface + 1:
-                    raise err(f"token range {tid} does not start at next word id", i)
-                if pending_range is not None and pending_range[1] > last_surface:
-                    raise err(f"overlapping token ranges at {tid}", i)
-                pending_range = (int(lo), int(hi))
-                continue  # not a node
-            elif _is_number(tid) and tid[0] != "0":
-                if int(tid) != last_surface + 1:
-                    raise err(f"surface word ids not consecutive at {tid}", i)
-                last_surface = int(tid)
+            if (last_surface < len(_WORD_PREFIXES) and line.startswith(_WORD_PREFIXES[last_surface])
+                    and line.count("\t") == 9):
+                # the next surface word, as most lines are: no other check applies
+                tid = _WORD_IDS[last_surface]
+                last_surface += 1
                 last_empty = float(last_surface)
+                entity = _attr(line[line.rfind("\t") + 1:], "Entity=") if "Entity=" in line else None
             else:
-                raise err(f"unknown token id syntax {tid!r}", i)
+                cols = line.split("\t")
+                if len(cols) != 10:
+                    raise err(f"expected 10 tab-separated columns, got {len(cols)}", i)
+                tid = cols[0]
+                entity = _attr(cols[9], "Entity=")
+                if "." in tid:
+                    word, _, sub = tid.partition(".")
+                    if not _is_number(word) or not _is_number(sub) or int(sub) < 1:
+                        raise err(f"unknown token id syntax {tid!r}", i)
+                    order = int(word) + int(sub) / 1e9
+                    if int(word) != last_surface:
+                        raise err(f"empty node {tid} does not follow word {word}", i)
+                    if order <= last_empty:
+                        raise err(f"empty node ids not strictly increasing at {tid}", i)
+                    last_empty = order
+                elif "-" in tid:
+                    lo, _, hi = tid.partition("-")
+                    if not _is_number(lo) or not _is_number(hi) or int(hi) < int(lo):
+                        raise err(f"unknown token id syntax {tid!r}", i)
+                    if entity is not None:
+                        raise err(f"Entity annotation on multiword range line {tid}", i)
+                    if int(lo) != last_surface + 1:
+                        raise err(f"token range {tid} does not start at next word id", i)
+                    if pending_range is not None and pending_range[1] > last_surface:
+                        raise err(f"overlapping token ranges at {tid}", i)
+                    pending_range = (int(lo), int(hi))
+                    continue  # not a node
+                elif _is_number(tid) and tid[0] != "0":
+                    if int(tid) != last_surface + 1:
+                        raise err(f"surface word ids not consecutive at {tid}", i)
+                    last_surface = int(tid)
+                    last_empty = float(last_surface)
+                else:
+                    raise err(f"unknown token id syntax {tid!r}", i)
 
-        if entity is not None:
-            try:
-                reader.feed(len(ids), entity)
-            except ConlluParseError as exc:
-                raise err(exc.args[0], i) from None
-        line_index.append(i)
-        sent_index.append(sent)
-        ids.append(tid)
+            if entity is not None:
+                try:
+                    reader.feed(len(ids), entity)
+                except ConlluParseError as exc:
+                    raise err(exc.args[0], i) from None
+            line_index.append(i)
+            sent_index.append(sent)
+            ids.append(tid)
 
-    close_sentence(len(lines))
-    lines.append("")  # the blank line that ends the last sentence
+        if pending_range is not None and pending_range[1] > last_surface:
+            raise err(f"token range {pending_range[0]}-{pending_range[1]} exceeds sentence", end)
+        start = end + 1
+        # at the end of the document an open bracket is `EntityReader.end`'s
+        # error, not a crossing
+        if reader.open and start < len(lines):
+            log.warning("%s: mention of %s crosses a sentence boundary in document %s",
+                        path, ", ".join(sorted({eid for eid, _ in reader.open})), doc_id)
+        sent += 1
+
     try:
         mentions = reader.end()
     except ConlluParseError as exc:

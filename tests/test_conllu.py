@@ -111,13 +111,21 @@ class TestParsing:
         (make_doc([tok("1"), tok("1.2"), tok("1.1")]), "strictly increasing"),
         (make_doc([tok("2.1")]), "does not follow"),
         (make_doc([tok("1"), tok("1-2", head="_")]), "does not start"),
-        ("# newdoc id = d1\n" + tok("1") + "\n\n\n" + tok("1") + "\n\n", "empty sentence"),
-        (make_doc([tok("1"), "# late comment"]), "comment after token"),
+        # two blank lines between sentences, and a blank line that opens the file
+        ("# newdoc id = d1\n" + tok("1") + "\n\n\n" + tok("1") + "\n\n",
+         "<string>:4: empty sentence"),
+        ("# newdoc id = d1\n" + tok("1") + "\n\n\n# sent_id = 2\n" + tok("1") + "\n\n",
+         "<string>:4: empty sentence"),
+        ("\n" + tok("1") + "\n\n", "<string>:1: empty sentence"),
+        (make_doc([tok("1"), "# late comment"]), "<string>:3: comment after token"),
         # non-ASCII digits, which str.isdigit accepts
         (make_doc([tok("1"), tok("1.²")]), "<string>:3: unknown token id syntax"),
         (make_doc([tok("1-²", head="_"), tok("1")]), "<string>:2: unknown token id syntax"),
         # a range past the sentence's last word, and ranges that overlap
         (make_doc([tok("1-3", head="_"), tok("1"), tok("2")]),
+         "<string>:5: token range 1-3 exceeds sentence"),
+        # ... at the blank line that closes an inner sentence
+        (make_doc([tok("1-3", head="_"), tok("1"), tok("2")], [tok("1")]),
          "<string>:5: token range 1-3 exceeds sentence"),
         (make_doc([tok("1-3", head="_"), tok("1"), tok("2-3", head="_")]),
          "<string>:4: overlapping token ranges at 2-3"),
@@ -125,6 +133,23 @@ class TestParsing:
     def test_structural_errors(self, bad, message):
         with pytest.raises(ConlluParseError, match=message):
             parse_text(bad)
+
+    def test_empty_node_order(self):
+        # each word's empty nodes strictly increase; a later word starts afresh
+        text = "\n".join(tok(tid) for tid in ("1", "1.1", "2", "2.1")) + "\n\n"
+        assert parse_text(text)[0].nodes.ids == ["1", "1.1", "2", "2.1"]
+        # so an empty node whose order, 1 + 2e9 / 1e9, passes word 2 does
+        # not hold back word 2's empty nodes
+        text = "\n".join(tok(tid) for tid in ("1", "1.2000000000", "2", "2.1")) + "\n\n"
+        assert parse_text(text)[0].nodes.ids == ["1", "1.2000000000", "2", "2.1"]
+        with pytest.raises(ConlluParseError,
+                           match="<string>:3: empty node ids not strictly increasing at 1.1"):
+            parse_text("\n".join(tok(tid) for tid in ("1", "1.1", "1.1")) + "\n\n")
+
+    def test_comment_only_block_is_a_sentence(self):
+        doc = parse_text(make_doc([tok("1")], ["# note = x"], [tok("1")]))[0]
+        assert doc.nodes.sent_index == [0, 2]
+        assert doc.lines.count("") == 3
 
     def test_entity_on_range_line_rejected(self):
         text = make_doc([
@@ -169,6 +194,13 @@ class TestParsing:
         with caplog.at_level("WARNING", logger="corefeval"):
             parse_text(text)
         assert any("crosses a sentence boundary" in r.message for r in caplog.records)
+
+    def test_mention_open_over_three_sentences_warns_at_each_crossing(self, caplog):
+        text = make_doc([tok("1", "Entity=(e1")], [tok("1")], [tok("1", "Entity=e1)")])
+        with caplog.at_level("WARNING", logger="corefeval"):
+            parse_text(text, path="f.conllu")
+        assert [r.getMessage() for r in caplog.records] == [
+            "f.conllu: mention of e1 crosses a sentence boundary in document d1"] * 2
 
     def test_bracket_open_at_document_end_is_an_error_not_a_crossing(self, caplog):
         text = make_doc([tok("1", "Entity=(e1)")], [tok("1", "Entity=(e3")])
