@@ -11,16 +11,17 @@ MISC attributes stay untouched.
 A document's handle is its span, as `numbered_spans` yields it: (doc_id,
 first_line, byte_start, byte_end).  The byte scan is the one reader of the
 `# newdoc` marker, so the id of a parsed document is the one its span
-carries.  The parse is the only pass over the token lines.  It reads a
+carries.  The parse is the only pass over the token lines.  `number` is
+the one reader of a number in the text: word, range and empty-node ids,
+part indices ``[i/n]`` and a mention's head index.  The parse reads a
 document one sentence at a time: comment lines, then token lines, up to
 one blank line (two in a row are an error).  It checks every line and
 feeds its `Entity` value to the one bracket reader, so a `Document` is
-its lines, nodes and mentions.  A node is its position:
-the parse keeps its line index, sentence and id, and `Nodes` reads any
-other column from its line when it is asked for.  `Nodes` owns the
-dependency tree as positions (`Nodes.parent`, `Nodes.depth`), read from
-the HEAD and DEPS columns on first use.  No other module reads HEAD or
-DEPS.
+its lines, nodes and mentions.  A node is its position: the parse keeps
+its line index, sentence and id, and `Nodes` reads any other column
+from its line when it is asked for.  `Nodes` owns the dependency tree
+as positions (`Nodes.parent`, `Nodes.depth`), read from the HEAD and
+DEPS columns on first use.  No other module reads HEAD or DEPS.
 
 Entity values are sequences of brackets over entity ids, e.g.
 ``(e5-person-1-`` opens mention of entity e5 (extra fields: type, head
@@ -54,18 +55,21 @@ def _parse_part(value: str, i: int) -> tuple[tuple[int, int] | None, int]:
         return None, i
     end = value.find("]", i)
     body = value[i + 1 : end] if end != -1 else ""
-    lo, sep, hi = body.partition("/")
-    if not sep or not _is_number(lo) or not _is_number(hi):
+    part = tuple(map(number, body.partition("/")[::2]))  # (i, n)
+    if None in part:
         raise ConlluParseError(f"malformed part index in Entity value {value!r}")
-    part = (int(lo), int(hi))
     if not (1 <= part[0] <= part[1]) or part[1] < 2:
         raise ConlluParseError(f"part index out of range in Entity value {value!r}")
     return part, end + 1
 
 
-def _is_number(text: str) -> bool:
-    """ASCII digits only: `str.isdigit` also accepts "²", which `int` rejects."""
-    return text.isascii() and text.isdigit()
+def number(text: str) -> int | None:
+    """The value of `text` if it is a number, else None: ASCII digits
+    (`str.isdigit` alone also accepts "²") without a leading zero, so "0"
+    is one and "01" is not.  Callers check the range."""
+    if text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1):
+        return int(text)
+    return None
 
 
 Run = tuple[int, int]  # first and last node position of a span, inclusive
@@ -491,7 +495,8 @@ def _parse_document(text: str, path: str, first_line: int,
         first = start  # the first token line
         while first < end and lines[first][0] == "#":
             first += 1
-        last_surface, last_empty, pending_range = 0, 0.0, None
+        # the last surface word and the k of its last empty node n.k (0: none)
+        last_surface, last_k, pending_range = 0, 0, None
         for i in range(first, end):
             line = lines[i]
             if line[0] == "#":
@@ -500,8 +505,7 @@ def _parse_document(text: str, path: str, first_line: int,
                     and line.count("\t") == 9):
                 # the next surface word, as most lines are: no other check applies
                 tid = _WORD_IDS[last_surface]
-                last_surface += 1
-                last_empty = float(last_surface)
+                last_surface, last_k = last_surface + 1, 0
                 entity = _attr(line[line.rfind("\t") + 1:], "Entity=") if "Entity=" in line else None
             else:
                 cols = line.split("\t")
@@ -510,34 +514,32 @@ def _parse_document(text: str, path: str, first_line: int,
                 tid = cols[0]
                 entity = _attr(cols[9], "Entity=")
                 if "." in tid:
-                    word, _, sub = tid.partition(".")
-                    if not _is_number(word) or not _is_number(sub) or int(sub) < 1:
+                    n, k = map(number, tid.partition(".")[::2])
+                    if n is None or k is None or k < 1:
                         raise err(f"unknown token id syntax {tid!r}", i)
-                    order = int(word) + int(sub) / 1e9
-                    if int(word) != last_surface:
-                        raise err(f"empty node {tid} does not follow word {word}", i)
-                    if order <= last_empty:
+                    if n != last_surface:
+                        raise err(f"empty node {tid} does not follow word {n}", i)
+                    if k <= last_k:
                         raise err(f"empty node ids not strictly increasing at {tid}", i)
-                    last_empty = order
+                    last_k = k
                 elif "-" in tid:
-                    lo, _, hi = tid.partition("-")
-                    if not _is_number(lo) or not _is_number(hi) or int(hi) < int(lo):
+                    span = tuple(map(number, tid.partition("-")[::2]))
+                    if None in span or span[1] < span[0]:
                         raise err(f"unknown token id syntax {tid!r}", i)
                     if entity is not None:
                         raise err(f"Entity annotation on multiword range line {tid}", i)
-                    if int(lo) != last_surface + 1:
+                    if span[0] != last_surface + 1:
                         raise err(f"token range {tid} does not start at next word id", i)
                     if pending_range is not None and pending_range[1] > last_surface:
                         raise err(f"overlapping token ranges at {tid}", i)
-                    pending_range = (int(lo), int(hi))
+                    pending_range = span
                     continue  # not a node
-                elif _is_number(tid) and tid[0] != "0":
-                    if int(tid) != last_surface + 1:
-                        raise err(f"surface word ids not consecutive at {tid}", i)
-                    last_surface = int(tid)
-                    last_empty = float(last_surface)
-                else:
+                elif not (n := number(tid)):  # not a number, or the word 0
                     raise err(f"unknown token id syntax {tid!r}", i)
+                elif n != last_surface + 1:
+                    raise err(f"surface word ids not consecutive at {tid}", i)
+                else:
+                    last_surface, last_k = n, 0
 
             if entity is not None:
                 try:

@@ -4,23 +4,24 @@ The parser already gives each document its nodes in document order
 (surface words plus empty nodes) and the mentions its `Entity` values read
 as; the layer turns those mentions into sorted node positions (possibly
 discontinuous) and groups them into entities by their id.  A mention
-names its entity by id, so no object refers back to what holds it.
-Everything here is a plain in-memory value of one process: reading it
-from several threads is unsafe, as reads fill caches: of `Nodes` only the
-`parent` and `depth` memos, of a `Mention` its head and position set.
+names its entity by id, so no object refers back to what holds it, and
+its head index is read from its fields by `conllu.number`, the one reader
+of numbers in the text.  Everything here is a plain in-memory value of
+one process: reading it from several threads is unsafe, as reads fill
+caches: of `Nodes` only the `parent` and `depth` memos, of a `Mention`
+its head and position set.
 """
 
 from __future__ import annotations
 
-from .conllu import Document, Nodes
+from .conllu import Document, Nodes, number
 
 
 class Mention:
     """The sorted node positions of one document that refer to the entity
     with id `eid`; `doc_nodes` are the document's `Nodes`."""
 
-    __slots__ = ("eid", "positions", "doc_nodes", "extra_fields",
-                 "provided_head_index", "_head", "_pos_set")
+    __slots__ = ("eid", "positions", "doc_nodes", "extra_fields", "_head", "_pos_set")
 
     def __init__(self, eid: str, positions: tuple[int, ...], doc_nodes: Nodes,
                  extra_fields: tuple[str, ...] = ()):
@@ -28,9 +29,14 @@ class Mention:
         self.positions = positions
         self.doc_nodes = doc_nodes
         self.extra_fields = extra_fields
-        self.provided_head_index = _head_index(extra_fields)
         self._head: int | None = None  # the head's position (`heads.mention_head`)
         self._pos_set: frozenset[int] | None = None
+
+    @property
+    def provided_head_index(self) -> int | None:
+        """The annotated 1-based head word index: the second of the CorefUD
+        opening fields (type, head index, flags) if it is a number."""
+        return number(self.extra_fields[1]) if len(self.extra_fields) >= 2 else None
 
     @property
     def position_set(self) -> frozenset[int]:
@@ -67,7 +73,8 @@ class Mention:
 
     def set_positions(self, positions: tuple[int, ...]) -> None:
         self.positions = positions
-        self._head = None
+        if positions != (self._head,):  # a reduction to the found head keeps it
+            self._head = None
         self._pos_set = None
 
     def __repr__(self) -> str:
@@ -75,13 +82,6 @@ class Mention:
         nodes = self.doc_nodes
         where = ",".join(f"{nodes.sent_index[i] + 1}:{nodes.ids[i]}" for i in self.positions)
         return f"Mention({self.eid}: {where})"
-
-
-def _head_index(fields: tuple[str, ...]) -> int | None:
-    # CorefUD opening fields: entity type, head word index, other flags.
-    if len(fields) >= 2 and fields[1].isascii() and fields[1].isdigit():
-        return int(fields[1])
-    return None
 
 
 class Entity:

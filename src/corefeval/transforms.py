@@ -26,12 +26,8 @@ def _reduce_mention(mention: Mention, head: int) -> None:
     if mention.positions == (head,):
         return
     mention.set_positions((head,))
-    mention._head = head
-    if mention.provided_head_index is not None:
-        fields = list(mention.extra_fields)
-        fields[1] = "1"
-        mention.extra_fields = tuple(fields)
-        mention.provided_head_index = 1
+    if mention.provided_head_index is not None:  # the one node's index
+        mention.extra_fields = (mention.extra_fields[0], "1", *mention.extra_fields[2:])
 
 
 def reduce_layer_to_heads(layer: CorefLayer) -> None:

@@ -477,8 +477,8 @@ class TestWorkers:
         assert proc.stdout == "[0, 0, 0, 0, 0, 0] False True\n"
 
 class TestInputPolicy:
-    @pytest.mark.parametrize("kind", ["crlf", "bom", "badutf", "sup", "badpart",
-                                      "partrange", "reopen"])
+    @pytest.mark.parametrize("kind", ["crlf", "bom", "badutf", "sup", "leadzero", "badpart",
+                                      "partrange", "partzero", "reopen"])
     def test_crlf_and_bom_rejected_by_every_command(self, kind, gold, tmp_path, capsys):
         bad = tmp_path / "bad.conllu"
         data = gold.read_bytes()
@@ -500,6 +500,11 @@ class TestInputPolicy:
             lines[4] = "²".encode() + lines[4][1:]
             bad.write_bytes(b"\n".join(lines))
             message = f"{bad}:5: unknown token id syntax '²'"
+        elif kind == "leadzero":
+            # a number has no leading zero: not the empty node 1.1
+            lines[23] = lines[23].replace(b"1.1\t", b"1.01\t", 1)
+            bad.write_bytes(b"\n".join(lines))
+            message = f"{bad}:24: unknown token id syntax '1.01'"
         elif kind == "badpart":
             # the first part of e3 becomes a second part with no first
             lines[22] = lines[22].replace(b"(e3[1/2])", b"(e3[2/2])")
@@ -510,6 +515,11 @@ class TestInputPolicy:
             bad.write_bytes(b"\n".join(lines))
             message = (f"{bad}:23: part index out of range in Entity value"
                        " '(e3[0/2])'")
+        elif kind == "partzero":
+            lines[22] = lines[22].replace(b"(e3[1/2])", b"(e3[01/2])")
+            bad.write_bytes(b"\n".join(lines))
+            message = (f"{bad}:23: malformed part index in Entity value"
+                       " '(e3[01/2])'")
         else:
             # e1, open from line 4 to 6, opens again on line 5
             assert lines[4].endswith(b"\t_")

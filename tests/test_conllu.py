@@ -60,6 +60,9 @@ class TestEntityReader:
         ("(e1[0/2]", "part index out of range in Entity value '(e1[0/2]'"),
         ("(e1]", "cannot parse Entity value '(e1]' at offset 3"),
         ("(e1[1/²])", "malformed part index in Entity value '(e1[1/²])'"),
+        # a number has no leading zero
+        ("(e1[01/2])", "malformed part index in Entity value '(e1[01/2])'"),
+        ("(e1[1/02])", "malformed part index in Entity value '(e1[1/02])'"),
         # of two faults, the first in reading order
         ("e9)(e1[0/2]", "unbalanced Entity bracket: close of 'e9' without open"),
         ("(e1(e1(e2]", "entity 'e1' opened twice without distinct part indices"),
@@ -121,6 +124,20 @@ class TestParsing:
         # non-ASCII digits, which str.isdigit accepts
         (make_doc([tok("1"), tok("1.²")]), "<string>:3: unknown token id syntax"),
         (make_doc([tok("1-²", head="_"), tok("1")]), "<string>:2: unknown token id syntax"),
+        # a number has no leading zero; "0" is one, which the range checks refuse
+        (make_doc([tok("1"), tok("1.01")]),
+         re.escape("<string>:3: unknown token id syntax '1.01'")),
+        (make_doc([tok("1"), tok("01.1")]),
+         re.escape("<string>:3: unknown token id syntax '01.1'")),
+        (make_doc([tok("01-2", head="_"), tok("1"), tok("2")]),
+         re.escape("<string>:2: unknown token id syntax '01-2'")),
+        (make_doc([tok("1-02", head="_"), tok("1"), tok("2")]),
+         re.escape("<string>:2: unknown token id syntax '1-02'")),
+        (make_doc([tok("1"), tok("1.0")]),
+         re.escape("<string>:3: unknown token id syntax '1.0'")),
+        (make_doc([tok("0")]), re.escape("<string>:2: unknown token id syntax '0'")),
+        (make_doc([tok("0-1", head="_"), tok("1")]),
+         re.escape("<string>:2: token range 0-1 does not start at next word id")),
         # a range past the sentence's last word, and ranges that overlap
         (make_doc([tok("1-3", head="_"), tok("1"), tok("2")]),
          "<string>:5: token range 1-3 exceeds sentence"),
@@ -138,13 +155,22 @@ class TestParsing:
         # each word's empty nodes strictly increase; a later word starts afresh
         text = "\n".join(tok(tid) for tid in ("1", "1.1", "2", "2.1")) + "\n\n"
         assert parse_text(text)[0].nodes.ids == ["1", "1.1", "2", "2.1"]
-        # so an empty node whose order, 1 + 2e9 / 1e9, passes word 2 does
-        # not hold back word 2's empty nodes
-        text = "\n".join(tok(tid) for tid in ("1", "1.2000000000", "2", "2.1")) + "\n\n"
-        assert parse_text(text)[0].nodes.ids == ["1", "1.2000000000", "2", "2.1"]
+        # n.k orders by the integer k within word n, however large k is:
+        # 1.2000000000 does not hold back word 2's empty nodes, and two k
+        # that differ by one stay apart
+        for tids in (("1", "1.2000000000", "2", "2.1"), ("0.1", "1"), ("1", "1.9", "1.10"),
+                     ("1", "1.100000000000000000", "1.100000000000000001"),
+                     # words past the ids of the parse's fast path
+                     (*map(str, range(1, 258)), "257.1", "258", "258.1")):
+            text = "\n".join(tok(tid) for tid in tids) + "\n\n"
+            assert parse_text(text)[0].nodes.ids == list(tids)
         with pytest.raises(ConlluParseError,
                            match="<string>:3: empty node ids not strictly increasing at 1.1"):
             parse_text("\n".join(tok(tid) for tid in ("1", "1.1", "1.1")) + "\n\n")
+        # a k with a leading zero is no number, not a repeat of 1.1
+        with pytest.raises(ConlluParseError) as exc:
+            parse_text("\n".join(tok(tid) for tid in ("1", "1.01", "1.1")) + "\n\n")
+        assert str(exc.value) == "<string>:2: unknown token id syntax '1.01'"
 
     def test_comment_only_block_is_a_sentence(self):
         doc = parse_text(make_doc([tok("1")], ["# note = x"], [tok("1")]))[0]

@@ -8,6 +8,7 @@ from corefeval import conllu
 from corefeval.conllu import parse_text
 from corefeval.heads import head_upos_set, mention_head, treelet_roots
 from corefeval.model import build_coref_layer
+from corefeval.transforms import conservative_head_reduce_layer, reduce_layer_to_heads
 
 
 def line(tid, misc="_", head="0", upos="NOUN", deps="_", deprel="dep"):
@@ -91,6 +92,19 @@ class TestMentionHead:
         assert layer.nodes.ids[head] == "2"  # the highest node, not an annotated word
         assert any("head index 9 out of range" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("index, head", [("2", "2"), ("02", "1")])
+    def test_head_index_is_a_number(self, caplog, index, head):
+        # the tree says word 1; "02" has a leading zero, so it is no index
+        # and the head is computed without a warning
+        layer = layer_of([line("1", f"Entity=(e1-x-{index}-", "0"),
+                          line("2", "Entity=e1)", "1")])
+        mention = mention_of(layer, "e1")
+        assert mention.extra_fields == ("x", index, "")
+        with caplog.at_level("WARNING", logger="corefeval"):
+            assert head_id(mention) == head
+        assert mention.provided_head_index == (2 if index == "2" else None)
+        assert caplog.records == []
+
     def test_cycle_on_ancestor_path_falls_back(self, caplog):
         # 1.1 and 1.2 point at each other; the mention node 1.1 is a
         # candidate (its parent is outside) but its depth is undefined
@@ -130,8 +144,21 @@ class TestMentionHead:
                 for mention in entity.mentions:
                     head = mention_head(mention)
                     mention.set_positions((head,))
-                    mention.provided_head_index = None
+                    mention.extra_fields = mention.extra_fields[:1]  # no head index
                     assert mention_head(mention) == head
+
+    def test_reduced_mention_keeps_its_head(self, caplog):
+        # words 1 and 2 head each other: the fallback is warned about once,
+        # when the head is found, and not again for the reduced mention
+        layer = layer_of([line("1", "Entity=(e1-x-", "2"), line("2", "Entity=e1)", "1")])
+        with caplog.at_level("WARNING", logger="corefeval"):
+            reduce_layer_to_heads(layer)
+            conservative_head_reduce_layer(layer)
+        mention = mention_of(layer, "e1")
+        assert mention.positions == (0,) and mention_head(mention) == 0
+        assert [r.message for r in caplog.records] == [  # as formatted when logged
+            "no treelet root in Mention(e1: 1:1,1:2) (cyclic dependencies); "
+            "falling back to the first node"]
 
     def test_subtree_root_stable_under_leaf_removal(self, rng):
         for seed in range(30):

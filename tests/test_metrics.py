@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 import json
 import random
 
@@ -179,6 +180,96 @@ class TestMorHandCases:
         ov, kl, rl = mor_counts(key, resp)
         assert ov == rl  # every response node inside a distinct key mention
         assert counts_to_prfs({"mor": (ov, kl, rl)}, ("mor",))["mor"].precision == 1.0
+
+
+def _one_word_mentions(entities: dict[str, str]) -> str:
+    """One document of one sentence of the nine words a..i, each word in
+    `entities` a one-word mention of the entity it maps to."""
+    lines = ["# newdoc id = worked"]
+    for n, word in enumerate("abcdefghi", start=1):
+        misc = f"Entity=({entities[word]})" if word in entities else "_"
+        lines.append("\t".join([str(n), word, word, "NOUN", "_", "_", "0" if n == 1 else "1",
+                                 "root" if n == 1 else "dep", "_", misc]))
+    return "\n".join(lines) + "\n\n"
+
+
+class TestWorkedExample:
+    """Key {a,b,c} {d,e,f,g} against response {a,b} {c,d} {f,g,h,i}, exact
+    match.  Every expected value below is worked by hand from the published
+    definitions (Pradhan et al., ACL 2014, for MUC, B³, CEAF-e, BLANC and
+    the CoNLL score; Moosavi & Strube, ACL 2016, for LEA), as fractions:
+
+    - MUC: a key entity K costs |K| - 1 links and keeps |K| minus the number
+      of parts the response cuts it into, a key mention missing from the
+      response being a part of its own.  {a,b,c} is cut into {a,b} {c},
+      {d,e,f,g} into {d} {e} {f,g}: recall (1 + 1) / (2 + 3).  Precision
+      cuts the response by the key: {a,b} stays whole, {c,d} is cut in two,
+      {f,g,h,i} into {f,g} {h} {i}: (1 + 0 + 1) / (1 + 1 + 3).
+    - B³: recall sums |K∩R|² / |K| over key entities K and response
+      entities R, over the 7 key mentions: (2² + 1²) / 3 + (1² + 2²) / 4 =
+      35/12; precision sums |K∩R|² / |R| over the 8 response mentions:
+      2²/2 + (1² + 1²)/2 + 2²/4 = 4.
+    - CEAF-e: φ(K, R) = 2|K∩R| / (|K| + |R|), so φ({a,b,c}, {a,b}) = 4/5,
+      φ({a,b,c}, {c,d}) = 2/5, φ({d,e,f,g}, {c,d}) = 1/3 and
+      φ({d,e,f,g}, {f,g,h,i}) = 1/2; the best one-to-one alignment takes
+      4/5 + 1/2 = 13/10, over 2 key and 3 response entities.
+    - BLANC: coreference links, key 3 + 6 = 9, response 1 + 1 + 6 = 8, both
+      {a,b} {f,g} = 2; non-coreference links, key 3·4 = 12, response
+      2·2 + 2·4 + 2·4 = 20, both the 3·3 pairs of {a,b,c}×{d,f,g} apart in
+      the response, all but c-d: 8.  R, P and F are the means of the two
+      classes' values.
+    - LEA: a key entity K weighs |K| and is resolved by the share of its
+      |K|(|K|-1)/2 links in one response entity: 3·(1/3) + 4·(1/6) = 5/3 of
+      7; a response entity likewise, 2·1 + 2·0 + 4·(1/6) = 8/3 of 8.
+    """
+
+    KEY = _one_word_mentions({"a": "e1", "b": "e1", "c": "e1",
+                              "d": "e2", "e": "e2", "f": "e2", "g": "e2"})
+    RESPONSE = _one_word_mentions({"a": "r1", "b": "r1", "c": "r2", "d": "r2",
+                                   "f": "r3", "g": "r3", "h": "r3", "i": "r3"})
+    F = Fraction
+    COUNTS = {
+        "muc": (2, 5, 2, 5),
+        "bcub": (F(35, 12), 7, 4, 8),
+        "ceafe": (F(13, 10), 2, 3),
+        "blanc": (2, 9, 8, 8, 12, 20),
+        "lea": (F(5, 3), 7, F(8, 3), 8),
+    }
+    # (recall, precision, F1)
+    SCORES = {
+        "muc": (F(2, 5), F(2, 5), F(2, 5)),
+        "bcub": (F(5, 12), F(1, 2), F(5, 11)),
+        "ceafe": (F(13, 20), F(13, 30), F(13, 25)),
+        # coreference (2/9, 1/4, 4/17), non-coreference (2/3, 2/5, 1/2)
+        "blanc": (F(4, 9), F(13, 40), F(25, 68)),
+        "lea": (F(5, 21), F(1, 3), F(5, 18)),
+    }
+    # the mean of the MUC, B³ and CEAF-e F1: (110 + 125 + 143) / 275 / 3
+    CONLL_F1 = F(126, 275)
+
+    def test_counts(self):
+        counts = score_document_pair(parse_text(self.KEY)[0], parse_text(self.RESPONSE)[0],
+                                     EvalOptions(match="exact"))
+        for name, expected in self.COUNTS.items():
+            assert counts[name] == pytest.approx(tuple(map(float, expected)), rel=1e-12), name
+        scores = counts_to_prfs(counts, ("conll", *self.COUNTS))
+        for name, expected in self.SCORES.items():
+            assert tuple(scores[name]) == pytest.approx(tuple(map(float, expected)),
+                                                        rel=1e-12), name
+        assert scores["conll"].f1 == pytest.approx(float(self.CONLL_F1), rel=1e-12)
+
+    def test_cli_json(self, tmp_path, capsys):
+        key, resp = tmp_path / "key.conllu", tmp_path / "response.conllu"
+        key.write_text(self.KEY)
+        resp.write_text(self.RESPONSE)
+        assert main(["score", str(key), str(resp), "--match", "exact", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        expected = [(name, field, value) for name, values in self.SCORES.items()
+                    for field, value in zip(("r", "p", "f1"), values)]
+        expected.append(("conll", "f1", self.CONLL_F1))
+        for scores in (report["datasets"]["key"], report["macro"]):
+            for name, field, value in expected:  # percentages, rounded to two places
+                assert abs(scores[name][field] - 100 * value) <= Fraction(1, 200), (name, field)
 
 
 def _layer_pair(key_text, resp_text, keep_singletons=True):
