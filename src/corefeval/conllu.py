@@ -3,17 +3,19 @@
 The parser keeps every input line verbatim, so serializing an unmodified
 document reproduces the input byte for byte.  This module owns the
 `Entity` format: `EntityReader` reads it and `entity_values` writes it.
-`set_mentions`, the one code that changes a document's lines, rebuilds
-(by `with_entity`) only the lines whose `Entity` value changes or, when
-it writes over the old values, had one; even then all other columns and
-MISC attributes stay untouched.
+Elsewhere a mention is (eid, sorted positions, extra_fields): its runs
+and ``[i/n]`` parts are only spelling.  `set_mentions`, the one code that
+changes a document's lines, rebuilds (by `with_entity`) only the lines
+whose `Entity` value changes or, when it writes over the old values, had
+one; even then all other columns and MISC attributes stay untouched.
 
 A document's handle is its span, as `numbered_spans` yields it: (doc_id,
 first_line, byte_start, byte_end).  The byte scan is the one reader of the
 `# newdoc` marker, so the id of a parsed document is the one its span
 carries.  The parse is the only pass over the token lines.  `number` is
 the one reader of a number in the text: word, range and empty-node ids,
-part indices ``[i/n]`` and a mention's head index.  The parse reads a
+part indices ``[i/n]`` and a mention's head index.  `Nodes.is_empty` is
+the one test for an empty node's ``n.k`` id.  The parse reads a
 document one sentence at a time: comment lines, then token lines, up to
 one blank line (two in a row are an error).  It checks every line and
 feeds its `Entity` value to the one bracket reader, so a `Document` is
@@ -66,27 +68,30 @@ def _parse_part(value: str, i: int) -> tuple[tuple[int, int] | None, int]:
 def number(text: str) -> int | None:
     """The value of `text` if it is a number, else None: ASCII digits
     (`str.isdigit` alone also accepts "²") without a leading zero, so "0"
-    is one and "01" is not.  Callers check the range."""
+    is one and "01" is not, and no more digits than `int` reads (CPython's
+    limit, `sys.get_int_max_str_digits`).  Callers check the range."""
     if text.isascii() and text.isdigit() and (text[0] != "0" or len(text) == 1):
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # over the digit limit
+            pass
     return None
 
 
-Run = tuple[int, int]  # first and last node position of a span, inclusive
-ReadMention = tuple[str, tuple[Run, ...], tuple[str, ...]]  # (eid, runs, extra_fields)
+ReadMention = tuple[str, tuple[int, ...], tuple[str, ...]]  # (eid, positions, extra_fields)
 
 
 class EntityReader:
     """The one reader of the `Entity` bracket format.
 
     Feed the values of one document in node order; `end` returns its
-    mentions as (eid, runs, extra_fields) in the order they complete.
+    mentions as (eid, positions, extra_fields) in the order they complete.
     `feed` reads each value once, opening, closing or completing a mention
     at each bracket it meets.  Brackets pair by (eid, part); the parts
     ``[1/n]..[n/n]`` of one entity id merge greedily in document order,
     each part attaching to the earliest mention still waiting for it.  A
-    mention's runs are its parts' spans in part order (one run without
-    parts); its fields are those of its first part.  Errors are
+    mention's positions are the sorted union of its parts' runs (parts may
+    overlap); its fields are those of its first part.  Errors are
     `ConlluParseError`s without a location, which the caller adds.
     """
 
@@ -146,10 +151,10 @@ class EntityReader:
                 self._complete(eid, part, (opened[0], position), opened[1])
                 i += 1
 
-    def _complete(self, eid: str, part: tuple[int, int] | None, run: Run,
+    def _complete(self, eid: str, part: tuple[int, int] | None, run: tuple[int, int],
                   fields: tuple[str, ...]) -> None:
         if part is None:
-            self._mentions.append((eid, (run,), fields))
+            self._mentions.append((eid, tuple(range(run[0], run[1] + 1)), fields))
             return
         i, n = part
         waiting = self._waiting.setdefault(eid, [])
@@ -161,7 +166,8 @@ class EntityReader:
                 state[2].append(run)
                 if i == n:
                     waiting.remove(state)
-                    self._mentions.append((eid, tuple(state[2]), state[3]))
+                    positions = {p for first, last in state[2] for p in range(first, last + 1)}
+                    self._mentions.append((eid, tuple(sorted(positions)), state[3]))
                 else:
                     state[0] += 1
                 return
@@ -198,7 +204,6 @@ class Nodes:
 
     def __init__(self, lines: list[str], line_index: list[int],
                  sent_index: list[int], ids: list[str]):
-        # rewrites replace `Document.lines`, but change only `Entity` values
         self.lines = lines
         self.line_index = line_index
         self.sent_index = sent_index
@@ -210,6 +215,17 @@ class Nodes:
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def over(self, lines: list[str]) -> "Nodes":
+        """These nodes over `lines`, a rewrite of theirs that changes only
+        `Entity` values: the columns, and the tree read so far, are shared."""
+        nodes = Nodes(lines, self.line_index, self.sent_index, self.ids)
+        nodes._by_id, nodes._parent, nodes._depth = self._by_id, self._parent, self._depth
+        return nodes
+
+    def is_empty(self, i: int) -> bool:
+        """Whether node i is an empty node (id ``n.k``), not a surface word."""
+        return "." in self.ids[i]
 
     def column(self, i: int, k: int) -> str:
         """Column k (1 FORM, 2 LEMMA, 3 UPOS, ..., 7 DEPREL) of node i's line."""
@@ -228,7 +244,7 @@ class Nodes:
                 end = bisect_right(self.sent_index, sent, first)
                 by_id = self._by_id[sent] = dict(zip(self.ids[first:end], range(first, end)))
             line = self.lines[self.line_index[i]]
-            if "." in self.ids[i]:  # DEPS: "head:relation" items, head 0 the root
+            if self.is_empty(i):  # DEPS: "head:relation" items, head 0 the root
                 heads = (item.partition(":")[0] for item in line.split("\t", 9)[8].split("|"))
                 parent = next((by_id[h] for h in heads if h in by_id), -1)
             else:
@@ -257,13 +273,13 @@ class Nodes:
     def words(self, *upos: str) -> Iterator[tuple[int, str, str, str | None]]:
         """(position, UPOS, lemma, `Gender`) of each surface word whose UPOS
         is one of `upos`, read from its line."""
-        lines, line_index, ids = self.lines, self.line_index, self.ids
+        lines, line_index = self.lines, self.line_index
         found: set[int] = set()
         for tag in upos:  # a substring test first: most lines have none
             tag = f"\t{tag}\t"
             found.update(i for i, at in enumerate(line_index) if tag in lines[at])
         for i in sorted(found):
-            if "." not in ids[i]:
+            if not self.is_empty(i):
                 cols = lines[line_index[i]].split("\t", 6)
                 if cols[3] in upos:
                     yield i, cols[3], cols[2], _attr(cols[5], "Gender=")
@@ -285,9 +301,9 @@ class Document:
     """One `# newdoc` section: the lines the writer emits (the verbatim input
     lines, each sentence followed by one blank line), its `Nodes` and the
     mentions its `Entity` values read as (`EntityReader.end`).  Copies share
-    all three, and so the tree `Nodes` has read.  `set_mentions`
-    is the one code that changes `lines`; it replaces `lines` and
-    `mentions` together, so the two always agree."""
+    all three, and so the tree `Nodes` has read.  `set_mentions` is the one
+    code that changes `lines`; it replaces `lines`, `nodes` (`Nodes.over`)
+    and `mentions` together, so the three always agree."""
 
     __slots__ = ("doc_id", "lines", "nodes", "mentions")
 
@@ -336,15 +352,19 @@ def with_entity(line: str, entity: str | None, first: bool = False) -> str:
 
 def entity_values(mentions: Iterable[ReadMention]) -> dict[int, str]:
     """The `Entity` value of each node position that carries one, in node
-    order, written from (eid, runs, extra_fields) mentions.
+    order, written from (eid, positions, extra_fields) mentions.
 
     Mentions are written in (start, -end, eid) order, ties in the order
-    given; a mention of several runs becomes the parts ``[i/n]`` of its
-    runs, and its fields go on the first part only.
+    given; a mention whose positions are not consecutive becomes the parts
+    ``[i/n]`` of its runs of consecutive positions, and its fields go on
+    the first part only.
     """
     closes: dict[int, list[str]] = {}
     opens: dict[int, list[str]] = {}
-    for eid, runs, fields in sorted(mentions, key=lambda m: (m[1][0][0], -m[1][-1][1], m[0])):
+    for eid, positions, fields in sorted(mentions, key=lambda m: (m[1][0], -m[1][-1], m[0])):
+        # the runs (first, last) of consecutive positions
+        cuts = [k for k, (a, b) in enumerate(zip(positions, positions[1:]), 1) if b != a + 1]
+        runs = [(positions[a], positions[b - 1]) for a, b in zip([0, *cuts], [*cuts, len(positions)])]
         tail = "".join("-" + f for f in fields)
         for part_no, (first, last) in enumerate(runs, start=1):
             label = eid if len(runs) == 1 else f"{eid}[{part_no}/{len(runs)}]"
@@ -359,20 +379,24 @@ def entity_values(mentions: Iterable[ReadMention]) -> dict[int, str]:
 
 
 def set_mentions(doc: Document, mentions: list[ReadMention], strip: bool = False) -> None:
-    """Make `mentions`, as (eid, runs, extra_fields), the document's: the
-    one code that changes `doc.lines`.
+    """Make `mentions`, as (eid, positions, extra_fields), the document's:
+    the one code that changes `doc.lines`.
 
-    The bracket format cannot express every set of mentions: two same-id
-    spans open at once, or parts that interleave with another mention's
-    parts of the same id.  Unless the `entity_values` of `mentions` read
-    back as `mentions`, `SerializationError` is raised before anything
-    changes.  Otherwise only the lines whose value changes are rebuilt
-    (`with_entity`), into a new list, as copies share `lines`; `mentions`
-    becomes what the values read as, in reading order.  With `strip`, the
-    values are written over the old ones as over a stripped document (see
+    The bracket format cannot express every set of mentions: a mention
+    without nodes, two same-id spans open at once, or parts that interleave
+    with another mention's parts of the same id.  Unless the `entity_values`
+    of `mentions` read back as `mentions`, `SerializationError` is raised
+    before anything changes.  Otherwise only the lines whose value changes
+    are rebuilt (`with_entity`), into a new list, as copies share `lines`;
+    `nodes` read the new lines (`Nodes.over`), and `mentions` becomes what
+    the values read as, in reading order.  With `strip`, the values are
+    written over the old ones as over a stripped document (see
     `transforms.strip_entities`): every line that had or gets a value is
     rebuilt once, and each value goes first among its MISC attributes.
     """
+    for eid, positions, _fields in mentions:
+        if not positions:
+            raise SerializationError(f"mention of entity {eid!r} has no nodes")
     values = entity_values(mentions)
     reader = EntityReader()
     try:
@@ -389,15 +413,19 @@ def set_mentions(doc: Document, mentions: list[ReadMention], strip: bool = False
             f"document {doc.doc_id}: the mentions of entity {', '.join(map(repr, eids))}"
             " cannot be written in the bracket format: they would read back"
             " differently")
-    # the nodes that carry a value now are the run ends of `doc.mentions`
-    positions = {i for _eid, runs, _fields in doc.mentions for run in runs for i in run}
-    lines = list(doc.lines)
-    for position in positions | values.keys():
-        at = doc.nodes.line_index[position]
-        new = values.get(position)
+    lines, line_index = list(doc.lines), doc.nodes.line_index
+    for position, new in values.items():
+        at = line_index[position]
         if strip or entity_value(lines[at]) != new:
             lines[at] = with_entity(lines[at], new, first=strip)
+    # a value that goes sat on a node of an old mention, on a line that
+    # names "Entity="
+    for position in {i for _eid, old, _fields in doc.mentions for i in old}.difference(values):
+        at = line_index[position]
+        if "Entity=" in lines[at]:
+            lines[at] = with_entity(lines[at], None)
     doc.lines = lines
+    doc.nodes = doc.nodes.over(lines)
     doc.mentions = read
 
 

@@ -57,8 +57,7 @@ def _highest_node(mention: Mention) -> int:
         log.warning("dependency cycle under %r; falling back to the first "
                     "candidate", mention)
         return candidates[0]
-    ids = nodes.ids
-    return min(zip(depths, ("." in ids[i] for i in candidates), candidates))[2]
+    return min(zip(depths, map(nodes.is_empty, candidates), candidates))[2]
 
 
 def mention_head(mention: Mention) -> int:
@@ -75,7 +74,7 @@ def head_upos_set(mention: Mention) -> set[str]:
     nodes, head = mention.doc_nodes, mention_head(mention)
     tags = {nodes.column(head, 3)}
     for i in mention.positions:
-        if (nodes.parent(i) == head and "." not in nodes.ids[i]
+        if (nodes.parent(i) == head and not nodes.is_empty(i)
                 and nodes.column(i, 7).startswith("flat")):
             tags.add(nodes.column(i, 3))
     return tags

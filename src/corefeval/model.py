@@ -2,8 +2,8 @@
 
 The parser already gives each document its nodes in document order
 (surface words plus empty nodes) and the mentions its `Entity` values read
-as; the layer turns those mentions into sorted node positions (possibly
-discontinuous) and groups them into entities by their id.  A mention
+as, each as sorted node positions (possibly discontinuous); the layer
+groups those mentions into entities by their id.  A mention
 names its entity by id, so no object refers back to what holds it, and
 its head index is read from its fields by `conllu.number`, the one reader
 of numbers in the text.  Everything here is a plain in-memory value of
@@ -58,18 +58,15 @@ class Mention:
 
     @property
     def is_zero(self) -> bool:
-        ids = self.doc_nodes.ids
-        return all("." in ids[i] for i in self.positions)
+        return all(map(self.doc_nodes.is_empty, self.positions))
 
     @property
     def contains_empty(self) -> bool:
-        ids = self.doc_nodes.ids
-        return any("." in ids[i] for i in self.positions)
+        return any(map(self.doc_nodes.is_empty, self.positions))
 
     @property
     def surface_length(self) -> int:
-        ids = self.doc_nodes.ids
-        return sum("." not in ids[i] for i in self.positions)
+        return len(self.positions) - sum(map(self.doc_nodes.is_empty, self.positions))
 
     def set_positions(self, positions: tuple[int, ...]) -> None:
         self.positions = positions
@@ -121,20 +118,15 @@ class CorefLayer:
 
 
 def build_coref_layer(doc: Document) -> CorefLayer:
-    """Group the mentions the parser read from the bracket annotation
-    (`conllu.EntityReader`: parts ``[1/n]..[n/n]`` of one entity id merge
-    greedily in document order into discontinuous mentions) into entities
-    over the document's nodes."""
+    """Group the mentions the parser read (`conllu.EntityReader`) into
+    entities over the document's nodes; each `Mention` shares its position
+    tuple with `doc.mentions`."""
     nodes = doc.nodes
     entities: dict[str, Entity] = {}
-    for eid, runs, fields in doc.mentions:
+    for eid, positions, fields in doc.mentions:
         entity = entities.get(eid)
         if entity is None:
             entity = entities[eid] = Entity(eid)
-        if len(runs) == 1:
-            positions = tuple(range(runs[0][0], runs[0][1] + 1))
-        else:  # parts may overlap
-            positions = tuple(sorted({i for start, end in runs for i in range(start, end + 1)}))
         entity.mentions.append(Mention(eid, positions, nodes, fields))
     for entity in entities.values():
         entity.sort_mentions()

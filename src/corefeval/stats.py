@@ -39,7 +39,8 @@ def tally(layer: CorefLayer, tables: tuple[str, ...], keep_singletons: bool) -> 
     `keep_singletons`; and for "details" the mentions (under "total") and
     those with each flag or head UPOS column.  Heads are found only for
     "details"."""
-    counts = Counter({WORDS: sum("." not in tid for tid in layer.nodes.ids)})
+    nodes = layer.nodes
+    counts = Counter({WORDS: len(nodes) - sum(map(nodes.is_empty, range(len(nodes))))})
     for entity in layer.entities:
         if "entities" in tables:
             counts["entities", len(entity.mentions)] += 1
@@ -51,7 +52,7 @@ def tally(layer: CorefLayer, tables: tuple[str, ...], keep_singletons: bool) -> 
                 counts["details", "w_empty"] += mention.contains_empty
                 counts["details", "w_gap"] += mention.is_discontinuous
                 counts["details", "non_tree"] += len(treelet_roots(mention)) > 1
-                tag = layer.nodes.column(mention_head(mention), 3)
+                tag = nodes.column(mention_head(mention), 3)
                 counts["details", tag.lower() if tag in HEAD_UPOS_COLUMNS else "other"] += 1
     return counts
 

@@ -3,8 +3,9 @@
 Each transform is a layer operation: it changes a `CorefLayer` in place,
 and the scoring pipeline calls it directly.  `apply_ops` runs operations
 on the layer of a document copy and writes the result back through
-`rewrite_entity_annotations`.  All transforms are idempotent and never
-add or remove nodes.
+`rewrite_entity_annotations`, which hands the layer's mentions, as
+positions, to `conllu.set_mentions`.  All transforms are idempotent and
+never add or remove nodes.
 
 Entities unite only in `_Index.merge`, for `merge-same-span` and the
 baseline rules: the lowest id takes the others' mentions, in entity order.
@@ -17,7 +18,6 @@ from itertools import count
 from typing import Callable
 
 from .conllu import Document, set_mentions
-from .errors import SerializationError
 from .heads import head_upos_set, mention_head
 from .model import CorefLayer, Entity, Mention, build_coref_layer
 
@@ -40,14 +40,15 @@ def reduce_layer_to_heads(layer: CorefLayer) -> None:
 
 def conservative_head_reduce_layer(layer: CorefLayer) -> None:
     """Shrink mentions to heads, but when several mentions share a head
-    keep the largest of them (ties: earliest start) intact."""
+    keep the largest of them (ties: the first in `sorted_mentions` order)
+    intact."""
     groups: dict[int, list[Mention]] = {}
     for mention in layer.sorted_mentions():
         groups.setdefault(mention_head(mention), []).append(mention)
     for group in groups.values():
         keep: Mention | None = None
         if len(group) > 1:
-            keep = min(group, key=lambda m: (-len(m.positions), m.start, m.end, m.eid))
+            keep = max(group, key=lambda m: len(m.positions))
         for mention in group:
             if mention is not keep:
                 _reduce_mention(mention, mention_head(mention))
@@ -159,8 +160,7 @@ def apply_ops(doc: Document, *ops: Callable[[CorefLayer], None],
     values are written over the old ones in one `set_mentions`: the same
     lines as `strip_entities` followed by `apply_ops`, each rebuilt once."""
     out = doc.copy()
-    layer = build_coref_layer(Document(doc.doc_id, doc.lines, doc.nodes, [])
-                              if strip else out)
+    layer = CorefLayer(out, out.nodes, []) if strip else build_coref_layer(out)
     for op in ops:
         op(layer)
     rewrite_entity_annotations(out, layer, strip)
@@ -189,19 +189,8 @@ LAYER_TRANSFORMS: dict[str, Callable[[CorefLayer], None]] = {
 def rewrite_entity_annotations(doc: Document, layer: CorefLayer,
                                strip: bool = False) -> None:
     """Make the layer's mentions the document's (`set_mentions`, with
-    `strip`), each as the runs of its consecutive positions, with its
-    opening fields verbatim.  A layer the `Entity` format cannot express
-    raises `SerializationError` before anything changes."""
-    mentions = []
-    for mention in (m for e in layer.entities for m in e.mentions):
-        positions = mention.positions
-        if not positions:
-            raise SerializationError(f"mention of entity {mention.eid!r} has no nodes")
-        runs, first = [], positions[0]
-        for prev, i in zip(positions, positions[1:]):
-            if i != prev + 1:
-                runs.append((first, prev))
-                first = i
-        runs.append((first, positions[-1]))
-        mentions.append((mention.eid, tuple(runs), mention.extra_fields))
-    set_mentions(doc, mentions, strip)
+    `strip`), each with its opening fields verbatim.  A layer the `Entity`
+    format cannot express raises `SerializationError` before anything
+    changes."""
+    set_mentions(doc, [(m.eid, m.positions, m.extra_fields)
+                       for e in layer.entities for m in e.mentions], strip)

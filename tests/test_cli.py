@@ -477,8 +477,9 @@ class TestWorkers:
         assert proc.stdout == "[0, 0, 0, 0, 0, 0] False True\n"
 
 class TestInputPolicy:
-    @pytest.mark.parametrize("kind", ["crlf", "bom", "badutf", "sup", "leadzero", "badpart",
-                                      "partrange", "partzero", "reopen"])
+    @pytest.mark.parametrize("kind", ["crlf", "bom", "badutf", "sup", "leadzero", "longid",
+                                      "badpart", "partrange", "partzero", "longpart",
+                                      "reopen"])
     def test_crlf_and_bom_rejected_by_every_command(self, kind, gold, tmp_path, capsys):
         bad = tmp_path / "bad.conllu"
         data = gold.read_bytes()
@@ -505,6 +506,11 @@ class TestInputPolicy:
             lines[23] = lines[23].replace(b"1.1\t", b"1.01\t", 1)
             bad.write_bytes(b"\n".join(lines))
             message = f"{bad}:24: unknown token id syntax '1.01'"
+        elif kind == "longid":
+            # more digits than `int` reads (4300 by default) is no number
+            lines[4] = b"1" * 5000 + lines[4][1:]
+            bad.write_bytes(b"\n".join(lines))
+            message = f"{bad}:5: unknown token id syntax '{'1' * 5000}'"
         elif kind == "badpart":
             # the first part of e3 becomes a second part with no first
             lines[22] = lines[22].replace(b"(e3[1/2])", b"(e3[2/2])")
@@ -520,6 +526,11 @@ class TestInputPolicy:
             bad.write_bytes(b"\n".join(lines))
             message = (f"{bad}:23: malformed part index in Entity value"
                        " '(e3[01/2])'")
+        elif kind == "longpart":
+            lines[22] = lines[22].replace(b"(e3[1/2])", b"(e3[" + b"1" * 5000 + b"/2])")
+            bad.write_bytes(b"\n".join(lines))
+            message = (f"{bad}:23: malformed part index in Entity value"
+                       f" '(e3[{'1' * 5000}/2])'")
         else:
             # e1, open from line 4 to 6, opens again on line 5
             assert lines[4].endswith(b"\t_")
@@ -537,6 +548,21 @@ class TestInputPolicy:
             assert code == 2, argv
             assert f"error: {message}" in err, (argv, err)
             assert out == ""
+
+    def test_a_head_index_past_the_digit_limit_is_no_index(self, gold, tmp_path, capsys):
+        # a head field of more digits than `int` reads is no number, so every
+        # command computes the head without a warning, as for "02"
+        path = tmp_path / "head.conllu"
+        text = gold.read_text()
+        path.write_text(text.replace("(e1-animal-3-", f"(e1-animal-{'1' * 5000}-", 1))
+        outs = {}
+        for argv in (["validate", path], ["score", path, path], ["stats", path],
+                     ["transform", path, "--ops", "reduce-head"],
+                     ["baseline", path, "--rules", "propn-lemma"]):
+            code, outs[argv[0]], err = run(capsys, *argv)
+            assert code == 0 and err == "", (argv, err)
+        # the reduction keeps the field, which is no index
+        assert f"Entity=(e1-animal-{'1' * 5000}-)" in outs["transform"]
 
 
 class TestMissingInput:

@@ -38,19 +38,19 @@ def read(*values: tuple[int, str]) -> list:
 class TestEntityReader:
     def test_open_with_fields(self):
         assert read((0, "(e5-person-1-"), (2, "e5)")) == [
-            ("e5", ((0, 2),), ("person", "1", ""))]
+            ("e5", (0, 1, 2), ("person", "1", ""))]
 
     def test_self_closing(self):
-        assert read((3, "(e9)")) == [("e9", ((3, 3),), ())]
+        assert read((3, "(e9)")) == [("e9", (3,), ())]
 
     def test_part_markers(self):
         assert read((0, "(e7[1/2]-org-1-"), (1, "e7[1/2])"), (3, "(e7[2/2]"),
-                    (4, "e7[2/2])")) == [("e7", ((0, 1), (3, 4)), ("org", "1", ""))]
+                    (4, "e7[2/2])")) == [("e7", (0, 1, 3, 4), ("org", "1", ""))]
 
     def test_multiple_brackets(self):
         # a close, a one-node mention and an open in one value
         assert read((0, "(e1"), (1, "e1)(e2-x-1)(e3"), (2, "e3)")) == [
-            ("e1", ((0, 1),), ()), ("e2", ((1, 1),), ("x", "1")), ("e3", ((1, 2),), ())]
+            ("e1", (0, 1), ()), ("e2", (1,), ("x", "1")), ("e3", (1, 2), ())]
 
     @pytest.mark.parametrize("value, message", [
         ("", "empty Entity value"),
@@ -105,7 +105,7 @@ class TestParsing:
         text = make_doc([tok("1", "SpaceAfter=No|Entity=(e1)")])
         doc = parse_text(text)[0]
         assert conllu.entity_value(doc.lines[doc.nodes.line_index[0]]) == "(e1)"
-        assert doc.mentions == [("e1", ((0, 0),), ())]
+        assert doc.mentions == [("e1", (0,), ())]
 
     @pytest.mark.parametrize("bad,message", [
         (make_doc(["1\tw\tw\tNOUN\t_\t_\t0\tdep\t_"]), "10 tab-separated"),

@@ -92,10 +92,12 @@ class TestMentionHead:
         assert layer.nodes.ids[head] == "2"  # the highest node, not an annotated word
         assert any("head index 9 out of range" in r.message for r in caplog.records)
 
-    @pytest.mark.parametrize("index, head", [("2", "2"), ("02", "1")])
+    @pytest.mark.parametrize("index, head", [
+        ("2", "2"), ("02", "1"), pytest.param("2" * 5000, "1", id="5000-digits-1")])
     def test_head_index_is_a_number(self, caplog, index, head):
-        # the tree says word 1; "02" has a leading zero, so it is no index
-        # and the head is computed without a warning
+        # the tree says word 1; "02" has a leading zero, and `int` reads no
+        # more than 4300 digits by default, so neither is an index and the
+        # head is computed without a warning
         layer = layer_of([line("1", f"Entity=(e1-x-{index}-", "0"),
                           line("2", "Entity=e1)", "1")])
         mention = mention_of(layer, "e1")

@@ -230,9 +230,12 @@ class TestLayerProperties:
             sub = random.Random(1000 + seed)
             _, _, text = gen.random_document(sub, f"d{seed}", p_discontinuous=0.25)
             doc = parse_text(text)[0]
+            naive = sorted(_naive_mentions(doc))
+            read = sorted((eid, positions) for eid, positions, _ in doc.mentions)
+            assert read == naive, f"seed {seed}"
             layer = build_coref_layer(doc)
             built = sorted((e.eid, m.positions) for e in layer.entities for m in e.mentions)
-            assert built == sorted(_naive_mentions(doc)), f"seed {seed}"
+            assert built == naive, f"seed {seed}"
 
     def test_determinism(self, rng):
         _, _, text = gen.random_document(rng, "dx", p_discontinuous=0.3)

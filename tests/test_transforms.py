@@ -200,11 +200,10 @@ class TestMergeSameSpan:
         with pytest.raises(SerializationError):
             rewrite_entity_annotations(doc, layer)
         assert doc_to_text(doc) == before  # no token was changed
-        lines, mentions = doc.lines, doc.mentions
+        lines, nodes, mentions = doc.lines, doc.nodes, doc.mentions
         with pytest.raises(SerializationError, match="'e1'"):
-            set_mentions(doc, [("e1", ((1, 1), (6, 6)), ()), ("e1", ((3, 3), (5, 5)), ()),
-                               ("e1", ((8, 8),), ())])
-        assert doc.lines is lines and doc.mentions is mentions
+            set_mentions(doc, [("e1", (1, 6), ()), ("e1", (3, 5), ()), ("e1", (8,), ())])
+        assert doc.lines is lines and doc.nodes is nodes and doc.mentions is mentions
 
     def test_idempotent(self, rng):
         skel = simple_skeleton()
@@ -400,3 +399,41 @@ class TestMentionsInStep:
                 apply_ops(doc, LAYER_TRANSFORMS[op])
             assert doc_to_text(doc) == before
             assert doc.mentions == mentions
+
+    @pytest.mark.parametrize("strip", [False, True], ids=["kept", "stripped"])
+    @pytest.mark.parametrize("op", sorted(LAYER_TRANSFORMS))
+    @pytest.mark.parametrize("fixture", ["animals", "zeros", "discontinuous", "nest_key",
+                                         "nest_response", "pronoun_baseline",
+                                         "propn_baseline"])
+    def test_nodes_read_the_rewritten_lines(self, fixture, op, strip, fixtures_dir):
+        """A result's `Nodes` read its own lines, the input's still the input's."""
+        for doc in parse_file(fixtures_dir / f"{fixture}.conllu"):
+            lines = list(doc.lines)
+            out = apply_ops(doc, LAYER_TRANSFORMS[op], strip=strip)
+            assert doc.lines == lines
+            for result in (out, doc):
+                nodes = result.nodes
+                for i in range(len(nodes)):
+                    fields = result.lines[nodes.line_index[i]].split("\t")
+                    assert [nodes.column(i, k) for k in range(10)] == fields
+
+    @pytest.mark.parametrize("strip", [False, True], ids=["kept", "stripped"])
+    def test_lines_without_a_value_are_not_rebuilt(self, strip, fixtures_dir):
+        """A line that neither had nor gets an `Entity` value stays the very
+        same object."""
+        texts = [path.read_text() for path in sorted(fixtures_dir.glob("*.conllu"))]
+        texts += [gen.random_document(random.Random(seed), f"r{seed}", p_discontinuous=0.3,
+                                      p_provided_head=0.4)[2] for seed in range(20)]
+        kept = 0
+        for text in texts:
+            for doc in parse_text(text):
+                for op in LAYER_TRANSFORMS.values():
+                    try:
+                        out = apply_ops(doc, op, strip=strip)
+                    except SerializationError:
+                        continue
+                    for old, new in zip(doc.lines, out.lines):
+                        if entity_value(old) is None and entity_value(new) is None:
+                            assert new is old
+                            kept += 1
+        assert kept > 1000
