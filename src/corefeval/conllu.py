@@ -362,9 +362,15 @@ def entity_values(mentions: Iterable[ReadMention]) -> dict[int, str]:
     closes: dict[int, list[str]] = {}
     opens: dict[int, list[str]] = {}
     for eid, positions, fields in sorted(mentions, key=lambda m: (m[1][0], -m[1][-1], m[0])):
-        # the runs (first, last) of consecutive positions
-        cuts = [k for k, (a, b) in enumerate(zip(positions, positions[1:]), 1) if b != a + 1]
-        runs = [(positions[a], positions[b - 1]) for a, b in zip([0, *cuts], [*cuts, len(positions)])]
+        # the runs (first, last) of consecutive positions; nearly all
+        # mentions are one run
+        if positions[-1] - positions[0] + 1 == len(positions):
+            runs = [(positions[0], positions[-1])]
+        else:
+            cuts = [k for k, (a, b) in enumerate(zip(positions, positions[1:]), 1)
+                    if b != a + 1]
+            runs = [(positions[a], positions[b - 1])
+                    for a, b in zip([0, *cuts], [*cuts, len(positions)])]
         tail = "".join("-" + f for f in fields)
         for part_no, (first, last) in enumerate(runs, start=1):
             label = eid if len(runs) == 1 else f"{eid}[{part_no}/{len(runs)}]"

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .align import (
     EXACT,
@@ -42,10 +42,6 @@ from .transforms import (
 
 log = logging.getLogger("corefeval")
 
-ENTITY_METRICS = ("muc", "bcub", "ceafe", "blanc", "lea")
-ALL_METRICS = ("muc", "bcub", "ceafe", "conll", "blanc", "lea", "mor", "zero")
-CONLL_PARTS = ("muc", "bcub", "ceafe")
-
 Cluster = frozenset[int]
 
 
@@ -62,7 +58,7 @@ def prf(rec_num: float, rec_den: float, prec_num: float, prec_den: float) -> PRF
     return PRF(r, p, f)
 
 
-def _mean_prfs(prfs: list[PRF]) -> PRF:
+def _mean_prfs(*prfs: PRF) -> PRF:
     n = len(prfs)
     return PRF(
         sum(x.recall for x in prfs) / n,
@@ -71,15 +67,65 @@ def _mean_prfs(prfs: list[PRF]) -> PRF:
     )
 
 
+def _shared_prf(num: float, key_den: int, resp_den: int) -> PRF:
+    return prf(num, key_den, num, resp_den)
+
+
+def blanc_prf(cc: int, ck: int, cr: int, nn: int, nk: int, nr: int) -> PRF:
+    parts: list[PRF] = []
+    if ck or cr:
+        parts.append(prf(cc, ck, cc, cr))
+    if nk or nr:
+        parts.append(prf(nn, nk, nn, nr))
+    if not parts:
+        return PRF(0.0, 0.0, 0.0)
+    return _mean_prfs(*parts)
+
+
 class ZeroScoreCounts(NamedTuple):
     tp: int
     wl: int
     fp: int
     fn: int
 
-    def prf(self) -> PRF:
-        return prf(self.tp, self.tp + self.wl + self.fn,
-                   self.tp, self.tp + self.wl + self.fp)
+
+class Metric(NamedTuple):
+    """One row of `METRICS`: a metric's name, what its count function reads
+    (CLUSTERS, MENTIONS or LAYERS; a metric that averages others reads their
+    names), the name of that function in this module (looked up at call
+    time), the fields of its count tuple (`key_…`/`response_…` where the
+    two sides trade places) and its rule from counts to a PRF."""
+
+    name: str
+    reads: str | tuple[str, ...]
+    counter: str
+    fields: tuple[str, ...]
+    rule: Callable[..., PRF]
+
+
+CLUSTERS, MENTIONS, LAYERS = "clusters", "mentions", "layers"
+METRICS = (  # in report order
+    Metric("muc", CLUSTERS, "muc_counts",
+           ("key_links_found", "key_links", "response_links_found", "response_links"), prf),
+    Metric("bcub", CLUSTERS, "bcub_counts",
+           ("key_credit", "key_mentions", "response_credit", "response_mentions"), prf),
+    Metric("ceafe", CLUSTERS, "ceafe_counts",
+           ("similarity", "key_entities", "response_entities"), _shared_prf),
+    Metric("conll", ("muc", "bcub", "ceafe"), "", (), _mean_prfs),
+    Metric("blanc", CLUSTERS, "blanc_counts",
+           ("common_coref_links", "key_coref_links", "response_coref_links",
+            "common_noncoref_links", "key_noncoref_links", "response_noncoref_links"), blanc_prf),
+    Metric("lea", CLUSTERS, "lea_counts",
+           ("key_resolution", "key_importance", "response_resolution", "response_importance"),
+           prf),
+    Metric("mor", MENTIONS, "mor_counts", ("shared_nodes", "key_nodes", "response_nodes"),
+           _shared_prf),
+    Metric("zero", LAYERS, "zero_link_counts", ZeroScoreCounts._fields,
+           lambda tp, wl, fp, fn: prf(tp, tp + wl + fn, tp, tp + wl + fp)),
+)
+ALL_METRICS = tuple(m.name for m in METRICS)
+ENTITY_METRICS = tuple(m.name for m in METRICS if m.reads == CLUSTERS)
+CONLL_PARTS = METRICS[ALL_METRICS.index("conll")].reads
 
 
 @dataclass(frozen=True)
@@ -165,8 +211,7 @@ def ceafe_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> t
 
 
 def blanc_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
-    """Link counts: (coref both, coref key, coref resp, non-coref both,
-    non-coref key, non-coref resp)."""
+    """Coreference and non-coreference link counts."""
     rows = _spreads(key_clusters, resp_clusters)
     in_resp = [0] * len(resp_clusters)  # the table's column sums
     for row in rows:
@@ -181,18 +226,6 @@ def blanc_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> t
     nk = _pairs(sum(map(len, key_clusters))) - ck
     nr = _pairs(sum(map(len, resp_clusters))) - cr
     return (cc, ck, cr, nn, nk, nr)
-
-
-def blanc_prf(counts: tuple) -> PRF:
-    cc, ck, cr, nn, nk, nr = counts
-    parts: list[PRF] = []
-    if ck or cr:
-        parts.append(prf(cc, ck, cc, cr))
-    if nk or nr:
-        parts.append(prf(nn, nk, nn, nr))
-    if not parts:
-        return PRF(0.0, 0.0, 0.0)
-    return _mean_prfs(parts)
 
 
 def _lea_half(clusters: list[Cluster], others: list[Cluster]) -> tuple[float, int]:
@@ -351,27 +384,25 @@ def score_document_pair(key_doc: Document, resp_doc: Document | None,
         conservative_head_reduce_layer(resp_layer)
     policy = EXACT if opts.match == EXACT else PARTIAL
 
+    # a metric that averages others is counted as its parts; all count after
+    # the head reduction, so that the head-match variant equals scoring
+    # explicitly reduced files
+    wanted = set(opts.metrics).union(
+        *(m.reads for m in METRICS if not m.counter and m.name in opts.metrics))
     counts: dict[str, tuple] = {}
-    if "zero" in opts.metrics:
-        # after the head reduction, so that the head-match variant equals
-        # scoring explicitly reduced files
-        counts["zero"] = zero_link_counts(key_layer, resp_layer)
-
-    entity_metrics = [m for m in ENTITY_METRICS if m in opts.metrics]
-    if "conll" in opts.metrics:
-        entity_metrics = sorted(set(entity_metrics) | set(CONLL_PARTS),
-                                key=ENTITY_METRICS.index)
-    if entity_metrics:
-        key_clusters, resp_clusters = relabeled_clusters(key_layer, resp_layer, policy)
-        counters = {
-            "muc": muc_counts, "bcub": bcub_counts, "ceafe": ceafe_counts,
-            "blanc": blanc_counts, "lea": lea_counts,
-        }
-        for name in entity_metrics:
-            counts[name] = counters[name](key_clusters, resp_clusters)
-    if "mor" in opts.metrics:
-        counts["mor"] = mor_counts(
-            key_layer.sorted_mentions(), resp_layer.sorted_mentions())
+    clusters = None
+    for m in METRICS:
+        if not m.counter or m.name not in wanted:
+            continue
+        if m.reads == CLUSTERS:
+            if clusters is None:
+                clusters = relabeled_clusters(key_layer, resp_layer, policy)
+            sides = clusters
+        elif m.reads == MENTIONS:
+            sides = key_layer.sorted_mentions(), resp_layer.sorted_mentions()
+        else:
+            sides = key_layer, resp_layer
+        counts[m.name] = globals()[m.counter](*sides)
     return counts
 
 
@@ -387,28 +418,17 @@ def add_counts(total: dict[str, tuple], counts: dict[str, tuple]) -> None:
 
 def counts_to_prfs(counts: dict[str, tuple], metrics: tuple[str, ...]) -> dict[str, PRF]:
     out: dict[str, PRF] = {}
-    for name in ("muc", "bcub", "lea"):
-        if name in counts:
-            rn, rd, pn, pd = counts[name]
-            out[name] = prf(rn, rd, pn, pd)
-    if "ceafe" in counts:
-        phi, nk, nr = counts["ceafe"]
-        out["ceafe"] = prf(phi, nk, phi, nr)
-    if "blanc" in counts:
-        out["blanc"] = blanc_prf(counts["blanc"])
-    if "mor" in counts:
-        ov, kl, rl = counts["mor"]
-        out["mor"] = prf(ov, kl, ov, rl)
-    if "zero" in counts:
-        out["zero"] = ZeroScoreCounts(*counts["zero"]).prf()
-    if "conll" in metrics and all(p in out for p in CONLL_PARTS):
-        out["conll"] = _mean_prfs([out[p] for p in CONLL_PARTS])
-    return {name: out[name] for name in ALL_METRICS
-            if name in out and name in metrics}
+    for m in METRICS:
+        if not m.counter:
+            if all(part in out for part in m.reads):
+                out[m.name] = m.rule(*(out[part] for part in m.reads))
+        elif m.name in counts:
+            out[m.name] = m.rule(*counts[m.name])
+    return {name: scores for name, scores in out.items() if name in metrics}
 
 
 def macro_average(per_dataset: dict[str, dict[str, PRF]]) -> dict[str, PRF]:
-    return {name: _mean_prfs([scores[name] for scores in per_dataset.values()])
+    return {name: _mean_prfs(*(scores[name] for scores in per_dataset.values()))
             for name in ALL_METRICS
             if per_dataset and all(name in scores for scores in per_dataset.values())}
 

@@ -266,7 +266,8 @@ class TestSharedEngine:
                     assert code == 0
                     assert cli == library, (resp.name, match, keep)
 
-    def test_spawn_start_method_matches_single_job(self, tmp_path, capsys):
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+    def test_start_method_matches_single_job(self, start_method, tmp_path, capsys):
         rng = random.Random(5)
         key_parts, resp_parts = [], []
         for d in range(5):
@@ -285,9 +286,10 @@ class TestSharedEngine:
         argv = ["score", str(key), str(resp), "--format", "json", "--per-doc"]
         code, single, _ = run(capsys, *argv, "--jobs", "1")
         assert code == 0
-        # a spawned worker inherits nothing from the parent process
+        # a spawned worker inherits nothing from the parent process, and a
+        # forkserver worker only what the server process imported
         script = ("import multiprocessing, sys\n"
-                  "multiprocessing.set_start_method('spawn')\n"
+                  f"multiprocessing.set_start_method({start_method!r})\n"
                   "from corefeval.cli import main\n"
                   f"sys.exit(main({argv + ['--jobs', '2']!r}))\n")
         proc = run_python("-c", script)
@@ -299,10 +301,12 @@ class TestSharedEngine:
 
 # One `main()` call per argument list in a fresh interpreter, each with
 # its own stdout, stderr and logging set-up: prints [[code, out, err], ...].
+# The first argument is a start method for the worker processes, or "" for
+# the platform's default.
 RUN_MAINS = """\
 import contextlib, io, json, logging, multiprocessing, sys
-if sys.argv[1] == "spawn":
-    multiprocessing.set_start_method("spawn")
+if sys.argv[1]:
+    multiprocessing.set_start_method(sys.argv[1])
 from corefeval.cli import main
 results = []
 for argv in json.loads(sys.argv[2]):
@@ -340,8 +344,8 @@ def random_docs(seed: int, names: list[str]) -> str:
 
 class TestParallelRewrites:
     """`transform` and `baseline` at --jobs 1, at --jobs 2 and at --jobs 2
-    with spawned workers: the same output files, stdout, stderr at every
-    -v level, and exit code.  Document 2 of `late.conllu` warns, document
+    with spawned and with forkserver workers: the same output files,
+    stdout, stderr at every -v level, and exit code.  Document 2 of `late.conllu` warns, document
     3 cannot be parsed and document 4 warns too late to be reported."""
 
     COMMANDS = (["transform", "--ops", "conservative-head-reduce,merge-same-span"],
@@ -354,7 +358,7 @@ class TestParallelRewrites:
                         + random_docs(2, ["g4", "g5", "g6"]))
         late.write_text(random_docs(3, ["d1"]) + CROSS.format("d2") + UNCLOSED.format("d3")
                         + CROSS.format("d4") + random_docs(4, ["d5", "d6"]))
-        modes = ("1", "2", "spawn")
+        modes = ("1", "2", "spawn", "forkserver")
         argvs = {mode: [] for mode in modes}
         for mode in modes:
             jobs = ["--jobs", "1" if mode == "1" else "2"]
@@ -367,12 +371,15 @@ class TestParallelRewrites:
                         # the last input fails
                         [*verbose, command, good, *fixtures, late, *options, *jobs,
                          "--out-dir", where]]
-        results = {mode: run_mains(mode, argvs[mode]) for mode in modes}
+        # "1" and "2" start workers the platform's default way
+        results = {mode: run_mains("" if mode.isdigit() else mode, argvs[mode])
+                   for mode in modes}
         files = {mode: sorted((str(p.relative_to(tmp_path / mode)), p.read_bytes())
                               for p in (tmp_path / mode).rglob("*") if p.is_file())
                  for mode in modes}
-        assert results["1"] == results["2"] == results["spawn"]
-        assert files["1"] == files["2"] == files["spawn"]
+        for mode in modes[1:]:
+            assert results[mode] == results["1"], mode
+            assert files[mode] == files["1"], mode
         # what the serial run itself shows
         assert [code for code, _out, _err in results["1"]] == [0, 2, 2] * 6
         assert len(files["1"]) == 6 * (1 + len(fixtures))

@@ -130,12 +130,12 @@ class TestBlancHandCases:
         key = clusters({0, 1, 2})
         counts = blanc_counts(key, key)
         assert counts[3:] == (0, 0, 0)
-        assert blanc_prf(counts) == (1.0, 1.0, 1.0)
+        assert blanc_prf(*counts) == (1.0, 1.0, 1.0)
 
     def test_class_empty_on_one_side_scores_zero(self):
         key = clusters({0, 1}, {2})   # has non-coref links
         resp = clusters({0, 1, 2})    # none
-        result = blanc_prf(blanc_counts(key, resp))
+        result = blanc_prf(*blanc_counts(key, resp))
         coref = prf(1, 1, 1, 3)
         assert result.recall == pytest.approx((coref.recall + 0) / 2)
 
@@ -193,7 +193,27 @@ def _one_word_mentions(entities: dict[str, str]) -> str:
     return "\n".join(lines) + "\n\n"
 
 
-class TestWorkedExample:
+class _WorkedExample:
+    """A key and a response of one-word mentions, scored under `OPTS`, with
+    the counts and (recall, precision, F1) worked by hand as fractions."""
+
+    OPTS = EvalOptions(match="exact")
+    CONLL_F1: Fraction | None = None
+
+    def test_counts(self):
+        counts = score_document_pair(parse_text(self.KEY)[0], parse_text(self.RESPONSE)[0],
+                                     self.OPTS)
+        for name, expected in self.COUNTS.items():
+            assert counts[name] == pytest.approx(tuple(map(float, expected)), rel=1e-12), name
+        scores = counts_to_prfs(counts, metrics.ALL_METRICS)
+        for name, expected in self.SCORES.items():
+            assert tuple(scores[name]) == pytest.approx(tuple(map(float, expected)),
+                                                        rel=1e-12), name
+        if self.CONLL_F1 is not None:
+            assert scores["conll"].f1 == pytest.approx(float(self.CONLL_F1), rel=1e-12)
+
+
+class TestWorkedExample(_WorkedExample):
     """Key {a,b,c} {d,e,f,g} against response {a,b} {c,d} {f,g,h,i}, exact
     match.  Every expected value below is worked by hand from the published
     definitions (Pradhan et al., ACL 2014, for MUC, B³, CEAF-e, BLANC and
@@ -247,17 +267,6 @@ class TestWorkedExample:
     # the mean of the MUC, B³ and CEAF-e F1: (110 + 125 + 143) / 275 / 3
     CONLL_F1 = F(126, 275)
 
-    def test_counts(self):
-        counts = score_document_pair(parse_text(self.KEY)[0], parse_text(self.RESPONSE)[0],
-                                     EvalOptions(match="exact"))
-        for name, expected in self.COUNTS.items():
-            assert counts[name] == pytest.approx(tuple(map(float, expected)), rel=1e-12), name
-        scores = counts_to_prfs(counts, ("conll", *self.COUNTS))
-        for name, expected in self.SCORES.items():
-            assert tuple(scores[name]) == pytest.approx(tuple(map(float, expected)),
-                                                        rel=1e-12), name
-        assert scores["conll"].f1 == pytest.approx(float(self.CONLL_F1), rel=1e-12)
-
     def test_cli_json(self, tmp_path, capsys):
         key, resp = tmp_path / "key.conllu", tmp_path / "response.conllu"
         key.write_text(self.KEY)
@@ -270,6 +279,102 @@ class TestWorkedExample:
         for scores in (report["datasets"]["key"], report["macro"]):
             for name, field, value in expected:  # percentages, rounded to two places
                 assert abs(scores[name][field] - 100 * value) <= Fraction(1, 200), (name, field)
+
+
+class TestWorkedCeafeOptimalNotGreedy(_WorkedExample):
+    """Key {a,b,c} {d,e} against response {a,b,d} {c,f}: a case where
+    CEAF-e's optimal entity mapping (Luo, EMNLP 2005) is not the greedy
+    one.  φ({a,b,c}, {a,b,d}) = 2·2/6 = 2/3 is the largest similarity, so a
+    greedy mapping takes it first and leaves {d,e} the response entity
+    {c,f}, φ = 0: 2/3 in all.  The optimal mapping takes
+    φ({a,b,c}, {c,f}) + φ({d,e}, {a,b,d}) = 2/5 + 2/5 = 4/5, over 2 key and
+    2 response entities."""
+
+    KEY = _one_word_mentions({"a": "e1", "b": "e1", "c": "e1", "d": "e2", "e": "e2"})
+    RESPONSE = _one_word_mentions({"a": "r1", "b": "r1", "d": "r1", "c": "r2", "f": "r2"})
+    F = Fraction
+    COUNTS = {"ceafe": (F(4, 5), 2, 2)}
+    SCORES = {"ceafe": (F(2, 5), F(2, 5), F(2, 5))}
+
+
+class TestWorkedBlancKeySingletons(_WorkedExample):
+    """BLANC (Recasens & Hovy, 2011) where only the key has singletons: key
+    {a,b,c} {d} {e} against response {a,b,c} {d,e}, singletons kept.  Of
+    the 10 pairs of the five words, the key links a-b, a-c, b-c and leaves
+    7 pairs apart; the response links those three and d-e, and leaves the
+    6 pairs between {a,b,c} and {d,e} apart, all of them apart in the key
+    too.  Coreference: R 3/3, P 3/4, F 6/7; non-coreference: R 6/7, P 6/6,
+    F 12/13.  BLANC is their mean: R 13/14, P 7/8, F (6/7 + 12/13) / 2 =
+    81/91."""
+
+    OPTS = EvalOptions(match="exact", keep_singletons=True)
+    KEY = _one_word_mentions({"a": "e1", "b": "e1", "c": "e1", "d": "e2", "e": "e3"})
+    RESPONSE = _one_word_mentions({"a": "r1", "b": "r1", "c": "r1", "d": "r2", "e": "r2"})
+    F = Fraction
+    COUNTS = {"blanc": (3, 3, 4, 6, 7, 6)}
+    SCORES = {"blanc": (F(13, 14), F(7, 8), F(81, 91))}
+
+
+class TestWorkedBlancKeySingletonsRemoved(TestWorkedBlancKeySingletons):
+    """The same pair with singletons removed: the key keeps {a,b,c} alone,
+    so it has no non-coreference link, while the response's d and e, now
+    twinless, still make 10 - 4 = 6 of them, none shared.  A class with
+    links on one side only counts with R = P = F = 0, so the coreference
+    class (R 1, P 3/4, F 6/7) is averaged with zeros: R 1/2, P 3/8,
+    F 3/7."""
+
+    OPTS = EvalOptions(match="exact")
+    F = Fraction
+    COUNTS = {"blanc": (3, 3, 4, 0, 0, 6)}
+    SCORES = {"blanc": (F(1, 2), F(3, 8), F(3, 7))}
+
+
+class TestWorkedTwinlessMentions(_WorkedExample):
+    """Predicted mentions with twinless mentions on both sides, the setting
+    of Cai & Strube (SIGDIAL 2010): key {a,b,c} {d,e} against response
+    {a,b,f} {d,e,g,h}, so c has no response twin and f, g, h no key twin.
+    The values follow the definitions as the reference scorer applies them
+    to predicted mentions (Pradhan et al., ACL 2014; BLANC after Luo et
+    al., ACL 2014), with no mention added or removed:
+
+    - MUC: {a,b,c} is cut into {a,b} {c}, {d,e} stays whole: recall
+      (1 + 1) / (2 + 1) = 2/3; {a,b,f} is cut into {a,b} {f}, {d,e,g,h}
+      into {d,e} {g} {h}: precision (1 + 1) / (2 + 3) = 2/5, F1 1/2.
+    - B³: recall (2²/3 + 2²/2) / 5 = 2/3, precision (2²/3 + 2²/4) / 7 =
+      1/3, F1 4/9.
+    - CEAF-e: φ({a,b,c}, {a,b,f}) = 4/6 and φ({d,e}, {d,e,g,h}) = 4/6, no
+      other pair shares a mention: 4/3 over 2 key and 2 response entities.
+    - LEA: recall (3·(1/3) + 2·(1/1)) / 5 = 3/5, precision
+      (3·(1/3) + 4·(1/6)) / 7 = 5/21, F1 15/44.
+    - BLANC: the key has 4 coreference links of its 10 pairs, the response
+      9 of its 21; a-b and d-e are shared, and a-d, a-e, b-d and b-e are
+      apart on both sides.  Coreference R 2/4, P 2/9, F 4/13;
+      non-coreference R 4/6, P 4/12, F 4/9.
+    - MOR: 4 of the 5 key and 7 response nodes align.
+    - CoNLL: (1/2 + 4/9 + 2/3) / 3 = 29/54.
+    """
+
+    KEY = _one_word_mentions({"a": "e1", "b": "e1", "c": "e1", "d": "e2", "e": "e2"})
+    RESPONSE = _one_word_mentions({"a": "r1", "b": "r1", "f": "r1",
+                                   "d": "r2", "e": "r2", "g": "r2", "h": "r2"})
+    F = Fraction
+    COUNTS = {
+        "muc": (2, 3, 2, 5),
+        "bcub": (F(10, 3), 5, F(7, 3), 7),
+        "ceafe": (F(4, 3), 2, 2),
+        "blanc": (2, 4, 9, 4, 6, 12),
+        "lea": (3, 5, F(5, 3), 7),
+        "mor": (4, 5, 7),
+    }
+    SCORES = {
+        "muc": (F(2, 3), F(2, 5), F(1, 2)),
+        "bcub": (F(2, 3), F(1, 3), F(4, 9)),
+        "ceafe": (F(2, 3), F(2, 3), F(2, 3)),
+        "blanc": (F(7, 12), F(5, 18), F(44, 117)),
+        "lea": (F(3, 5), F(5, 21), F(15, 44)),
+        "mor": (F(4, 5), F(4, 7), F(2, 3)),
+    }
+    CONLL_F1 = F(29, 54)
 
 
 def _layer_pair(key_text, resp_text, keep_singletons=True):
@@ -397,7 +502,8 @@ class TestZeroScore:
             counts = ZeroScoreCounts(*score_document_pair(doc, doc, ZERO_ONLY)["zero"])
             assert counts.fp == counts.fn == counts.wl == 0
         counts = ZeroScoreCounts(*score_document_pair(docs[0], docs[0], ZERO_ONLY)["zero"])
-        assert counts.tp >= 1 and counts.prf() == (1.0, 1.0, 1.0)
+        assert counts.tp >= 1
+        assert counts_to_prfs({"zero": counts}, ("zero",))["zero"] == (1.0, 1.0, 1.0)
 
     def test_differing_universes_rejected(self, fixtures_dir):
         docs = parse_text((fixtures_dir / "zeros.conllu").read_text())
@@ -505,15 +611,17 @@ def _key_response_pair(seed):
     return skel, key_specs, gen.perturb_mentions(rng, key_specs, skel)
 
 
-# each count tuple with its key side and response side exchanged
-_SWAPPED = {
-    "muc": lambda c: (c[2], c[3], c[0], c[1]),
-    "bcub": lambda c: (c[2], c[3], c[0], c[1]),
-    "lea": lambda c: (c[2], c[3], c[0], c[1]),
-    "ceafe": lambda c: (c[0], c[2], c[1]),
-    "blanc": lambda c: (c[0], c[2], c[1], c[3], c[5], c[4]),
-    "mor": lambda c: (c[0], c[2], c[1]),
-}
+def _swapped(field: str) -> str:
+    for side, other in (("key_", "response_"), ("response_", "key_")):
+        if field.startswith(side):
+            return other + field[len(side):]
+    return field
+
+
+# for each metric whose count fields name a side, where each value of its
+# count tuple goes when key and response are exchanged
+_SWAPPED = {m.name: [m.fields.index(_swapped(f)) for f in m.fields]
+            for m in metrics.METRICS if any(f.startswith("key_") for f in m.fields)}
 
 
 class TestMetamorphicRelations:
@@ -528,8 +636,9 @@ class TestMetamorphicRelations:
             resp = parse_text(gen.conllu_text(skel, resp_specs))[0]
             forward = score_document_pair(key, resp, opts)
             backward = score_document_pair(resp, key, opts)
-            for name, swap in _SWAPPED.items():
-                assert backward[name] == swap(forward[name]), f"seed {seed} {name}"
+            for name, order in _SWAPPED.items():
+                assert backward[name] == tuple(forward[name][i] for i in order), \
+                    f"seed {seed} {name}"
 
     @pytest.mark.parametrize("match", ["partial", "head", "exact"])
     def test_response_singletons_on_uncovered_nodes_leave_muc_unchanged(self, match):

@@ -1,10 +1,12 @@
-"""The README's Library example runs as written, on a bundled fixture."""
+"""The README's Library example runs as written, on a bundled fixture, and
+its list of each metric's count fields is the metric table's."""
 
 import re
 import shutil
 from pathlib import Path
 
 from corefeval.conllu import doc_to_text, parse_file
+from corefeval.metrics import METRICS
 from corefeval.transforms import apply_ops, merge_same_span_layer, reduce_layer_to_heads
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -25,3 +27,13 @@ def test_library_example_runs(fixtures_dir, tmp_path, monkeypatch, capsys):
         "e4 ['day'] day",
         "1.0",  # the CoNLL F1 of the key against itself
         doc_to_text(reduced)]) + "\n"
+
+
+def test_metric_counts_are_the_table():
+    # the sub-list of the `--metrics` bullet, one item per metric with counts
+    text = README.read_text()
+    bullet = text[text.index("* `--metrics`"):]
+    bullet = bullet[:bullet.index("\n* ")]
+    listed = re.findall(r"^  - `(\w+)`: (.*(?:\n    .*)*)", bullet, re.M)
+    assert [(name, tuple(re.findall(r"`(\w+)`", fields))) for name, fields in listed] \
+        == [(m.name, m.fields) for m in METRICS if m.fields]
