@@ -29,14 +29,18 @@ Entity values are sequences of brackets over entity ids, e.g.
 ``(e5-person-1-`` opens mention of entity e5 (extra fields: type, head
 index, ...), ``e5)`` closes it, ``(e9)`` is a single-node mention and
 ``(e7[1/2]`` opens the first of two parts of a discontinuous mention.
-`EntityReader.feed` reads a value in one pass, pairing each bracket as it
-meets it, so of a value with two faults the first in reading order is
-reported.
+`EntityReader.feed` reads a value in one pass, each bracket with one of
+two patterns: `_OPEN` reads "(", the id, an optional part ``[i/n]`` and
+the ``-field``s; `_CLOSE` reads the id and an optional part before ")".
+A part is "[" up to the next "]", which may be missing.  It pairs each
+bracket as it meets it, so of a value with two faults the first in
+reading order is reported.
 """
 
 from __future__ import annotations
 
 import logging
+import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from pathlib import Path
@@ -46,23 +50,19 @@ from .errors import ConlluParseError, SerializationError
 
 log = logging.getLogger("corefeval")
 
-# what ends an opening bracket's id or field, and a closing bracket's id
-_EID_STOP = frozenset("-([)]")
-_FIELD_STOP = frozenset("-()]")
-_CLOSE_STOP = frozenset("[()]")
+_OPEN = re.compile(r"\(([^-(\[)\]]*)(\[[^\]]*\]?)?((?:-[^-()\]]*)*)")
+_CLOSE = re.compile(r"([^\[()\]]*)(\[[^\]]*\]?)?")
 
 
-def _parse_part(value: str, i: int) -> tuple[tuple[int, int] | None, int]:
-    if i >= len(value) or value[i] != "[":
-        return None, i
-    end = value.find("]", i)
-    body = value[i + 1 : end] if end != -1 else ""
-    part = tuple(map(number, body.partition("/")[::2]))  # (i, n)
+def _parse_part(value: str, text: str) -> tuple[int, int]:
+    """The (i, n) of the part `text` ("[i/n]") of the Entity value `value`."""
+    body = text[1:-1] if text.endswith("]") else ""
+    part = tuple(map(number, body.partition("/")[::2]))
     if None in part:
         raise ConlluParseError(f"malformed part index in Entity value {value!r}")
     if not (1 <= part[0] <= part[1]) or part[1] < 2:
         raise ConlluParseError(f"part index out of range in Entity value {value!r}")
-    return part, end + 1
+    return part
 
 
 def number(text: str) -> int | None:
@@ -111,37 +111,28 @@ class EntityReader:
         i, n = 0, len(value)
         while i < n:
             if value[i] == "(":
-                i += 1
-                start = i
-                while i < n and value[i] not in _EID_STOP:
-                    i += 1
-                eid = value[start:i]
+                match = _OPEN.match(value, i)
+                eid, part, tail = match.groups()
                 if not eid:
                     raise ConlluParseError(f"missing entity id in Entity value {value!r}")
-                part, i = _parse_part(value, i)
-                fields: list[str] = []
-                while i < n and value[i] == "-":
-                    i += 1
-                    start = i
-                    while i < n and value[i] not in _FIELD_STOP:
-                        i += 1
-                    fields.append(value[start:i])
+                part = _parse_part(value, part) if part else None
+                fields = tuple(tail[1:].split("-")) if tail else ()
+                i = match.end()
                 if i < n and value[i] == ")":  # a one-node span
-                    self._complete(eid, part, (position, position), tuple(fields))
+                    self._complete(eid, part, (position, position), fields)
                     i += 1
                 elif i == n or value[i] == "(":
                     if (eid, part) in self.open:
                         raise ConlluParseError(
                             f"entity {eid!r} opened twice without distinct part indices")
-                    self.open[eid, part] = (position, tuple(fields))
+                    self.open[eid, part] = (position, fields)
                 else:
                     raise ConlluParseError(f"cannot parse Entity value {value!r} at offset {i}")
             else:
-                start = i
-                while i < n and value[i] not in _CLOSE_STOP:
-                    i += 1
-                eid = value[start:i]
-                part, i = _parse_part(value, i)
+                match = _CLOSE.match(value, i)
+                eid, part = match.groups()
+                part = _parse_part(value, part) if part else None
+                i = match.end()
                 if not eid or i >= n or value[i] != ")":
                     raise ConlluParseError(f"cannot parse Entity value {value!r} at offset {i}")
                 opened = self.open.pop((eid, part), None)

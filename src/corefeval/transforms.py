@@ -64,8 +64,9 @@ class _Index:
 
     def __init__(self, layer: CorefLayer):
         self.layer, self.grown = layer, set()  # the entities given mentions
-        self.by_eid = {entity.eid: entity for entity in layer.entities}
-        self._ids = (eid for n in count(1) if (eid := f"x{n}") not in self.by_eid)
+        # the generator reads a local, so that it holds no reference to self
+        self.by_eid = by_eid = {entity.eid: entity for entity in layer.entities}
+        self._ids = (eid for n in count(1) if (eid := f"x{n}") not in by_eid)
 
     @cached_property
     def owners(self) -> dict[int, list[Mention]]:

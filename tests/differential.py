@@ -1,7 +1,8 @@
 """Differential check: run the same command lines on two source trees and
 report every difference in what they print, write and return.
 
-    python tests/differential.py OLD_TREE NEW_TREE [--random N] [--fixtures NAME,...]
+    python tests/differential.py OLD_TREE NEW_TREE [--random N] [--mutants M]
+                                 [--fixtures NAME,...]
 
 A tree is a directory holding `src/corefeval`, such as a `git archive` of a
 commit.  Each tree runs in its own child interpreter, with its own `src/`
@@ -9,7 +10,13 @@ on PYTHONPATH and no bytecode written, and the child calls `cli.main` once
 per command line.  The inputs are the bundled fixtures and N seeded
 `tests/gen.py` files (discontinuous mentions, provided heads, empty nodes),
 each a key with a response drawn by `gen.perturb_mentions`: the pair
-`random-<s>` is `random_pair(s)`, for s = 0 … N-1.  The commands:
+`random-<s>` is `random_pair(s)`, for s = 0 … N-1.  Each of these files
+also gets M seeded mutants, `<label>~<m>` = `mutant(<label>, m)`: one to
+three line edits (a blank, comment, range or empty-node line inserted, a
+token id or head field changed, two lines swapped, a line deleted) or
+bracket edits of an `Entity` value (a bracket dropped or doubled, a part
+index changed, a "]" removed).  A mutant of a key is also scored against
+the key's response.  The commands:
 
 - `validate`, with and without `--strict`, and `stats` as text and TSV, on
   every file;
@@ -33,6 +40,7 @@ import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -123,7 +131,78 @@ def random_pair(seed: int) -> tuple[str, str]:
     return "".join(key), "".join(resp)
 
 
-def inputs(work: Path, fixtures: list[str], n_random: int):
+def _token_lines(lines: list[str]) -> list[int]:
+    return [i for i, line in enumerate(lines) if line.count("\t") == 9] or [0]
+
+
+def _set_column(lines: list[str], i: int, k: int, value: str) -> None:
+    cols = lines[i].split("\t")
+    if len(cols) == 10:
+        cols[k] = value
+        lines[i] = "\t".join(cols)
+
+
+def _edit_lines(rng: random.Random, lines: list[str]) -> None:
+    """One line edit: insert a blank, comment, range or empty-node line,
+    change a token id or head field, swap two lines or delete one."""
+    i = rng.choice(_token_lines(lines))
+    tid = lines[i].split("\t", 1)[0]
+    n = int(tid) if tid.isdigit() else 1
+    kind = rng.choice(("blank", "comment", "id", "range", "empty", "head", "swap", "delete"))
+    if kind == "blank":
+        lines.insert(rng.randrange(len(lines) + 1), "")
+    elif kind == "comment":
+        lines.insert(rng.randrange(len(lines) + 1), "# note = mutant")
+    elif kind == "id":
+        _set_column(lines, i, 0, rng.choice(("0", "x", f"0{n}", f"{n}.01", f"{n}.1",
+                                              f"{n}-{n + 1}", str(n + rng.randint(-2, 2)))))
+    elif kind == "range":
+        lines.insert(i, f"{n}-{n + rng.randint(-1, 2)}\tw\t_\t_\t_\t_\t_\t_\t_\t_")
+    elif kind == "empty":
+        misc = rng.choice(("_", "Entity=(e1)", "Entity=(x9"))
+        lines.insert(i + 1, f"{n}.{rng.randint(1, 2)}\t_\t_\tPRON\t_\t_\t_\t_\t{n}:dep\t{misc}")
+    elif kind == "head":
+        _set_column(lines, i, 6, rng.choice(("0", "_", "x", "99", tid, str(rng.randint(1, 9)))))
+    elif kind == "swap" and i + 1 < len(lines):
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    else:
+        del lines[i]
+
+
+def _edit_brackets(rng: random.Random, lines: list[str]) -> None:
+    """One bracket edit of an `Entity` value: drop or double a bracket,
+    change a part index or remove a "]"."""
+    entity = [i for i, line in enumerate(lines) if "Entity=" in line]
+    if not entity:
+        return _edit_lines(rng, lines)
+    i = rng.choice(entity)
+    before, value, after = re.split(r"(?<=Entity=)([^|\t]*)", lines[i], maxsplit=1)
+    brackets = re.findall(r"\([^()]*\)?|[^()]+\)?", value) or [""]  # "": an edit emptied it
+    k = rng.randrange(len(brackets))
+    kind = rng.choice(("drop", "double", "part", "bracket"))
+    if kind == "drop":
+        del brackets[k]
+    elif kind == "double":
+        brackets.insert(k, brackets[k])
+    elif kind == "part" and "[" in value:
+        part = f"[{rng.randint(0, 3)}/{rng.randint(1, 3)}]"
+        brackets = [re.sub(r"\[\d+/\d+\]", part, b, count=1) for b in brackets]
+    else:
+        brackets[k] = brackets[k].replace("]", "", 1)
+    lines[i] = before + "".join(brackets) + after
+
+
+def mutant(label: str, text: str, m: int) -> str:
+    """The mutant m of the file `label` holding `text`: one to three line or
+    bracket edits, seeded by the label and m."""
+    rng = random.Random(f"{label}~{m}")
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        rng.choice((_edit_lines, _edit_brackets))(rng, lines)
+    return "\n".join(lines)
+
+
+def inputs(work: Path, fixtures: list[str], n_random: int, n_mutants: int):
     """The input files by label, and the (key, response) label pairs."""
     files: dict[str, Path] = {}
     pairs: list[tuple[str, str]] = []
@@ -137,6 +216,12 @@ def inputs(work: Path, fixtures: list[str], n_random: int):
             files[f"random-{s}-{label}"] = path = work / f"random-{s}-{label}.conllu"
             path.write_text(text)
         pairs.append((f"random-{s}-key", f"random-{s}-response"))
+    for label, path in list(files.items()):
+        text = path.read_text()
+        for m in range(n_mutants):
+            files[f"{label}~{m}"] = mutated = work / f"{label}~{m}.conllu"
+            mutated.write_text(mutant(label, text, m))
+    pairs += [(f"{key}~{m}", resp) for key, resp in list(pairs) for m in range(n_mutants)]
     return files, pairs
 
 
@@ -186,7 +271,8 @@ def differences(old: list, new: list) -> list[tuple[str, str]]:
     return out
 
 
-def run(old_tree: Path, new_tree: Path, fixtures: list[str], n_random: int) -> int:
+def run(old_tree: Path, new_tree: Path, fixtures: list[str], n_random: int,
+        n_mutants: int) -> int:
     with tempfile.TemporaryDirectory(prefix="differential-") as tmp:
         work = Path(tmp)
         trees = {"old": old_tree, "new": new_tree}
@@ -194,7 +280,7 @@ def run(old_tree: Path, new_tree: Path, fixtures: list[str], n_random: int) -> i
                  for side, tree in trees.items()}
         if names["old"] != names["new"]:
             print(f"parser names differ: {names['old']} vs {names['new']}")
-        files, pairs = inputs(work, fixtures, n_random)
+        files, pairs = inputs(work, fixtures, n_random, n_mutants)
         cases = command_lines(files, pairs, names["old"])
         (work / "cases.json").write_text(json.dumps([argv for _label, argv in cases]))
         procs = {side: _child(tree, "-c", RUN, str(work / "cases.json"),
@@ -231,6 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("new", type=Path, help="tree holding src/corefeval")
     parser.add_argument("--random", type=int, default=100, metavar="N",
                         help="random key/response pairs (default 100)")
+    parser.add_argument("--mutants", type=int, default=1, metavar="M",
+                        help="seeded mutants of each file (default 1)")
     parser.add_argument("--fixtures", metavar="NAME,...",
                         default=",".join(sorted(p.stem for p in FIXTURES.glob("*.conllu"))),
                         help="bundled fixtures to use, comma-separated (default: all)")
@@ -242,7 +330,8 @@ def main(argv: list[str] | None = None) -> int:
     for name in fixtures:
         if not (FIXTURES / f"{name}.conllu").is_file():
             parser.error(f"no fixture {name!r}")
-    return run(args.old.resolve(), args.new.resolve(), fixtures, args.random)
+    return run(args.old.resolve(), args.new.resolve(), fixtures, args.random,
+               args.mutants)
 
 
 if __name__ == "__main__":

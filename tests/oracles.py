@@ -287,6 +287,72 @@ def entity_brackets(value):
     return brackets
 
 
+def _number(text):
+    """A number as the format writes it: ASCII digits without a leading
+    zero, no more than `int` reads; else None."""
+    if re.fullmatch(r"0|[1-9][0-9]*", text):
+        try:
+            return int(text)
+        except ValueError:  # over the digit limit
+            pass
+    return None
+
+
+def entity_scan(value, error=ValueError):
+    """The reference reading of any `Entity` value, one character at a
+    time: yields its brackets as `entity_brackets` does, each when it is
+    read, and raises `error` with the reader's message at a fault that ends
+    the reading, so that a pairing fault of an earlier bracket comes first."""
+
+    def part_at(i):  # the part "[i/n]" at offset i, if any, and the offset after it
+        if i >= len(value) or value[i] != "[":
+            return None, i
+        end = value.find("]", i)
+        body = value[i + 1:end] if end != -1 else ""
+        part = tuple(map(_number, body.partition("/")[::2]))
+        if None in part:
+            raise error(f"malformed part index in Entity value {value!r}")
+        if not (1 <= part[0] <= part[1]) or part[1] < 2:
+            raise error(f"part index out of range in Entity value {value!r}")
+        return part, end + 1
+
+    if not value:
+        raise error("empty Entity value")
+    i, n = 0, len(value)
+    while i < n:
+        if value[i] == "(":
+            i = start = i + 1
+            while i < n and value[i] not in "-([)]":
+                i += 1
+            eid = value[start:i]
+            if not eid:
+                raise error(f"missing entity id in Entity value {value!r}")
+            part, i = part_at(i)
+            fields = []
+            while i < n and value[i] == "-":
+                i = start = i + 1
+                while i < n and value[i] not in "-()]":
+                    i += 1
+                fields.append(value[start:i])
+            if i < n and value[i] == ")":
+                yield "single", eid, part, tuple(fields)
+                i += 1
+            elif i == n or value[i] == "(":
+                yield "open", eid, part, tuple(fields)
+            else:
+                raise error(f"cannot parse Entity value {value!r} at offset {i}")
+        else:
+            start = i
+            while i < n and value[i] not in "[()]":
+                i += 1
+            eid = value[start:i]
+            part, i = part_at(i)
+            if not eid or i >= n or value[i] != ")":
+                raise error(f"cannot parse Entity value {value!r} at offset {i}")
+            yield "close", eid, part, ()
+            i += 1
+
+
 # ---------------------------------------------------------------------------
 # Misc oracles
 

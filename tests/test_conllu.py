@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import gen
+import oracles
 from corefeval import conllu
 from corefeval.conllu import (
     EntityReader,
@@ -71,6 +72,64 @@ class TestEntityReader:
         with pytest.raises(ConlluParseError) as exc:
             parse_text(make_doc([tok("1", f"Entity={value}")]))
         assert str(exc.value) == f"<string>:2: {message}"
+
+
+# pieces of random Entity values: every character the brackets use ("0"
+# makes leading zeros, "²" is a digit that is not ASCII), whole brackets
+# and a part without its "]"
+_VALUE_PIECES = [*"()[]-/e12x0²", "(e1", "(e2-x-1", "(e1[1/2]-y", "e1)", "e2)", "e1[2/2])",
+                 "(e1)", "(e2[2/2])", "[1/2]", "[2/2]", "[1/2"]
+
+
+def _reference_feed(reader: EntityReader, position: int, value: str) -> None:
+    """`EntityReader.feed`, with the brackets read by `oracles.entity_scan`."""
+    for kind, eid, part, fields in oracles.entity_scan(value, ConlluParseError):
+        if kind == "close":
+            opened = reader.open.pop((eid, part), None)
+            if opened is None:
+                raise ConlluParseError(
+                    f"unbalanced Entity bracket: close of {eid!r} without open")
+            reader._complete(eid, part, (opened[0], position), opened[1])
+        elif kind == "single":
+            reader._complete(eid, part, (position, position), fields)
+        elif (eid, part) in reader.open:
+            raise ConlluParseError(f"entity {eid!r} opened twice without distinct part indices")
+        else:
+            reader.open[eid, part] = (position, fields)
+
+
+def _outcome(feed, values: list[str]):
+    """The mentions, open brackets and waiting parts after feeding
+    `values`, or the type and message of what the feed raised."""
+    reader = EntityReader()
+    try:
+        for position, value in enumerate(values):
+            feed(reader, position, value)
+    except Exception as exc:
+        return type(exc), exc.args
+    return reader._mentions, reader.open, reader._waiting
+
+
+def test_reader_agrees_with_the_reference_scanner():
+    """On seeded random value lists, malformed ones included, the reader
+    and the reference give the same mentions and open brackets, or the same
+    error; on a value the reference reads, `oracles.entity_brackets` reads
+    the same brackets."""
+    rng = random.Random(33)
+    errors = 0
+    for _ in range(20000):
+        values = ["".join(rng.choices(_VALUE_PIECES, k=rng.randint(0, 6)))
+                  for _ in range(rng.randint(1, 4))]
+        expected = _outcome(_reference_feed, values)
+        assert _outcome(EntityReader.feed, values) == expected, values
+        errors += expected[0] is ConlluParseError
+        for value in values:
+            try:
+                brackets = list(oracles.entity_scan(value))
+            except ValueError:
+                continue
+            assert oracles.entity_brackets(value) == brackets, value
+    assert 0 < errors < 20000  # both outcomes are drawn
 
 
 class TestParsing:

@@ -1,6 +1,7 @@
-"""`tests/differential.py` on a tiny matrix: a tree against itself differs
-nowhere, and against a copy with a one-token mutant in `metrics.py` it
-reports the difference.  Neither run writes into the source tree."""
+"""`tests/differential.py` on a tiny matrix (one fixture, one random pair
+and a seeded mutant of each file): a tree against itself differs nowhere,
+and against a copy with a one-token mutant in `metrics.py` it reports the
+difference.  Neither run writes into the source tree."""
 
 import shutil
 import subprocess
@@ -38,6 +39,8 @@ def test_same_tree_differs_nowhere_and_a_mutant_somewhere(tmp_path):
 
     assert same.returncode == 0, same.stderr
     assert same.stdout.splitlines()[-1] == "no difference"
+    # animals and one random pair, each file with one mutant
+    assert "6 input files, 4 scored pairs" in same.stdout
     assert changed.returncode == 1, changed.stderr
     assert "score stdout: " in changed.stdout
     # the mutant changes scores only
