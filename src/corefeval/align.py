@@ -30,8 +30,7 @@ reduction (Jonker & Volgenant 1987) takes 4.7 times the iterations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .heads import mention_head
 from .model import Mention
@@ -54,8 +53,7 @@ def matches(key: Mention, resp: Mention, policy: str) -> bool:
     raise ValueError(f"unknown match policy {policy!r}")
 
 
-@dataclass(frozen=True)
-class MentionAlignment:
+class MentionAlignment(NamedTuple):
     """One-to-one partial mapping between key and response mentions."""
 
     pairs: tuple[tuple[Mention, Mention], ...]

@@ -3,9 +3,9 @@ overlap ratio and the anaphor-decomposable zero score.
 
 Scoring runs per document pair: optional entity filtering by head UPOS,
 optional singleton removal (on both sides), the head-match reduction when
-requested, mention alignment, then metric counting over the relabeled
-clusterings.  MUC, B³, CEAF-e, BLANC and LEA all read one key×response
-contingency table of those clusterings, kept as each entity's nonzero
+requested, mention alignment, then metric counting.  MUC, B³, CEAF-e,
+BLANC and LEA all read one key×response contingency table of the aligned
+mentions, built once per document pair and kept as each entity's nonzero
 cells.  Counts are plain number tuples that sum across documents
 (micro aggregation inside a dataset); datasets combine by unweighted
 macro-averaging.
@@ -17,7 +17,6 @@ import logging
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple
@@ -41,8 +40,6 @@ from .transforms import (
 )
 
 log = logging.getLogger("corefeval")
-
-Cluster = frozenset[int]
 
 
 class PRF(NamedTuple):
@@ -91,7 +88,7 @@ class ZeroScoreCounts(NamedTuple):
 
 class Metric(NamedTuple):
     """One row of `METRICS`: a metric's name, what its count function reads
-    (CLUSTERS, MENTIONS or LAYERS; a metric that averages others reads their
+    (TABLE, MENTIONS or LAYERS; a metric that averages others reads their
     names), the name of that function in this module (looked up at call
     time), the fields of its count tuple (`key_…`/`response_…` where the
     two sides trade places) and its rule from counts to a PRF."""
@@ -103,19 +100,19 @@ class Metric(NamedTuple):
     rule: Callable[..., PRF]
 
 
-CLUSTERS, MENTIONS, LAYERS = "clusters", "mentions", "layers"
+TABLE, MENTIONS, LAYERS = "table", "mentions", "layers"
 METRICS = (  # in report order
-    Metric("muc", CLUSTERS, "muc_counts",
+    Metric("muc", TABLE, "muc_counts",
            ("key_links_found", "key_links", "response_links_found", "response_links"), prf),
-    Metric("bcub", CLUSTERS, "bcub_counts",
+    Metric("bcub", TABLE, "bcub_counts",
            ("key_credit", "key_mentions", "response_credit", "response_mentions"), prf),
-    Metric("ceafe", CLUSTERS, "ceafe_counts",
+    Metric("ceafe", TABLE, "ceafe_counts",
            ("similarity", "key_entities", "response_entities"), _shared_prf),
     Metric("conll", ("muc", "bcub", "ceafe"), "", (), _mean_prfs),
-    Metric("blanc", CLUSTERS, "blanc_counts",
+    Metric("blanc", TABLE, "blanc_counts",
            ("common_coref_links", "key_coref_links", "response_coref_links",
             "common_noncoref_links", "key_noncoref_links", "response_noncoref_links"), blanc_prf),
-    Metric("lea", CLUSTERS, "lea_counts",
+    Metric("lea", TABLE, "lea_counts",
            ("key_resolution", "key_importance", "response_resolution", "response_importance"),
            prf),
     Metric("mor", MENTIONS, "mor_counts", ("shared_nodes", "key_nodes", "response_nodes"),
@@ -124,18 +121,25 @@ METRICS = (  # in report order
            lambda tp, wl, fp, fn: prf(tp, tp + wl + fn, tp, tp + wl + fp)),
 )
 ALL_METRICS = tuple(m.name for m in METRICS)
-ENTITY_METRICS = tuple(m.name for m in METRICS if m.reads == CLUSTERS)
+ENTITY_METRICS = tuple(m.name for m in METRICS if m.reads == TABLE)
 CONLL_PARTS = METRICS[ALL_METRICS.index("conll")].reads
 
 
-@dataclass(frozen=True)
-class EvalOptions:
+class _Options(NamedTuple):
+    """The scoring options; `EvalOptions` checks them when they are made."""
+
     match: str = PARTIAL
     keep_singletons: bool = False
     metrics: tuple[str, ...] = ALL_METRICS
     upos_filter: str | None = None
 
-    def __post_init__(self):
+
+class EvalOptions(_Options):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # `_replace` checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.match not in POLICIES:
             raise ValueError(f"unknown match policy {self.match!r}")
         if not self.metrics:
@@ -148,99 +152,90 @@ class EvalOptions:
             raise ValueError(f"metrics given more than once: {', '.join(twice)}")
         if self.upos_filter is not None and not self.upos_filter.strip():
             raise ValueError(f"UPOS filter {self.upos_filter!r} names no tag")
+        return self
 
 
 # ---------------------------------------------------------------------------
-# Metric counting over relabeled clusterings.
+# Metric counting over the contingency table of the aligned mentions.
 #
-# Key mentions are numbered 0..nk-1 in document order; an aligned response
-# mention takes over the number of its key partner, an unaligned one gets a
-# number no key mention has.  All metrics below see only these clusterings,
-# through the rows of their contingency table (`_spreads`).
+# Cell (K, R) counts the aligned mention pairs with the key mention in key
+# entity K and the response mention in response entity R.  A side of the
+# table is, in entity order, each entity's size, its row of nonzero cells
+# {other entity index: aligned pairs} and the other side's entity sizes.
 
-def _spreads(clusters: list[Cluster], other_clusters: list[Cluster]) -> list[dict[int, int]]:
-    """Each cluster's row of the contingency table against `other_clusters`:
-    how many of its mentions each other cluster holds, nonzero cells only,
-    in the order the cluster's mentions first meet them."""
-    owner = {m: o for o, c in enumerate(other_clusters) for m in c}
-    rows = []
-    for c in clusters:
-        row: dict[int, int] = {}
-        for o in map(owner.get, c):
-            if o is not None:
-                row[o] = row.get(o, 0) + 1
-        rows.append(row)
-    return rows
+Side = tuple[list[int], list[dict[int, int]], list[int]]
 
 
 def _pairs(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def _muc_half(clusters: list[Cluster], others: list[Cluster]) -> tuple[int, int]:
+def _muc_half(side: Side) -> tuple[int, int]:
+    sizes, rows, _ = side
     num = den = 0
-    for c, row in zip(clusters, _spreads(clusters, others)):
-        if len(c) > 1:
+    for size, row in zip(sizes, rows):
+        if size > 1:
+            # its size less its parts: one per cell, one per unaligned mention
             num += sum(row.values()) - len(row)
-            den += len(c) - 1
+            den += size - 1
     return num, den
 
 
-def muc_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
-    return (*_muc_half(key_clusters, resp_clusters), *_muc_half(resp_clusters, key_clusters))
+def muc_counts(key: Side, resp: Side) -> tuple:
+    return (*_muc_half(key), *_muc_half(resp))
 
 
-def _bcub_half(clusters: list[Cluster], others: list[Cluster]) -> tuple[float, int]:
+def _bcub_half(side: Side) -> tuple[float, int]:
+    sizes, rows, _ = side
     num = 0.0
-    for c, row in zip(clusters, _spreads(clusters, others)):
-        num += sum(n * n for n in row.values()) / len(c)
-    return num, sum(map(len, clusters))
+    for size, row in zip(sizes, rows):
+        num += sum(n * n for n in row.values()) / size
+    return num, sum(sizes)
 
 
-def bcub_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
-    return (*_bcub_half(key_clusters, resp_clusters), *_bcub_half(resp_clusters, key_clusters))
+def bcub_counts(key: Side, resp: Side) -> tuple:
+    return (*_bcub_half(key), *_bcub_half(resp))
 
 
-def ceafe_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
+def ceafe_counts(key: Side, resp: Side) -> tuple:
     """Total entity similarity 2|K∩R|/(|K|+|R|) under optimal assignment."""
-    similarity = [[(rj, 2.0 * n / (len(k) + len(resp_clusters[rj]))) for rj, n in row.items()]
-                  for k, row in zip(key_clusters, _spreads(key_clusters, resp_clusters))]
+    sizes, rows, resp_sizes = key
+    similarity = [[(rj, 2.0 * n / (size + resp_sizes[rj])) for rj, n in row.items()]
+                  for size, row in zip(sizes, rows)]
     # fsum: phi does not depend on the order the components are solved in
-    phi = math.fsum(w for _, _, w in optimal_edges(similarity, len(resp_clusters)))
-    return (phi, len(key_clusters), len(resp_clusters))
+    phi = math.fsum(w for _, _, w in optimal_edges(similarity, len(resp_sizes)))
+    return (phi, len(sizes), len(resp_sizes))
 
 
-def blanc_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
+def blanc_counts(key: Side, resp: Side) -> tuple:
     """Coreference and non-coreference link counts."""
-    rows = _spreads(key_clusters, resp_clusters)
-    in_resp = [0] * len(resp_clusters)  # the table's column sums
-    for row in rows:
-        for rj, n in row.items():
-            in_resp[rj] += n
-    ck = sum(_pairs(len(c)) for c in key_clusters)
-    cr = sum(_pairs(len(c)) for c in resp_clusters)
-    cc = sum(_pairs(n) for row in rows for n in row.values())
-    # non-coreferent in both: pairs of common mentions apart on both sides
-    nn = (_pairs(sum(in_resp)) - sum(_pairs(sum(row.values())) for row in rows)
-          - sum(map(_pairs, in_resp)) + cc)
-    nk = _pairs(sum(map(len, key_clusters))) - ck
-    nr = _pairs(sum(map(len, resp_clusters))) - cr
+    (key_sizes, key_rows, _), (resp_sizes, resp_rows, _) = key, resp
+    ck, cr = sum(map(_pairs, key_sizes)), sum(map(_pairs, resp_sizes))
+    cc = sum(_pairs(n) for row in key_rows for n in row.values())
+    # non-coreferent in both: pairs of aligned mentions apart on both sides
+    key_aligned, resp_aligned = ([sum(row.values()) for row in rows]
+                                 for rows in (key_rows, resp_rows))
+    nn = (_pairs(sum(key_aligned)) - sum(map(_pairs, key_aligned))
+          - sum(map(_pairs, resp_aligned)) + cc)
+    nk = _pairs(sum(key_sizes)) - ck
+    nr = _pairs(sum(resp_sizes)) - cr
     return (cc, ck, cr, nn, nk, nr)
 
 
-def _lea_half(clusters: list[Cluster], others: list[Cluster]) -> tuple[float, int]:
+def _lea_half(side: Side) -> tuple[float, int]:
+    sizes, rows, other_sizes = side
     num = 0.0
-    for c, row in zip(clusters, _spreads(clusters, others)):
-        if len(c) == 1:
+    for size, row in zip(sizes, rows):
+        if size == 1:
             # self-link: resolved iff the counterpart entity is the same singleton
-            num += 1.0 if any(len(others[o]) == 1 for o in row) else 0.0
+            num += 1.0 if any(other_sizes[o] == 1 for o in row) else 0.0
         else:
-            num += len(c) * sum(map(_pairs, row.values())) / _pairs(len(c))
-    return num, sum(map(len, clusters))
+            num += size * sum(map(_pairs, row.values())) / _pairs(size)
+    return num, sum(sizes)
 
 
-def lea_counts(key_clusters: list[Cluster], resp_clusters: list[Cluster]) -> tuple:
-    return (*_lea_half(key_clusters, resp_clusters), *_lea_half(resp_clusters, key_clusters))
+def lea_counts(key: Side, resp: Side) -> tuple:
+    return (*_lea_half(key), *_lea_half(resp))
 
 
 def mor_counts(key_ms: list[Mention], resp_ms: list[Mention]) -> tuple:
@@ -350,17 +345,22 @@ def check_same_nodes(key_layer: CorefLayer, resp_layer: CorefLayer) -> None:
 
 def relabeled_clusters(
     key_layer: CorefLayer, resp_layer: CorefLayer, policy: str
-) -> tuple[list[Cluster], list[Cluster]]:
-    """Align mentions and re-number response mentions with the key identity
-    of their aligned partner."""
-    key_ms = key_layer.sorted_mentions()
-    resp_ms = resp_layer.sorted_mentions()
-    key_number = {id(m): i for i, m in enumerate(key_ms)}
-    resp_number = {id(m): len(key_ms) + j for j, m in enumerate(resp_ms)}
-    resp_number.update((id(r), key_number[id(k)])
-                       for k, r in align_mentions(key_ms, resp_ms, policy).pairs)
-    return ([frozenset(key_number[id(m)] for m in e.mentions) for e in key_layer.entities],
-            [frozenset(resp_number[id(m)] for m in e.mentions) for e in resp_layer.entities])
+) -> tuple[Side, Side]:
+    """Align mentions and count them into the key and the response side of
+    the contingency table.  The name, from when response mentions took the
+    numbers of their key partners, stays for `perfbench/tracing.py` until
+    ROADMAP direction 6 part B."""
+    key_index = {e.eid: i for i, e in enumerate(key_layer.entities)}
+    resp_index = {e.eid: j for j, e in enumerate(resp_layer.entities)}
+    pairs = align_mentions(key_layer.sorted_mentions(), resp_layer.sorted_mentions(),
+                           policy).pairs
+    key_rows: list[dict[int, int]] = [{} for _ in key_layer.entities]
+    resp_rows: list[dict[int, int]] = [{} for _ in resp_layer.entities]
+    for (i, j), n in Counter((key_index[k.eid], resp_index[r.eid]) for k, r in pairs).items():
+        key_rows[i][j] = resp_rows[j][i] = n
+    key_sizes = [len(e.mentions) for e in key_layer.entities]
+    resp_sizes = [len(e.mentions) for e in resp_layer.entities]
+    return (key_sizes, key_rows, resp_sizes), (resp_sizes, resp_rows, key_sizes)
 
 
 def score_document_pair(key_doc: Document, resp_doc: Document | None,
@@ -390,14 +390,14 @@ def score_document_pair(key_doc: Document, resp_doc: Document | None,
     wanted = set(opts.metrics).union(
         *(m.reads for m in METRICS if not m.counter and m.name in opts.metrics))
     counts: dict[str, tuple] = {}
-    clusters = None
+    table = None
     for m in METRICS:
         if not m.counter or m.name not in wanted:
             continue
-        if m.reads == CLUSTERS:
-            if clusters is None:
-                clusters = relabeled_clusters(key_layer, resp_layer, policy)
-            sides = clusters
+        if m.reads == TABLE:
+            if table is None:
+                table = relabeled_clusters(key_layer, resp_layer, policy)
+            sides = table
         elif m.reads == MENTIONS:
             sides = key_layer.sorted_mentions(), resp_layer.sorted_mentions()
         else:
@@ -433,15 +433,14 @@ def macro_average(per_dataset: dict[str, dict[str, PRF]]) -> dict[str, PRF]:
             if per_dataset and all(name in scores for scores in per_dataset.values())}
 
 
-@dataclass
-class ScoreReport:
+class ScoreReport(NamedTuple):
     """Per-dataset and macro-averaged scores for one evaluation run."""
 
     variant: tuple[str, bool]  # (match policy, singletons kept)
     metrics: tuple[str, ...]
     per_dataset: dict[str, dict[str, PRF]]
     macro: dict[str, PRF]
-    per_doc: dict[str, dict[str, dict[str, PRF]]] = field(default_factory=dict)
+    per_doc: dict[str, dict[str, dict[str, PRF]]]  # empty unless asked for
 
 
 def pair_documents(

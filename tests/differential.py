@@ -6,8 +6,8 @@ report every difference in what they print, write and return.
 
 A tree is a directory holding `src/corefeval`, such as a `git archive` of a
 commit.  Each tree runs in its own child interpreter, with its own `src/`
-on PYTHONPATH and no bytecode written, and the child calls `cli.main` once
-per command line.  The inputs are the bundled fixtures and N seeded
+on PYTHONPATH and no bytecode written, and the child calls `cli.main` (or
+`parse_text`) once per command line.  The inputs are the bundled fixtures and N seeded
 `tests/gen.py` files (discontinuous mentions, provided heads, empty nodes),
 each a key with a response drawn by `gen.perturb_mentions`: the pair
 `random-<s>` is `random_pair(s)`, for s = 0 … N-1.  Each of these files
@@ -16,10 +16,12 @@ three line edits (a blank, comment, range or empty-node line inserted, a
 token id or head field changed, two lines swapped, a line deleted) or
 bracket edits of an `Entity` value (a bracket dropped or doubled, a part
 index changed, a "]" removed).  A mutant of a key is also scored against
-the key's response.  The commands:
+the key's response.  The calls:
 
 - `validate`, with and without `--strict`, and `stats` as text and TSV, on
   every file;
+- the library reader `corefeval.parse_text` on every file's text, which
+  prints `docs_to_text` of the documents it returns;
 - `transform` with each `--ops`, and `baseline` with each `--rules` and each
   `--pipeline`, with and without `--strip`, each writing its file with `-o`;
 - `score` of each key against its response (each fixture against itself,
@@ -27,7 +29,8 @@ the key's response.  The commands:
   without `--keep-singletons`, as text, JSON and TSV with `--per-doc`.
 
 Every command runs with `--jobs 1` where it has the option.  For each call
-the exit code, stdout, stderr and the files written are compared.  The
+the exit code, stdout, stderr and the files written are compared; an
+exception is an exit code of its own, with its type and message.  The
 summary groups the differences by command and kind (exit code, stdout,
 stderr, files), with one example input per group.  Exit status: 0 when
 nothing differs, 1 otherwise.  Inputs and outputs live in a temporary
@@ -71,10 +74,13 @@ print(json.dumps({"ops": listed(options["transform"]["ops"]),
 
 # One `main()` call per command line, each with its own stdout, stderr and
 # logging set-up; "{out}" in a command line is an empty directory of its
-# own.  Writes one JSON line per call: [code, stdout, stderr, {file: bytes
-# as latin-1}], with the directory's path written back as "{out}".
+# own.  The command line ["parse_text", path] reads the file with
+# `corefeval.parse_text` instead.  Writes one JSON line per call: [code,
+# stdout, stderr, {file: bytes as latin-1}], with the directory's path
+# written back as "{out}".
 RUN = """\
 import contextlib, io, json, logging, os, shutil, sys
+from corefeval import docs_to_text, parse_text
 from corefeval.cli import main
 with open(sys.argv[1]) as f:
     cases = json.load(f)
@@ -86,7 +92,12 @@ with open(sys.argv[3], "w") as results:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = main([a.replace("{out}", out_dir) for a in argv])
+                if argv[0] == "parse_text":
+                    with open(argv[1], encoding="utf-8", newline="") as f:
+                        print(docs_to_text(parse_text(f.read())), end="")
+                    code = 0
+                else:
+                    code = main([a.replace("{out}", out_dir) for a in argv])
             except SystemExit as exit_:
                 code = exit_.code
             except Exception as exc:
@@ -233,6 +244,7 @@ def command_lines(files: dict[str, Path], pairs: list[tuple[str, str]],
         p = str(path)
         single = [
             *(["validate", p, *strict] for strict in ([], ["--strict"])),
+            ["parse_text", p],
             *(["stats", p, "--format", fmt] for fmt in ("text", "tsv")),
             *(["transform", p, "--ops", op] for op in names["ops"]),
             *(["baseline", p, option, name, *strip]

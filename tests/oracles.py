@@ -14,6 +14,34 @@ from itertools import combinations, permutations
 # ---------------------------------------------------------------------------
 # Entity metrics over relabeled clusterings
 
+def relabel(key_layer, resp_layer, pairs):
+    """The key and response clusterings of two coreference layers, given
+    their aligned (key mention, response mention) pairs: key mentions are
+    numbered in turn, an aligned response mention takes the number of its
+    key partner and any other response mention a number no key mention
+    has."""
+    key_ms = [m for e in key_layer.entities for m in e.mentions]
+    resp_ms = [m for e in resp_layer.entities for m in e.mentions]
+    key_number = {id(m): i for i, m in enumerate(key_ms)}
+    resp_number = {id(m): len(key_ms) + j for j, m in enumerate(resp_ms)}
+    resp_number.update((id(r), key_number[id(k)]) for k, r in pairs)
+    return ([frozenset(key_number[id(m)] for m in e.mentions) for e in key_layer.entities],
+            [frozenset(resp_number[id(m)] for m in e.mentions) for e in resp_layer.entities])
+
+
+def contingency(key, resp):
+    """The key and the response side of the contingency table of two
+    clusterings, each as (sizes, rows, other sizes): every cluster's size,
+    its nonzero cells {other cluster's index: |K∩R|}, and the other
+    clusters' sizes."""
+    def side(clusters, others):
+        return ([len(c) for c in clusters],
+                [{o: len(c & d) for o, d in enumerate(others) if c & d} for c in clusters],
+                [len(d) for d in others])
+
+    return side(key, resp), side(resp, key)
+
+
 def prf_from(rec_num, rec_den, prec_num, prec_den):
     r = rec_num / rec_den if rec_den else 0.0
     p = prec_num / prec_den if prec_den else 0.0

@@ -243,8 +243,8 @@ class TestSolverCalls:
                                  [frozenset({0, 1}), frozenset({1, 2})]) == 2
         assert calls == [(1, 2)]
         calls.clear()
-        phi, _, _ = ceafe_counts([frozenset({0, 1}), frozenset({2, 3})],
-                                 [frozenset({0, 1, 2}), frozenset({3})])
+        phi, _, _ = ceafe_counts(*oracles.contingency([frozenset({0, 1}), frozenset({2, 3})],
+                                                      [frozenset({0, 1, 2}), frozenset({3})]))
         assert phi == pytest.approx(4 / 5 + 2 / 3)
         assert calls == [(2, 2)]
 
@@ -254,7 +254,7 @@ class TestSolverCalls:
         assert align_edges({(0, 0): 1, (1, 1): 2, (2, 2): 1}, [1, 2, 3]) \
             == [(0, 0), (1, 1), (2, 2)]
         assert max_total_overlap(sets, sets[:2]) == 3
-        assert ceafe_counts(sets, sets) == (3.0, 3, 3)
+        assert ceafe_counts(*oracles.contingency(sets, sets)) == (3.0, 3, 3)
         for doc in parse_file(fixtures_dir / "animals.conllu"):
             ms = build_coref_layer(doc).sorted_mentions()
             assert len(align_mentions(ms, ms, PARTIAL).pairs) == len(ms)
@@ -263,7 +263,8 @@ class TestSolverCalls:
     def test_one_response_entity_over_several_key_entities_takes_no_solve(self, calls):
         # a CEAF-e component with one column: the key entities compete for it
         keys = [frozenset({0, 1}), frozenset({2}), frozenset({3, 4, 5})]
-        phi, nk, nr = ceafe_counts(keys, [frozenset({0, 2, 3, 4}), frozenset({6})])
+        phi, nk, nr = ceafe_counts(
+            *oracles.contingency(keys, [frozenset({0, 2, 3, 4}), frozenset({6})]))
         assert (phi, nk, nr) == (2 * 2 / (3 + 4), 3, 2)
         assert calls == []
 
@@ -418,7 +419,7 @@ class TestSolverCalls:
             if solver:
                 monkeypatch.setattr(corefeval.align, "linear_sum_assignment", solver)
             for k_order in itertools.permutations(range(3)):
-                phi, _, _ = ceafe_counts([key[i] for i in k_order], resp)
+                phi, _, _ = ceafe_counts(*oracles.contingency([key[i] for i in k_order], resp))
                 phis.append(phi)
         assert picked[0] != picked[-1]  # the two brute solvers differ
         assert phis == [2.0] * len(phis)

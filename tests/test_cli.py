@@ -1088,9 +1088,11 @@ class TestImportFootprint:
     def test_command_loads_only_what_it_runs(self, fixtures_dir, command, unused):
         animals = str(fixtures_dir / "animals.conllu")
         argv = [command[0], animals] + [a.format(animals=animals) for a in command[1:]]
-        code, loaded, _ = self.footprint(argv)
+        code, loaded, stdlib = self.footprint(argv)
         assert code == 0 and "corefeval.conllu" in loaded
         assert not {f"corefeval.{m}" for m in unused} & set(loaded)
+        # dataclasses would import inspect, dis and ast into every such process
+        assert "dataclasses" not in stdlib
 
 
 # the names `import corefeval` offers, by submodule

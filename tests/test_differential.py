@@ -29,8 +29,8 @@ def test_same_tree_differs_nowhere_and_a_mutant_somewhere(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     metrics = mutant / "src" / "corefeval" / "metrics.py"
     text = metrics.read_text()
-    assert text.count("den += len(c) - 1") == 1  # MUC: the links of an entity
-    metrics.write_text(text.replace("den += len(c) - 1", "den += len(c) + 1"))
+    assert text.count("den += size - 1") == 1  # MUC: the links of an entity
+    metrics.write_text(text.replace("den += size - 1", "den += size + 1"))
 
     before = snapshot()
     same = differential(ROOT, ROOT)
@@ -39,8 +39,10 @@ def test_same_tree_differs_nowhere_and_a_mutant_somewhere(tmp_path):
 
     assert same.returncode == 0, same.stderr
     assert same.stdout.splitlines()[-1] == "no difference"
-    # animals and one random pair, each file with one mutant
+    # animals and one random pair, each file with one mutant, each file also
+    # read by the library's parse_text
     assert "6 input files, 4 scored pairs" in same.stdout
+    assert ", 6 parse_text, " in same.stdout
     assert changed.returncode == 1, changed.stderr
     assert "score stdout: " in changed.stdout
     # the mutant changes scores only

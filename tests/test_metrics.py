@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 from fractions import Fraction
 import json
+import pickle
 import random
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 import gen
 import oracles
 from corefeval import metrics
+from corefeval.align import align_mentions
 from corefeval.cli import main
 from corefeval.conllu import parse_text
 from corefeval.errors import DocumentPairError
@@ -53,13 +55,14 @@ class TestPrfConventions:
 class TestMucHandCases:
     def test_identity(self):
         key = clusters({0, 1, 2})
-        assert counts_to_prfs({"muc": muc_counts(key, key)}, ("muc",))["muc"].f1 == 1.0
+        counts = muc_counts(*oracles.contingency(key, key))
+        assert counts_to_prfs({"muc": counts}, ("muc",))["muc"].f1 == 1.0
 
     def test_split_response(self):
         # key {a,b,c}; response {a,b} + {c}: recall 1/2, precision 1/1
         key = clusters({0, 1, 2})
         resp = clusters({0, 1}, {2})
-        rn, rd, pn, pd = muc_counts(key, resp)
+        rn, rd, pn, pd = muc_counts(*oracles.contingency(key, resp))
         assert (rn / rd, pn / pd) == (0.5, 1.0)
         scores = counts_to_prfs({"muc": (rn, rd, pn, pd)}, ("muc",))
         assert scores["muc"].f1 == pytest.approx(2 / 3)
@@ -67,29 +70,29 @@ class TestMucHandCases:
     def test_disjoint(self):
         key = clusters({0, 1})
         resp = clusters({5, 6})
-        assert counts_to_prfs({"muc": muc_counts(key, resp)}, ("muc",))["muc"] \
-            == (0.0, 0.0, 0.0)
+        counts = muc_counts(*oracles.contingency(key, resp))
+        assert counts_to_prfs({"muc": counts}, ("muc",))["muc"] == (0.0, 0.0, 0.0)
 
 
 class TestBcubHandCases:
     def test_even_split(self):
         key = clusters({0, 1, 2, 3})
         resp = clusters({0, 1}, {2, 3})
-        rn, rd, pn, pd = bcub_counts(key, resp)
+        rn, rd, pn, pd = bcub_counts(*oracles.contingency(key, resp))
         assert rn / rd == pytest.approx(0.5)
         assert pn / pd == pytest.approx(1.0)
 
     def test_spurious_mention_hits_precision(self):
         key = clusters({0, 1})
         resp = clusters({0, 1, 99})
-        rn, rd, pn, pd = bcub_counts(key, resp)
+        rn, rd, pn, pd = bcub_counts(*oracles.contingency(key, resp))
         assert rn / rd == pytest.approx(1.0)
         assert pn / pd == pytest.approx((2 / 3 + 2 / 3 + 0) / 3)
 
 
 class TestCeafeHandCases:
     def test_split_singletons(self):
-        phi, nk, nr = ceafe_counts(clusters({0, 1}), clusters({0}, {1}))
+        phi, nk, nr = ceafe_counts(*oracles.contingency(clusters({0, 1}), clusters({0}, {1})))
         assert phi == pytest.approx(2 / 3)
         assert (nk, nr) == (1, 2)
 
@@ -98,7 +101,7 @@ class TestCeafeHandCases:
         # 3 and 4 share response 4, and key 3 also overlaps response 5
         key = clusters({0, 1}, {2, 3}, {4, 5, 6}, {7, 8}, {9})
         resp = clusters({0}, {1}, {2, 3}, {4, 5}, {7, 9}, {8})
-        phi, nk, nr = ceafe_counts(key, resp)
+        phi, nk, nr = ceafe_counts(*oracles.contingency(key, resp))
         r, p, _ = oracles.perm_ceafe(key, resp)
         assert (nk, nr) == (5, 6)
         assert phi / nk == pytest.approx(r, abs=APPROX)
@@ -119,7 +122,7 @@ class TestCeafeHandCases:
                     pool = [x for x in pool if x not in take]
                 return out
             key, resp = draw(), draw()
-            phi, nk, nr = ceafe_counts(key, resp)
+            phi, nk, nr = ceafe_counts(*oracles.contingency(key, resp))
             r, p, _ = oracles.perm_ceafe(key, resp)
             assert phi / nk == pytest.approx(r, abs=APPROX)
             assert phi / nr == pytest.approx(p, abs=APPROX)
@@ -128,14 +131,14 @@ class TestCeafeHandCases:
 class TestBlancHandCases:
     def test_single_entity_doc_reduces_to_coref_class(self):
         key = clusters({0, 1, 2})
-        counts = blanc_counts(key, key)
+        counts = blanc_counts(*oracles.contingency(key, key))
         assert counts[3:] == (0, 0, 0)
         assert blanc_prf(*counts) == (1.0, 1.0, 1.0)
 
     def test_class_empty_on_one_side_scores_zero(self):
         key = clusters({0, 1}, {2})   # has non-coref links
         resp = clusters({0, 1, 2})    # none
-        result = blanc_prf(*blanc_counts(key, resp))
+        result = blanc_prf(*blanc_counts(*oracles.contingency(key, resp)))
         coref = prf(1, 1, 1, 3)
         assert result.recall == pytest.approx((coref.recall + 0) / 2)
 
@@ -145,19 +148,19 @@ class TestLeaHandCases:
         # spec-style example: singleton response entity already removed
         key = clusters({0, 1, 2})
         resp = clusters({0, 1})
-        rn, rd, pn, pd = lea_counts(key, resp)
+        rn, rd, pn, pd = lea_counts(*oracles.contingency(key, resp))
         assert rn / rd == pytest.approx(1 / 3)
         assert pn / pd == pytest.approx(1.0)
 
     def test_all_singletons_identity_with_self_links(self):
         key = clusters({0}, {1}, {2})
-        rn, rd, pn, pd = lea_counts(key, key)
+        rn, rd, pn, pd = lea_counts(*oracles.contingency(key, key))
         assert (rn / rd, pn / pd) == (1.0, 1.0)
 
     def test_singleton_against_bigger_cluster_unresolved(self):
         key = clusters({0})
         resp = clusters({0, 1})
-        rn, rd, _, _ = lea_counts(key, resp)
+        rn, rd, _, _ = lea_counts(*oracles.contingency(key, resp))
         assert rn == 0.0
 
 
@@ -386,23 +389,52 @@ def _layer_pair(key_text, resp_text, keep_singletons=True):
     return key, resp
 
 
+def _random_layer_pairs():
+    """150 seeded random key/response layer pairs, each with and without
+    singletons and under `exact` and `partial`: (context, key, response,
+    policy)."""
+    for seed in range(150):
+        sub = random.Random(seed)
+        skel = gen.random_skeleton(sub, f"d{seed}", n_sentences=(1, 3))
+        key_specs = gen.random_mentions(sub, skel, n_entities=(1, 4),
+                                        n_mentions=(1, 4))
+        resp_specs = gen.perturb_mentions(sub, key_specs, skel)
+        key_text = gen.conllu_text(skel, key_specs)
+        resp_text = gen.conllu_text(skel, resp_specs)
+        for keep in (True, False):
+            for policy in ("exact", "partial"):
+                key, resp = _layer_pair(key_text, resp_text, keep)
+                yield f"seed {seed} {policy} keep={keep}", key, resp, policy
+
+
+def _oracle_clusters(key, resp, policy):
+    """The reference clusterings of two layers, numbered over the package's
+    alignment."""
+    pairs = align_mentions(key.sorted_mentions(), resp.sorted_mentions(), policy).pairs
+    return oracles.relabel(key, resp, pairs)
+
+
 class TestMetricOracleEquivalence:
     def test_all_entity_metrics_match_oracles(self):
         checked = 0
-        for seed in range(150):
-            sub = random.Random(seed)
-            skel = gen.random_skeleton(sub, f"d{seed}", n_sentences=(1, 3))
-            key_specs = gen.random_mentions(sub, skel, n_entities=(1, 4),
-                                            n_mentions=(1, 4))
-            resp_specs = gen.perturb_mentions(sub, key_specs, skel)
-            key_text = gen.conllu_text(skel, key_specs)
-            resp_text = gen.conllu_text(skel, resp_specs)
-            for keep in (True, False):
-                for policy in ("exact", "partial"):
-                    key, resp = _layer_pair(key_text, resp_text, keep)
-                    kc, rc = relabeled_clusters(key, resp, policy)
-                    checked += 1
-                    _assert_oracle_match(kc, rc, f"seed {seed} {policy} keep={keep}")
+        for context, key, resp, policy in _random_layer_pairs():
+            sides = relabeled_clusters(key, resp, policy)
+            _assert_oracle_match(sides, *_oracle_clusters(key, resp, policy), context)
+            checked += 1
+        assert checked >= 400
+
+    def test_table_sides_match_the_oracle_table(self):
+        # the package counts the table from the aligned pairs by entity id,
+        # the oracle from |K∩R| of the reference clusterings
+        checked = 0
+        for context, key, resp, policy in _random_layer_pairs():
+            got = relabeled_clusters(key, resp, policy)
+            expected = oracles.contingency(*_oracle_clusters(key, resp, policy))
+            for side, (sizes, rows, others), (want_sizes, want_rows, want_others) in zip(
+                    ("key", "response"), got, expected):
+                assert (sizes, others) == (want_sizes, want_others), f"{side} sizes {context}"
+                assert rows == want_rows, f"{side} rows {context}"  # each row as a dict
+            checked += 1
         assert checked >= 400
 
     def test_mor_matches_permutation_oracle(self):
@@ -425,13 +457,15 @@ class TestMetricOracleEquivalence:
             assert got.precision == pytest.approx(p, abs=APPROX), f"seed {seed}"
 
 
-def _assert_oracle_match(kc, rc, context):
+def _assert_oracle_match(sides, kc, rc, context):
+    """The counters on the package's table `sides` against the oracles on
+    the reference clusterings `kc` and `rc`."""
     got = {
-        "muc": muc_counts(kc, rc),
-        "bcub": bcub_counts(kc, rc),
-        "ceafe": ceafe_counts(kc, rc),
-        "blanc": blanc_counts(kc, rc),
-        "lea": lea_counts(kc, rc),
+        "muc": muc_counts(*sides),
+        "bcub": bcub_counts(*sides),
+        "ceafe": ceafe_counts(*sides),
+        "blanc": blanc_counts(*sides),
+        "lea": lea_counts(*sides),
     }
     scores = counts_to_prfs(got, tuple(got))
     expected = {
@@ -738,6 +772,20 @@ class TestEvaluate:
         animals = parse_text((fixtures_dir / "animals.conllu").read_text())
         with pytest.raises(ValueError, match=message):
             evaluate({"a": animals}, {"a": animals}, EvalOptions(metrics=metrics))
+
+    def test_options_are_a_checked_value(self):
+        # workers started by spawn receive the options pickled
+        opts = EvalOptions(match="exact", metrics=("muc",))
+        assert repr(opts) == ("EvalOptions(match='exact', keep_singletons=False,"
+                              " metrics=('muc',), upos_filter=None)")
+        copy = pickle.loads(pickle.dumps(opts))
+        assert type(copy) is EvalOptions and copy == opts and hash(copy) == hash(opts)
+        assert EvalOptions() == EvalOptions("partial", False, metrics.ALL_METRICS, None)
+        with pytest.raises(ValueError, match="^unknown match policy 'x'$"):
+            EvalOptions("x")
+        assert opts._replace(match="head") == EvalOptions("head", metrics=("muc",))
+        with pytest.raises(ValueError, match="^no metrics given$"):
+            opts._replace(metrics=())
 
     @pytest.mark.parametrize("tag", ["", " ", "\t"])
     def test_blank_upos_filter_is_rejected(self, tag):
