@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the one --jobs option of the commands that go document by document
     jobs = argparse.ArgumentParser(add_help=False)
     jobs.add_argument("--jobs", type=_job_count, default=0,
-                      help="worker processes (default: all cores)")
+                      help="worker processes (default: one per usable CPU)")
 
     score = sub.add_parser("score", parents=[jobs],
                            help="evaluate response files against key files")
@@ -130,7 +130,7 @@ def _job_count(text: str) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if jobs < 0:
-        raise argparse.ArgumentTypeError(f"{jobs} is negative; 0 means all cores")
+        raise argparse.ArgumentTypeError(f"{jobs} is negative; 0 means one per usable CPU")
     return jobs
 
 
@@ -170,14 +170,17 @@ def _map_documents(fn: Callable, tasks: list, jobs: int) -> Iterator:
     """`fn(task)` for each task (a document's byte spans from
     `numbered_spans`, with the command's options), yielded in task order.
 
-    With one job (0 means one per core) or one task this runs here, one
-    task at a time as the results are taken.  Otherwise one pool of
-    min(jobs, tasks) workers runs chunks of tasks, each worker reading its
-    documents itself.  A worker keeps its tasks' log records, and they are
-    emitted here in task order: a failing task's records, then its
-    exception, and no record of a later task.  So the output and the
-    errors are the same for any job count and process start method."""
-    jobs = jobs or os.cpu_count() or 1
+    With one job (0 means one per CPU this process may use) or one task
+    this runs here, as the results are taken.  Otherwise a pool of
+    min(jobs, tasks) workers takes one task at a time, so that a few long
+    documents are spread over the workers; a task reads its document itself
+    and returns its log records, emitted here in task order: a failing
+    task's records, then its exception, and no record of a later task.  So
+    the output and the errors are the same for any job count and process
+    start method."""
+    if not jobs:  # os.cpu_count() counts CPUs outside this process's cpuset too
+        jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
     if jobs == 1 or len(tasks) < 2:
         yield from map(fn, tasks)
         return
@@ -186,60 +189,55 @@ def _map_documents(fn: Callable, tasks: list, jobs: int) -> Iterator:
 
     pool = _start_pool(min(jobs, len(tasks)))
     try:
-        for result, exc, records in pool.map(partial(_run_captured, fn), tasks,
-                                             chunksize=4):
+        for result, exc, records in pool.map(
+                partial(_run_captured, fn, logging.getLogger().level), tasks):
             for record in records:
                 logging.getLogger(record.name).handle(record)
             if exc is not None:
                 raise exc from RuntimeError(result)  # the worker's traceback
             yield result
     finally:
-        # drops the chunks not started; no worker is killed mid-chunk
+        # drops the tasks not started; no worker is killed mid-task
         pool.shutdown(cancel_futures=True)
 
 
 def _start_pool(workers: int):
     # here, as most commands start no pool
-    import logging
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(workers, initializer=_set_up_worker,
-                               initargs=(logging.getLogger().level,))
+    return ProcessPoolExecutor(workers)
 
 
-_records: list[logging.LogRecord] = []  # of the current task, in a pool worker
-
-
-def _set_up_worker(level: int) -> None:
-    """Pool worker set-up: no cyclic collector, as in `main` (a spawned
-    worker does not inherit that), and logging at `level` into `_records`,
-    not to stderr."""
+def _run_captured(fn: Callable, level: int, task):
+    """`fn(task)` in a pool worker, as (result, exception, log records);
+    the result of a failed task is its traceback.  It runs without the
+    cyclic collector, as in `main` (a spawned worker does not inherit
+    that), and the records logged at `level` go to a list of this task,
+    not to stderr; the root logger is restored when the task ends."""
     import gc
     import logging
 
     gc.disable()
+    records: list[logging.LogRecord] = []
 
     class KeepRecords(logging.Handler):
         def emit(self, record: logging.LogRecord) -> None:
-            record.msg, record.args = record.getMessage(), None  # so that it pickles
-            _records.append(record)
+            record.msg, record.args = record.getMessage(), None  # fixed as logged; picklable
+            records.append(record)
 
     root = logging.getLogger()
+    handlers, root_level = root.handlers, root.level
     root.handlers = [KeepRecords()]
     root.setLevel(level)
-
-
-def _run_captured(fn: Callable, task):
-    """`fn(task)` in a pool worker, as (result, exception, log records);
-    the result of a failed task is its traceback."""
     try:
         result, exc = fn(task), None
     except Exception as caught:  # raised again in the main process
         import traceback
 
         result, exc = traceback.format_exc(), caught
-    records = _records[:]
-    _records.clear()
+    finally:
+        root.handlers = handlers
+        root.setLevel(root_level)
     return result, exc, records
 
 

@@ -7,6 +7,7 @@ the independent oracle implementations or are pinned by hand.
 import json
 import multiprocessing
 import random
+import statistics
 import time
 
 import pytest
@@ -395,21 +396,28 @@ def test_criterion_09_performance(big_corpus, capsys):
     assert code == 0
     assert elapsed < 60.0, f"full metric set took {elapsed:.1f}s"
 
-    capacity = _machine_parallel_capacity()
+    def timed_score(jobs):
+        started = time.perf_counter()
+        main(["score", str(key), str(resp), "--jobs", jobs, "--metrics", "conll"])
+        return time.perf_counter() - started
+
+    # three rounds, in alternating order, so that a slow spell of a shared
+    # host falls on one timing of each kind rather than on a whole kind
+    probes, ones, twos = [], [], []
+    for round_ in range(3):
+        steps = [(probes, _machine_parallel_capacity), (ones, lambda: timed_score("1")),
+                 (twos, lambda: timed_score("2"))]
+        for timings, step in steps[::-1] if round_ % 2 else steps:
+            timings.append(step())
+    capsys.readouterr()
+    capacity = statistics.median(probes)
     message = f"1.2M words scored in {elapsed:.1f}s"
     if capacity >= 1.25:
-        started = time.perf_counter()
-        main(["score", str(key), str(resp), "--jobs", "1", "--metrics", "conll"])
-        one = time.perf_counter() - started
-        started = time.perf_counter()
-        main(["score", str(key), str(resp), "--jobs", "2", "--metrics", "conll"])
-        two = time.perf_counter() - started
-        capsys.readouterr()
-        speedup = one / two
+        speedup = statistics.median(ones) / statistics.median(twos)
         # near-linear relative to what this machine gives two processes
-        assert speedup >= 0.6 * capacity, (speedup, capacity)
+        assert speedup >= 0.6 * capacity, (speedup, capacity, probes, ones, twos)
         message += (f"; --jobs scaling {speedup:.2f}x of {capacity:.2f}x "
-                    "machine capacity")
+                    "machine capacity (medians of 3)")
     else:
         message += f" (machine parallel capacity only {capacity:.2f}x; scaling not measurable)"
     print(f"criterion 9 PASS: {message}")

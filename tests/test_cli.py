@@ -5,6 +5,7 @@ import importlib
 import json
 import logging
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -403,17 +404,19 @@ class TestParallelRewrites:
 
 class TestWorkers:
     def test_score_warnings_in_document_order(self, tmp_path):
-        key = tmp_path / "k.conllu"
-        key.write_text("".join(CROSS.format(f"d{d}") + random_docs(d, [f"r{d}"])
-                               for d in range(12)))
-        runs = [run_python("-m", "corefeval.cli", "score", str(key), str(key),
-                           "--format", "json", "--jobs", jobs)
-                for jobs in ("1", "2")]
-        assert [r.returncode for r in runs] == [0, 0]
-        assert runs[0].stdout == runs[1].stdout
-        assert runs[0].stderr.splitlines() == runs[1].stderr.splitlines() == [
-            f"WARNING: {key}: mention of e1 crosses a sentence boundary in document d{d}"
-            for d in range(12) for _side in ("key", "response")]
+        many = "".join(CROSS.format(f"d{d}") + random_docs(d, [f"r{d}"]) for d in range(12))
+        few = "".join(CROSS.format(f"d{d}") for d in range(3))  # fewer than a pool task once held
+        for docs, text in ((12, many), (3, few)):
+            key = tmp_path / f"k{docs}.conllu"
+            key.write_text(text)
+            runs = [run_python("-m", "corefeval.cli", "score", str(key), str(key),
+                               "--format", "json", "--jobs", jobs)
+                    for jobs in ("1", "2")]
+            assert [r.returncode for r in runs] == [0, 0]
+            assert runs[0].stdout == runs[1].stdout
+            assert runs[0].stderr.splitlines() == runs[1].stderr.splitlines() == [
+                f"WARNING: {key}: mention of e1 crosses a sentence boundary in document d{d}"
+                for d in range(docs) for _side in ("key", "response")]
 
     @pytest.fixture
     def pools(self, monkeypatch) -> list[int]:
@@ -424,7 +427,7 @@ class TestWorkers:
             def __init__(self, workers):
                 started.append(workers)
 
-            def map(self, fn, tasks, chunksize=1):
+            def map(self, fn, tasks):
                 return map(fn, tasks)
 
             def shutdown(self, cancel_futures=False):
@@ -432,7 +435,42 @@ class TestWorkers:
 
         monkeypatch.setattr(cli, "_start_pool", InProcess)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         return started
+
+    def test_default_jobs_count_the_usable_cpus(self, pools, monkeypatch, gold, capsys):
+        # eight CPUs on the host, one of them in this process's cpuset
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, out, _err = run(capsys, "transform", gold, "--ops", "reduce-head")
+        assert (code, pools) == (0, [])
+        assert out == run(capsys, "transform", gold, "--ops", "reduce-head", "--jobs", "1")[1]
+
+    def test_a_task_is_one_document(self, monkeypatch, tmp_path, capsys):
+        """A pool task holds one document, so a file of a few long documents
+        is spread over the workers."""
+        handed = []
+
+        class Chunking:  # hands `fn` the tasks in chunks, as ProcessPoolExecutor does
+            def __init__(self, workers):
+                pass
+
+            def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                handed.extend(len(tasks[i:i + chunksize])
+                              for i in range(0, len(tasks), chunksize))
+                return map(fn, tasks)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(cli, "_start_pool", Chunking)
+        key = tmp_path / "k.conllu"
+        key.write_text(random_docs(5, ["a", "b", "c"]))
+        for argv in (["score", key, key], ["transform", key, "--ops", "merge-same-span"]):
+            handed.clear()
+            pooled = run(capsys, *argv, "--jobs", "2")
+            assert handed == [1, 1, 1], argv
+            assert pooled == run(capsys, *argv, "--jobs", "1"), argv
 
     def test_workers_at_most_documents(self, pools, gold, fixtures_dir, tmp_path, capsys):
         one = fixtures_dir / "pronoun_baseline.conllu"  # a single document
@@ -697,16 +735,39 @@ class TestCollectorPolicy:
             (gc.enable if collecting else gc.disable)()
 
     def test_a_worker_runs_without_the_collector(self):
+        """A pool task runs without the collector and returns its own log
+        records, read as they were logged and ready to pickle; the root
+        logger is left as it was."""
         collecting, root = gc.isenabled(), logging.getLogger()
         handlers, level = root.handlers[:], root.level
+        logger = logging.getLogger("corefeval.test_worker")
+
+        def task(n):
+            assert not gc.isenabled()
+            seen = [n]
+            logger.info("task %d saw %s", n, seen)
+            seen.append("later")  # after the record was logged
+            logger.debug("below the level")
+            if n == 2:
+                raise ValueError("task two fails")
+            return 10 * n
+
         gc.enable()
         try:
-            cli._set_up_worker(logging.INFO)
+            runs = [cli._run_captured(task, logging.INFO, n) for n in (1, 2, 3)]
             assert not gc.isenabled()
+            assert (root.handlers, root.level) == (handlers, level)
         finally:
             (gc.enable if collecting else gc.disable)()
             root.handlers[:] = handlers
             root.setLevel(level)
+        assert [(result, exc) for result, exc, _records in runs[::2]] == [(10, None), (30, None)]
+        trace, exc = runs[1][:2]
+        assert isinstance(exc, ValueError) and "ValueError: task two fails" in trace
+        for n, (_result, _exc, records) in enumerate(runs, 1):
+            copies = pickle.loads(pickle.dumps(records))
+            assert [(r.name, r.levelno, r.getMessage()) for r in copies] == [
+                ("corefeval.test_worker", logging.INFO, f"task {n} saw [{n}]")]
 
 
 class TestValidateCommand:
