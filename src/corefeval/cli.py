@@ -17,7 +17,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from . import __version__
 from .errors import ConlluParseError, DocumentPairError, SerializationError
@@ -166,9 +166,10 @@ def main(argv: list[str] | None = None) -> int:
 # ---------------------------------------------------------------------------
 # documents in worker processes
 
-def _map_documents(fn: Callable, tasks: list, jobs: int) -> Iterator:
+def _map_documents(fn: Callable, tasks: Iterable, jobs: int) -> Iterator:
     """`fn(task)` for each task (a document's byte spans from
-    `numbered_spans`, with the command's options), yielded in task order.
+    `numbered_spans`, with the command's options), yielded in task order;
+    the tasks are all taken before the first is run.
 
     With one job (0 means one per CPU this process may use) or one task
     this runs here, as the results are taken.  Otherwise a pool of
@@ -178,6 +179,7 @@ def _map_documents(fn: Callable, tasks: list, jobs: int) -> Iterator:
     task's records, then its exception, and no record of a later task.  So
     the output and the errors are the same for any job count and process
     start method."""
+    tasks = list(tasks)
     if not jobs:  # os.cpu_count() counts CPUs outside this process's cpuset too
         jobs = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                 else os.cpu_count() or 1)
@@ -245,8 +247,10 @@ def _run_captured(fn: Callable, level: int, task):
 # score
 
 def cmd_score(args) -> int:
+    from functools import partial
+
     from .conllu import numbered_spans
-    from .metrics import EvalOptions, build_report, pair_documents
+    from .metrics import EvalOptions, score_datasets
 
     key_paths = args.key.split(",")
     resp_paths = args.response.split(",")
@@ -259,21 +263,16 @@ def cmd_score(args) -> int:
         metrics=tuple(m.strip() for m in args.metrics.split(",") if m.strip()),
         upos_filter=args.upos_filter,
     )
-    names = _dataset_names(key_paths)
-    doc_keys, work = [], []
-    for name, key_path, resp_path in zip(names, key_paths, resp_paths):
-        # (doc_id, first_line, start, end) per document; the bytes are dropped
-        key_spans = list(numbered_spans(Path(key_path).read_bytes(), key_path))
-        resp_spans = list(numbered_spans(Path(resp_path).read_bytes(), resp_path))
-        for doc_key, i, j in pair_documents([s[0] for s in key_spans],
-                                            [s[0] for s in resp_spans], name):
-            doc_keys.append((name, doc_key))
-            work.append(((key_path, *key_spans[i]),
-                         None if j is None else (resp_path, *resp_spans[j]), opts))
 
-    counts = list(_map_documents(_score_worker, work, args.jobs))
-    report = build_report(names, [(name, doc_key, c) for (name, doc_key), c
-                                  in zip(doc_keys, counts)], opts, args.per_doc)
+    def spans(path: str) -> list[tuple]:
+        # (path, doc_id, first_line, start, end) per document; the bytes are dropped
+        return [(path, *s) for s in numbered_spans(Path(path).read_bytes(), path)]
+
+    datasets = ((name, spans(key_path), spans(resp_path)) for name, key_path, resp_path
+                in zip(_dataset_names(key_paths), key_paths, resp_paths))
+    report = score_datasets(datasets, lambda span: span[1],
+                            partial(_map_documents, _score_worker, jobs=args.jobs),
+                            opts, args.per_doc)
 
     rendered = _render_report(report, args.format, args.per_doc)
     print(rendered, end="" if rendered.endswith("\n") else "\n")
@@ -291,12 +290,10 @@ def _dataset_names(paths: list[str]) -> list[str]:
     taken = {"ALL", "MACRO"}
     names: list[str] = []
     for path in paths:
-        base = Path(path).stem or path
-        name = base
+        base = name = Path(path).stem or path
         n = 2
         while name in taken:
-            name = f"{base}#{n}"
-            n += 1
+            name, n = f"{base}#{n}", n + 1
         taken.add(name)
         names.append(name)
     return names
@@ -319,23 +316,20 @@ def _pct(x: float) -> float:
 
 
 def _render_report(report: ScoreReport, fmt: str, per_doc: bool) -> str:
-    if fmt == "json":
-        return _render_json(report, per_doc)
-    if fmt == "tsv":
-        return _render_tsv(report, per_doc)
-    return _render_text(report, per_doc)
+    return {"json": _render_json, "tsv": _render_tsv}.get(fmt, _render_text)(report, per_doc)
 
 
 def _report_rows(report: ScoreReport, per_doc: bool) -> Iterator[tuple[str, str | None, dict]]:
     """The rows of the text and TSV reports as (dataset, doc_key or None,
     scores): each dataset, then its documents with `per_doc`, then MACRO
     when there are several datasets."""
-    for name, scores in report.per_dataset.items():
+    per_dataset = report.per_dataset
+    docs = report.per_doc if per_doc else {}
+    for name, scores in per_dataset.items():
         yield name, None, scores
-        if per_doc:
-            for doc_key, doc_scores in report.per_doc.get(name, {}).items():
-                yield name, doc_key, doc_scores
-    if len(report.per_dataset) > 1:
+        for doc_key, doc_scores in docs.get(name, {}).items():
+            yield name, doc_key, doc_scores
+    if len(per_dataset) > 1:
         yield "MACRO", None, report.macro
 
 
@@ -354,9 +348,7 @@ def _render_text(report: ScoreReport, per_doc: bool) -> str:
                              f"{_pct(s.recall):>7.2f} {_pct(s.precision):>7.2f} "
                              f"{_pct(s.f1):>7.2f}")
     if (match, singletons) == ("partial", False) and "conll" in report.macro:
-        lines.append("")
-        lines.append(f"CoNLL F1 (partial, no singletons): "
-                     f"{_pct(report.macro['conll'].f1):.2f}")
+        lines += ["", f"CoNLL F1 (partial, no singletons): {_pct(report.macro['conll'].f1):.2f}"]
     return "\n".join(lines) + "\n"
 
 
@@ -384,10 +376,7 @@ def _render_json(report: ScoreReport, per_doc: bool) -> str:
 def _render_tsv(report: ScoreReport, per_doc: bool) -> str:
     metrics = [m for m in report.metrics
                if any(m in s for s in report.per_dataset.values())]
-    header = ["dataset"]
-    for m in metrics:
-        header += [f"{m}.r", f"{m}.p", f"{m}.f1"]
-    rows = ["\t".join(header)]
+    rows = ["\t".join(["dataset"] + [f"{m}.{c}" for m in metrics for c in ("r", "p", "f1")])]
     for name, doc_key, scores in _report_rows(report, per_doc):
         cells = [name if doc_key is None else f"{name} [{doc_key}]"]
         for m in metrics:

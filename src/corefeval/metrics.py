@@ -8,7 +8,8 @@ BLANC and LEA all read one key×response contingency table of the aligned
 mentions, built once per document pair and kept as each entity's nonzero
 cells.  Counts are plain number tuples that sum across documents
 (micro aggregation inside a dataset); datasets combine by unweighted
-macro-averaging.
+macro-averaging.  `score_datasets` pairs, scores and sums for both
+`evaluate` and the `score` command, into a `ScoreReport` of counts.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ import logging
 import math
 from bisect import bisect_left
 from collections import Counter
-from functools import cache
-from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple
+from functools import cache, partial
+from itertools import accumulate, starmap
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .align import (
     EXACT,
@@ -56,12 +58,7 @@ def prf(rec_num: float, rec_den: float, prec_num: float, prec_den: float) -> PRF
 
 
 def _mean_prfs(*prfs: PRF) -> PRF:
-    n = len(prfs)
-    return PRF(
-        sum(x.recall for x in prfs) / n,
-        sum(x.precision for x in prfs) / n,
-        sum(x.f1 for x in prfs) / n,
-    )
+    return PRF(*(sum(column) / len(prfs) for column in zip(*prfs)))
 
 
 def _shared_prf(num: float, key_den: int, resp_den: int) -> PRF:
@@ -69,14 +66,9 @@ def _shared_prf(num: float, key_den: int, resp_den: int) -> PRF:
 
 
 def blanc_prf(cc: int, ck: int, cr: int, nn: int, nk: int, nr: int) -> PRF:
-    parts: list[PRF] = []
-    if ck or cr:
-        parts.append(prf(cc, ck, cc, cr))
-    if nk or nr:
-        parts.append(prf(nn, nk, nn, nr))
-    if not parts:
-        return PRF(0.0, 0.0, 0.0)
-    return _mean_prfs(*parts)
+    # the mean of the coreference and non-coreference scores that have links
+    parts = [prf(n, k, n, r) for n, k, r in ((cc, ck, cr), (nn, nk, nr)) if k or r]
+    return _mean_prfs(*parts) if parts else PRF(0.0, 0.0, 0.0)
 
 
 class ZeroScoreCounts(NamedTuple):
@@ -384,9 +376,11 @@ def score_document_pair(key_doc: Document, resp_doc: Document | None,
         conservative_head_reduce_layer(resp_layer)
     policy = EXACT if opts.match == EXACT else PARTIAL
 
-    # a metric that averages others is counted as its parts; all count after
-    # the head reduction, so that the head-match variant equals scoring
-    # explicitly reduced files
+    # a metric that averages others is counted as its parts, all after the
+    # reduction.  So `--match head` equals `conservative-head-reduce` then
+    # partial matching with singletons kept; without them, it equals
+    # `remove-singletons,conservative-head-reduce` then that (reducing first
+    # would let injected singletons change which spans are kept intact)
     wanted = set(opts.metrics).union(
         *(m.reads for m in METRICS if not m.counter and m.name in opts.metrics))
     counts: dict[str, tuple] = {}
@@ -412,8 +406,7 @@ def score_document_pair(key_doc: Document, resp_doc: Document | None,
 def add_counts(total: dict[str, tuple], counts: dict[str, tuple]) -> None:
     for name, values in counts.items():
         prev = total.get(name)
-        total[name] = values if prev is None else tuple(
-            a + b for a, b in zip(prev, values))
+        total[name] = values if prev is None else tuple(a + b for a, b in zip(prev, values))
 
 
 def counts_to_prfs(counts: dict[str, tuple], metrics: tuple[str, ...]) -> dict[str, PRF]:
@@ -434,13 +427,27 @@ def macro_average(per_dataset: dict[str, dict[str, PRF]]) -> dict[str, PRF]:
 
 
 class ScoreReport(NamedTuple):
-    """Per-dataset and macro-averaged scores for one evaluation run."""
+    """One evaluation run as counts: each dataset's summed count tuples by
+    metric (`METRICS` names their fields), and each document's by dataset
+    and doc_key (only with `per_doc`).  The PRF views are read from them."""
 
     variant: tuple[str, bool]  # (match policy, singletons kept)
     metrics: tuple[str, ...]
-    per_dataset: dict[str, dict[str, PRF]]
-    macro: dict[str, PRF]
-    per_doc: dict[str, dict[str, dict[str, PRF]]]  # empty unless asked for
+    counts: dict[str, dict[str, tuple]]
+    doc_counts: dict[str, dict[str, dict[str, tuple]]]
+
+    @property
+    def per_dataset(self) -> dict[str, dict[str, PRF]]:
+        return {name: counts_to_prfs(c, self.metrics) for name, c in self.counts.items()}
+
+    @property
+    def macro(self) -> dict[str, PRF]:
+        return macro_average(self.per_dataset)
+
+    @property
+    def per_doc(self) -> dict[str, dict[str, dict[str, PRF]]]:
+        return {name: {doc_key: counts_to_prfs(c, self.metrics) for doc_key, c in docs.items()}
+                for name, docs in self.doc_counts.items()}
 
 
 def pair_documents(
@@ -485,31 +492,37 @@ def pair_documents(
     return pairs
 
 
-def build_report(
-    datasets: list[str],
-    results: Iterable[tuple[str, str, dict[str, tuple]]],
-    opts: EvalOptions,
-    per_doc: bool = False,
-) -> ScoreReport:
-    """Aggregate ordered (dataset, doc_key, counts) results: counts are
-    summed within a dataset and the datasets' scores macro-averaged."""
-    totals: dict[str, dict[str, tuple]] = {name: {} for name in datasets}
-    doc_scores: dict[str, dict[str, dict[str, PRF]]] = {}
-    for name, doc_key, counts in results:
+def score_datasets(datasets: Iterable[tuple[str, list, list]], doc_id: Callable,
+                   score_all: Callable[[Iterator[tuple]], Iterable[dict[str, tuple]]],
+                   opts: EvalOptions, per_doc: bool = False) -> ScoreReport:
+    """The report of (name, key documents, response documents) datasets:
+    the one engine of `evaluate` and the `score` command.  A document is
+    what `doc_id` reads an id from (a `Document`, or the CLI's span of
+    one).  The task iterator given to `score_all` pairs each dataset when
+    it reaches it and yields (key, response or None, opts); `score_all`
+    yields each task's counts in task order, summed in that order."""
+    totals: dict[str, dict[str, tuple]] = {}
+    doc_keys: list[tuple[str, str]] = []
+
+    def tasks() -> Iterator[tuple]:
+        for name, keys, resps in datasets:
+            totals[name] = {}
+            ids = [doc_id(d) for d in keys], [doc_id(d) for d in resps]
+            for doc_key, i, j in pair_documents(*ids, name):
+                doc_keys.append((name, doc_key))
+                yield keys[i], None if j is None else resps[j], opts
+
+    doc_counts: dict[str, dict[str, dict[str, tuple]]] = {}
+    for n, counts in enumerate(score_all(tasks())):
+        name, doc_key = doc_keys[n]
         add_counts(totals[name], counts)
         if per_doc:
-            doc_scores.setdefault(name, {})[doc_key] = counts_to_prfs(counts, opts.metrics)
-    per_dataset = {name: counts_to_prfs(t, opts.metrics) for name, t in totals.items()}
-    return ScoreReport((opts.match, opts.keep_singletons), opts.metrics,
-                       per_dataset, macro_average(per_dataset), doc_scores)
+            doc_counts.setdefault(name, {})[doc_key] = counts
+    return ScoreReport((opts.match, opts.keep_singletons), opts.metrics, totals, doc_counts)
 
 
-def evaluate(
-    key_datasets: dict[str, list[Document]],
-    resp_datasets: dict[str, list[Document]],
-    opts: EvalOptions,
-    per_doc: bool = False,
-) -> ScoreReport:
+def evaluate(key_datasets: dict[str, list[Document]], resp_datasets: dict[str, list[Document]],
+             opts: EvalOptions, per_doc: bool = False) -> ScoreReport:
     """Score response datasets against key datasets (same names)."""
     for name in key_datasets:
         if name not in resp_datasets:
@@ -518,11 +531,6 @@ def evaluate(
     if extra:
         raise DocumentPairError(
             "response datasets not present in the key: " + ", ".join(sorted(extra)))
-    results = []
-    for name, key_docs in key_datasets.items():
-        resp_docs = resp_datasets[name]
-        for doc_key, i, j in pair_documents([d.doc_id for d in key_docs],
-                                            [d.doc_id for d in resp_docs], name):
-            resp = None if j is None else resp_docs[j]
-            results.append((name, doc_key, score_document_pair(key_docs[i], resp, opts)))
-    return build_report(list(key_datasets), results, opts, per_doc)
+    datasets = ((name, docs, resp_datasets[name]) for name, docs in key_datasets.items())
+    return score_datasets(datasets, attrgetter("doc_id"),
+                          partial(starmap, score_document_pair), opts, per_doc)

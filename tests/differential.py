@@ -10,7 +10,7 @@ on PYTHONPATH and no bytecode written, and the child calls `cli.main` (or
 `parse_text`) once per command line.  The inputs are the bundled fixtures and N seeded
 `tests/gen.py` files (discontinuous mentions, provided heads, empty nodes),
 each a key with a response drawn by `gen.perturb_mentions`: the pair
-`random-<s>` is `random_pair(s)`, for s = 0 … N-1.  Each of these files
+`random-<s>` is `gen.random_pair(s)`, for s = 0 … N-1.  Each of these files
 also gets M seeded mutants, `<label>~<m>` = `mutant(<label>, m)`: one to
 three line edits (a blank, comment, range or empty-node line inserted, a
 token id or head field changed, two lines swapped, a line deleted) or
@@ -26,7 +26,10 @@ the key's response.  The calls:
   `--pipeline`, with and without `--strip`, each writing its file with `-o`;
 - `score` of each key against its response (each fixture against itself,
   and `nest_key` against `nest_response`) under each `--match`, with and
-  without `--keep-singletons`, as text, JSON and TSV with `--per-doc`.
+  without `--keep-singletons`, as text, JSON and TSV with `--per-doc`;
+- the library's `corefeval.evaluate` of each such pair and variant, read
+  with `parse_text`, with `per_doc=True`: the JSON of its `per_dataset`,
+  `macro` and `per_doc` scores, floats written by `repr`.
 
 Every command runs with `--jobs 1` where it has the option.  For each call
 the exit code, stdout, stderr and the files written are compared; an
@@ -75,13 +78,18 @@ print(json.dumps({"ops": listed(options["transform"]["ops"]),
 # One `main()` call per command line, each with its own stdout, stderr and
 # logging set-up; "{out}" in a command line is an empty directory of its
 # own.  The command line ["parse_text", path] reads the file with
-# `corefeval.parse_text` instead.  Writes one JSON line per call: [code,
+# `corefeval.parse_text` instead, and ["evaluate", key, response, match,
+# *keep] reads both with it and prints the JSON of the PRF views of
+# `corefeval.evaluate(..., per_doc=True)`.  Writes one JSON line per call: [code,
 # stdout, stderr, {file: bytes as latin-1}], with the directory's path
 # written back as "{out}".
 RUN = """\
 import contextlib, io, json, logging, os, shutil, sys
-from corefeval import docs_to_text, parse_text
+from corefeval import EvalOptions, docs_to_text, evaluate, parse_text
 from corefeval.cli import main
+def read(path):
+    with open(path, encoding="utf-8", newline="") as f:
+        return parse_text(f.read())
 with open(sys.argv[1]) as f:
     cases = json.load(f)
 out_dir = sys.argv[2]
@@ -93,8 +101,15 @@ with open(sys.argv[3], "w") as results:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 if argv[0] == "parse_text":
-                    with open(argv[1], encoding="utf-8", newline="") as f:
-                        print(docs_to_text(parse_text(f.read())), end="")
+                    print(docs_to_text(read(argv[1])), end="")
+                    code = 0
+                elif argv[0] == "evaluate":
+                    opts = EvalOptions(match=argv[3], keep_singletons=len(argv) > 4)
+                    report = evaluate({"d": read(argv[1])}, {"d": read(argv[2])}, opts,
+                                      per_doc=True)
+                    # floats as json writes them, by repr
+                    print(json.dumps({"per_dataset": report.per_dataset, "macro": report.macro,
+                                      "per_doc": report.per_doc}))
                     code = 0
                 else:
                     code = main([a.replace("{out}", out_dir) for a in argv])
@@ -127,19 +142,6 @@ def _finish(proc: subprocess.Popen, tree: Path) -> str:
     if proc.returncode:
         raise SystemExit(f"differential: the child of {tree} failed:\n{err}")
     return out
-
-
-def random_pair(seed: int) -> tuple[str, str]:
-    """A key of one to three documents and a response drawn from it."""
-    rng = random.Random(seed)
-    key, resp = [], []
-    for d in range(rng.randint(1, 3)):
-        skel = gen.random_skeleton(rng, f"d{d}", n_sentences=(1, 4))
-        specs = gen.random_mentions(rng, skel, p_discontinuous=rng.choice((0.15, 0.4)),
-                                    p_provided_head=rng.choice((0.0, 0.5)))
-        key.append(gen.conllu_text(skel, specs))
-        resp.append(gen.conllu_text(skel, gen.perturb_mentions(rng, specs, skel)))
-    return "".join(key), "".join(resp)
 
 
 def _token_lines(lines: list[str]) -> list[int]:
@@ -223,7 +225,7 @@ def inputs(work: Path, fixtures: list[str], n_random: int, n_mutants: int):
     if {"nest_key", "nest_response"} <= set(fixtures):
         pairs.append(("nest_key", "nest_response"))
     for s in range(n_random):
-        for label, text in zip(("key", "response"), random_pair(s)):
+        for label, text in zip(("key", "response"), gen.random_pair(s)):
             files[f"random-{s}-{label}"] = path = work / f"random-{s}-{label}.conllu"
             path.write_text(text)
         pairs.append((f"random-{s}-key", f"random-{s}-response"))
@@ -261,6 +263,8 @@ def command_lines(files: dict[str, Path], pairs: list[tuple[str, str]],
                     cases.append((key, ["score", str(files[key]), str(files[resp]),
                                         "--match", match, *keep, "--format", fmt,
                                         "--per-doc", "--jobs", "1"]))
+                cases.append((key, ["evaluate", str(files[key]), str(files[resp]), match,
+                                    *keep]))
     return cases
 
 

@@ -261,6 +261,21 @@ def random_document(rng: random.Random, doc_id: str, **mention_kwargs) -> tuple[
     return skel, mentions, conllu_text(skel, mentions)
 
 
+def random_pair(seed: int) -> tuple[str, str]:
+    """A key of one to three documents and a response drawn from it, as
+    texts: general mentions (shared heads, discontinuous spans, provided
+    heads, singletons), perturbed by `perturb_mentions`."""
+    rng = random.Random(seed)
+    key, resp = [], []
+    for d in range(rng.randint(1, 3)):
+        skel = random_skeleton(rng, f"d{d}", n_sentences=(1, 4))
+        specs = random_mentions(rng, skel, p_discontinuous=rng.choice((0.15, 0.4)),
+                                p_provided_head=rng.choice((0.0, 0.5)))
+        key.append(conllu_text(skel, specs))
+        resp.append(conllu_text(skel, perturb_mentions(rng, specs, skel)))
+    return "".join(key), "".join(resp)
+
+
 def respan_around_heads(rng: random.Random, mentions: list[MentionSpec],
                         skel: Skeleton,
                         p_drop: float = 0.15,

@@ -19,6 +19,7 @@ import gen
 from corefeval import cli
 from corefeval.cli import _render_json, main
 from corefeval.conllu import docs_to_text, parse_file, parse_text
+from corefeval.errors import DocumentPairError
 from corefeval.metrics import EvalOptions, evaluate
 from corefeval.model import build_coref_layer
 from corefeval.transforms import apply_ops, reduce_layer_to_heads
@@ -266,6 +267,22 @@ class TestSharedEngine:
                                        "--format", "json", "--per-doc", "--jobs", "1")
                     assert code == 0
                     assert cli == library, (resp.name, match, keep)
+
+    def test_each_caller_keeps_its_order_of_pairing_and_scoring(self, gold, tmp_path, capsys):
+        # dataset 1 has a token mismatch, found when its document is scored;
+        # dataset 2 an extra response document, found when it is paired.
+        # `score` pairs every dataset before its pool scores a document;
+        # `evaluate` pairs each dataset when it reaches it
+        changed, first = tmp_path / "changed.conllu", tmp_path / "first.conllu"
+        changed.write_text(gold.read_text().replace("\tdog\t", "\tcat\t", 1))
+        first.write_text(docs_to_text(parse_file(gold)[:1]))
+        code, _, err = run(capsys, "score", f"{gold},{first}", f"{changed},{gold}",
+                           "--jobs", "1")
+        assert (code, err) == (3, "error: dataset first: response documents not present"
+                                  " in the key: animals-2\n")
+        with pytest.raises(DocumentPairError, match="^document animals-1: tokens differ"):
+            evaluate({"1": parse_file(gold), "2": parse_file(first)},
+                     {"1": parse_file(changed), "2": parse_file(gold)}, EvalOptions())
 
     @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
     def test_start_method_matches_single_job(self, start_method, tmp_path, capsys):

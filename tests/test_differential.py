@@ -40,11 +40,13 @@ def test_same_tree_differs_nowhere_and_a_mutant_somewhere(tmp_path):
     assert same.returncode == 0, same.stderr
     assert same.stdout.splitlines()[-1] == "no difference"
     # animals and one random pair, each file with one mutant, each file also
-    # read by the library's parse_text
+    # read by the library's parse_text, and each pair scored by the
+    # library's evaluate under 3 match policies, with and without singletons
     assert "6 input files, 4 scored pairs" in same.stdout
-    assert ", 6 parse_text, " in same.stdout
+    assert ", 24 evaluate, 6 parse_text, " in same.stdout
     assert changed.returncode == 1, changed.stderr
     assert "score stdout: " in changed.stdout
+    assert "evaluate stdout: " in changed.stdout
     # the mutant changes scores only
     assert not any(line.startswith(("validate", "stats", "transform", "baseline"))
                    for line in changed.stdout.splitlines())

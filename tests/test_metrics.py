@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 from fractions import Fraction
 import json
+import math
 import pickle
 import random
 
@@ -15,8 +16,10 @@ from corefeval.cli import main
 from corefeval.conllu import parse_text
 from corefeval.errors import DocumentPairError
 from corefeval.metrics import (
+    METRICS,
     EvalOptions,
     ZeroScoreCounts,
+    add_counts,
     bcub_counts,
     blanc_counts,
     blanc_prf,
@@ -792,6 +795,38 @@ class TestEvaluate:
         # a falsy filter would otherwise score unfiltered
         with pytest.raises(ValueError, match="names no tag"):
             EvalOptions(upos_filter=tag)
+
+    def test_counts_of_a_split_dataset_sum_to_the_whole(self):
+        # the documents of 12 random pairs as one dataset, and as two
+        key, resp = [], []
+        for seed in range(12):
+            key_text, resp_text = gen.random_pair(seed)
+            key += parse_text(key_text)
+            resp += parse_text(resp_text)
+        half = len(key) // 2
+        for opts in (EvalOptions(), EvalOptions(match="head", keep_singletons=True),
+                     EvalOptions(match="exact", metrics=("lea", "zero"))):
+            whole = evaluate({"d": key}, {"d": resp}, opts, per_doc=True)
+            split = evaluate({"a": key[:half], "b": key[half:]},
+                             {"a": resp[:half], "b": resp[half:]}, opts)
+            total = dict(split.counts["a"])
+            add_counts(total, split.counts["b"])
+            assert total.keys() == whole.counts["d"].keys()
+            for m in METRICS:
+                if m.name not in total:
+                    continue
+                assert len(total[m.name]) == len(m.fields), m.name
+                if m.name in ("muc", "blanc", "mor", "zero"):
+                    assert total[m.name] == whole.counts["d"][m.name], m.name
+                else:
+                    # B³, CEAF-e and LEA sum float numerators
+                    assert all(map(math.isclose, total[m.name], whole.counts["d"][m.name]))
+            assert split.doc_counts == {}
+            assert whole.per_doc == {
+                name: {doc_key: counts_to_prfs(counts, opts.metrics)
+                       for doc_key, counts in docs.items()}
+                for name, docs in whole.doc_counts.items()}
+            assert len(whole.doc_counts["d"]) == len(key)
 
     def test_no_datasets_give_an_empty_report(self):
         report = evaluate({}, {}, EvalOptions())
